@@ -44,7 +44,9 @@ from .diffraction import (
     DiffractionData,
     DiffractionSolution,
     SolverFailure,
+    TransmissionOperator,
     check_complementing,
+    pulled_back_operator,
     solve_general,
     solve_linearized_f,
     solve_linearized_h,

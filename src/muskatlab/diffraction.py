@@ -5,18 +5,20 @@ interface conditions on the shared edge y = 0 (a value jump and a flux
 balance) and Dirichlet data on the outer edges y = 1 and y = -1.  Both
 strips' nodes, including all edge layers, are unknowns; the interface
 conditions close the square system, which is factorized sparsely and solved
-with one step of iterative refinement.
+with one step of iterative refinement.  The matrix depends only on the
+geometry, so one :class:`TransmissionOperator` factor serves every problem on it.
 
 Interior rows discretize the operators with the same second-order stencils
 as :func:`muskatlab.operators.apply_operator`; the flux rows use one-sided
 second-order y-stencils and the spectral x-derivative of the traces.  The
-cached traces of the solution are computed with the identical stencils, so
+traces of the solution are computed with the identical stencils, so
 the imposed interface conditions are recoverable to solver precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +54,9 @@ __all__ = [
     "DiffractionData",
     "DiffractionSolution",
     "SolverFailure",
+    "TransmissionOperator",
     "check_complementing",
+    "pulled_back_operator",
     "solve_general",
     "solve_linearized_f",
     "solve_linearized_h",
@@ -61,7 +65,7 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
-RESIDUAL_LIMIT = 1e-10
+BACKWARD_ERROR_LIMIT = 1e-12
 
 
 class SolverFailure(RuntimeError):
@@ -92,24 +96,76 @@ class BoundaryOperator:
                 raise ValueError(f"{name} must have shape ({n},)")
             object.__setattr__(self, name, arr)
 
-    def apply(self, fld: StripField, diff_matrix: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, fld: StripField) -> np.ndarray:
         """Apply the operator to a strip field with the assembly stencils."""
         tr = trace_values(fld, self.edge)
-        if diff_matrix is None:
-            dx_tr = trace_dx(fld, self.edge)
-        else:
-            dx_tr = diff_matrix @ tr
+        dx_tr = spectral_diff_matrix(self.strip.grid) @ tr
         return self.beta1 * dx_tr + self.beta2 * trace_dy(fld, self.edge) + self.gamma * tr
 
 
-@dataclass(frozen=True)
-class DiffractionData:
-    """Right-hand sides, interface data, and operators of the general problem."""
+@dataclass(frozen=True, eq=False)
+class TransmissionOperator:
+    """Interior operators of both strips and the two flux operators on Gamma_0.
+
+    They depend only on the interface geometry, never on the data, so every
+    problem posed on them is solved with one :attr:`factorization`.
+    """
 
     plus_coeffs: CoefficientField
     minus_coeffs: CoefficientField
     plus_bc: BoundaryOperator
     minus_bc: BoundaryOperator
+
+    def __post_init__(self):
+        sp_, sm = self.strips
+        if sp_.side != "plus" or sm.side != "minus":
+            raise ValueError("coefficient fields must live on a plus and a minus strip")
+        if sp_.grid != sm.grid:
+            raise ValueError("strips must share the periodic grid")
+        if self.plus_bc.strip != sp_ or self.plus_bc.edge != "bottom":
+            raise ValueError("plus boundary operator must act on the plus strip bottom edge")
+        if self.minus_bc.strip != sm or self.minus_bc.edge != "top":
+            raise ValueError("minus boundary operator must act on the minus strip top edge")
+        self.plus_coeffs.assert_elliptic()
+        self.minus_coeffs.assert_elliptic()
+        if not (np.all(self.plus_bc.beta2 > 0) and np.all(self.minus_bc.beta2 > 0)):
+            raise ValueError("beta_2 coefficients on Gamma_0 must be strictly positive")
+
+    @property
+    def strips(self) -> tuple[StripGrid, StripGrid]:
+        return self.plus_coeffs.strip, self.minus_coeffs.strip
+
+    @cached_property
+    def factorization(self) -> tuple:
+        """(matrix, sparse LU, max-norm of the matrix, 1-norm condition estimate).
+
+        Raises :class:`SolverFailure` when the factorization breaks down or
+        the condition estimate exceeds 1e12; a failure is not cached.
+        """
+        matrix = _assemble(self)
+        try:
+            lu = spla.splu(matrix)
+        except RuntimeError as exc:
+            raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+        # ||A||_1 exactly, ||A^-1||_1 estimated from solves with the factor
+        n = matrix.shape[0]
+        inverse = spla.LinearOperator((n, n), matvec=lu.solve,
+                                      rmatvec=lambda x: lu.solve(x, trans="T"))
+        cond = float(abs(matrix).sum(axis=0).max()) * float(spla.onenormest(inverse))
+        if cond > CONDITION_LIMIT:
+            raise SolverFailure(
+                f"system too ill-conditioned (estimate {cond:.3e} > {CONDITION_LIMIT:.1e}); "
+                "geometry is close to losing admissibility",
+                condition_estimate=cond,
+            )
+        return matrix, lu, float(abs(matrix).sum(axis=1).max()), cond
+
+
+@dataclass(frozen=True)
+class DiffractionData:
+    """A transmission operator with the right-hand sides of one problem on it."""
+
+    operator: TransmissionOperator
     F_plus: StripField
     F_minus: StripField
     phi1: PeriodicFn
@@ -118,58 +174,36 @@ class DiffractionData:
     phi4: PeriodicFn
 
     def __post_init__(self):
-        sp_, sm = self.plus_coeffs.strip, self.minus_coeffs.strip
-        if sp_.side != "plus" or sm.side != "minus":
-            raise ValueError("coefficient fields must live on a plus and a minus strip")
-        if sp_.grid != sm.grid:
-            raise ValueError("strips must share the periodic grid")
+        sp_, sm = self.operator.strips
         if self.F_plus.strip != sp_ or self.F_minus.strip != sm:
-            raise ValueError("interior data must match the coefficient strips")
-        if self.plus_bc.strip != sp_ or self.plus_bc.edge != "bottom":
-            raise ValueError("plus boundary operator must act on the plus strip bottom edge")
-        if self.minus_bc.strip != sm or self.minus_bc.edge != "top":
-            raise ValueError("minus boundary operator must act on the minus strip top edge")
+            raise ValueError("interior data must match the operator's strips")
         for name in ("phi1", "phi2", "phi3", "phi4"):
             if getattr(self, name).grid != sp_.grid:
                 raise ValueError(f"{name} must live on the shared periodic grid")
-        self.plus_coeffs.assert_elliptic()
-        self.minus_coeffs.assert_elliptic()
-        if not (np.all(self.plus_bc.beta2 > 0) and np.all(self.minus_bc.beta2 > 0)):
-            raise ValueError("beta_2 coefficients on Gamma_0 must be strictly positive")
+
+
+def _trace(kind, side: str, edge: str) -> property:
+    return property(
+        lambda self: PeriodicFn(self.v_plus.strip.grid, kind(getattr(self, side), edge)),
+        doc=f"{kind.__name__} of {side} on its {edge} edge (assembly stencils)")
 
 
 @dataclass(frozen=True)
 class DiffractionSolution:
-    """Solved strip fields with cached edge traces (assembly stencils)."""
+    """Solved strip fields; their edge traces are computed on access."""
 
     v_plus: StripField
     v_minus: StripField
-    tr0_vplus: PeriodicFn
-    tr0_vminus: PeriodicFn
-    tr0_dx_vplus: PeriodicFn
-    tr0_dx_vminus: PeriodicFn
-    tr0_dy_vplus: PeriodicFn
-    tr0_dy_vminus: PeriodicFn
-    tr1_vplus: PeriodicFn
-    tr1_dx_vplus: PeriodicFn
-    tr1_dy_vplus: PeriodicFn
 
-
-def _make_solution(v_plus: StripField, v_minus: StripField) -> DiffractionSolution:
-    g = v_plus.strip.grid
-    return DiffractionSolution(
-        v_plus=v_plus,
-        v_minus=v_minus,
-        tr0_vplus=PeriodicFn(g, trace_values(v_plus, "bottom")),
-        tr0_vminus=PeriodicFn(g, trace_values(v_minus, "top")),
-        tr0_dx_vplus=PeriodicFn(g, trace_dx(v_plus, "bottom")),
-        tr0_dx_vminus=PeriodicFn(g, trace_dx(v_minus, "top")),
-        tr0_dy_vplus=PeriodicFn(g, trace_dy(v_plus, "bottom")),
-        tr0_dy_vminus=PeriodicFn(g, trace_dy(v_minus, "top")),
-        tr1_vplus=PeriodicFn(g, trace_values(v_plus, "top")),
-        tr1_dx_vplus=PeriodicFn(g, trace_dx(v_plus, "top")),
-        tr1_dy_vplus=PeriodicFn(g, trace_dy(v_plus, "top")),
-    )
+    tr0_vplus = _trace(trace_values, "v_plus", "bottom")
+    tr0_vminus = _trace(trace_values, "v_minus", "top")
+    tr0_dx_vplus = _trace(trace_dx, "v_plus", "bottom")
+    tr0_dx_vminus = _trace(trace_dx, "v_minus", "top")
+    tr0_dy_vplus = _trace(trace_dy, "v_plus", "bottom")
+    tr0_dy_vminus = _trace(trace_dy, "v_minus", "top")
+    tr1_vplus = _trace(trace_values, "v_plus", "top")
+    tr1_dx_vplus = _trace(trace_dx, "v_plus", "top")
+    tr1_dy_vplus = _trace(trace_dy, "v_plus", "top")
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +252,8 @@ def _pde_entries(coeffs: CoefficientField, offset: int):
     return rows, cols, vals
 
 
-def _assemble(data: DiffractionData):
-    strip_p = data.plus_coeffs.strip
-    strip_m = data.minus_coeffs.strip
+def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
+    strip_p, strip_m = op.strips
     nx = strip_p.grid.n_x
     ny_p, ny_m = strip_p.n_y, strip_m.n_y
     n_plus = nx * (ny_p + 1)
@@ -235,8 +268,8 @@ def _assemble(data: DiffractionData):
         return n_plus + i * stride_m + j
 
     rows, cols, vals = [], [], []
-    for part in (_pde_entries(data.plus_coeffs, 0),
-                 _pde_entries(data.minus_coeffs, n_plus)):
+    for part in (_pde_entries(op.plus_coeffs, 0),
+                 _pde_entries(op.minus_coeffs, n_plus)):
         rows += part[0]
         cols += part[1]
         vals += part[2]
@@ -259,11 +292,11 @@ def _assemble(data: DiffractionData):
     # Flux rows on Gamma_0, assigned to the minus-strip edge nodes.
     flux_rows = m_idx(i_all, ny_m)
     dyp, dym = strip_p.dy, strip_m.dy
-    b2p, b2m = data.plus_bc.beta2, data.minus_bc.beta2
-    add(flux_rows, p_idx(i_all, 0), -3.0 * b2p / (2 * dyp) + data.plus_bc.gamma)
+    b2p, b2m = op.plus_bc.beta2, op.minus_bc.beta2
+    add(flux_rows, p_idx(i_all, 0), -3.0 * b2p / (2 * dyp) + op.plus_bc.gamma)
     add(flux_rows, p_idx(i_all, 1), 4.0 * b2p / (2 * dyp))
     add(flux_rows, p_idx(i_all, 2), -b2p / (2 * dyp))
-    add(flux_rows, m_idx(i_all, ny_m), -3.0 * b2m / (2 * dym) - data.minus_bc.gamma)
+    add(flux_rows, m_idx(i_all, ny_m), -3.0 * b2m / (2 * dym) - op.minus_bc.gamma)
     add(flux_rows, m_idx(i_all, ny_m - 1), 4.0 * b2m / (2 * dym))
     add(flux_rows, m_idx(i_all, ny_m - 2), -b2m / (2 * dym))
 
@@ -271,111 +304,91 @@ def _assemble(data: DiffractionData):
     rr = np.repeat(flux_rows, nx)
     cc_p = p_idx(np.tile(i_all, nx), 0)
     cc_m = m_idx(np.tile(i_all, nx), ny_m)
-    add(rr, cc_p, (data.plus_bc.beta1[:, None] * dmat).ravel())
-    add(rr, cc_m, (-data.minus_bc.beta1[:, None] * dmat).ravel())
+    add(rr, cc_p, (op.plus_bc.beta1[:, None] * dmat).ravel())
+    add(rr, cc_m, (-op.minus_bc.beta1[:, None] * dmat).ravel())
 
     rows = np.concatenate([np.asarray(r).ravel() for r in rows])
     cols = np.concatenate([np.asarray(c).ravel() for c in cols])
     vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n_total, n_total))
-
-    rhs = np.zeros(n_total)
-    jj_p = np.arange(1, ny_p)
-    rhs[(i_all[:, None] * stride_p + jj_p[None, :]).ravel()] = \
-        data.F_plus.values[:, 1:ny_p].ravel()
-    jj_m = np.arange(1, ny_m)
-    rhs[(n_plus + i_all[:, None] * stride_m + jj_m[None, :]).ravel()] = \
-        data.F_minus.values[:, 1:ny_m].ravel()
-    rhs[p_idx(i_all, ny_p)] = data.phi3.values
-    rhs[m_idx(i_all, 0)] = data.phi4.values
-    rhs[p_idx(i_all, 0)] = data.phi2.values
-    rhs[flux_rows] = data.phi1.values
-    return matrix, rhs, n_plus
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n_total, n_total))
 
 
-def _condition_estimate(matrix: sp.csc_matrix, lu) -> float:
-    n = matrix.shape[0]
-    inv = spla.LinearOperator(
-        (n, n),
-        matvec=lambda x: lu.solve(x),
-        rmatvec=lambda x: lu.solve(x, trans="T"),
-    )
-    return float(spla.onenormest(matrix) * spla.onenormest(inv))
+def _rhs(data: DiffractionData) -> np.ndarray:
+    """Right-hand side in the node ordering of :func:`_assemble`: the edge
+    rows carry phi2 (jump) and phi3 on the plus strip, phi4 and phi1 (flux)
+    on the minus strip."""
+    plus = data.F_plus.values.copy()
+    plus[:, 0] = data.phi2.values
+    plus[:, -1] = data.phi3.values
+    minus = data.F_minus.values.copy()
+    minus[:, 0] = data.phi4.values
+    minus[:, -1] = data.phi1.values
+    return np.concatenate([plus.ravel(), minus.ravel()])
 
 
-def solve_general(data: DiffractionData, check_condition: bool = True) -> DiffractionSolution:
-    """Solve the general transmission problem by sparse direct factorization.
+def solve_general(data: DiffractionData) -> DiffractionSolution:
+    """Solve the general transmission problem with its operator's factorization.
 
     One step of iterative refinement follows the triangular solves.  Raises
-    :class:`SolverFailure` when the factorization breaks down, the condition
-    estimate exceeds 1e12, or the relative residual exceeds 1e-10.
+    :class:`SolverFailure` when the factorization fails (see
+    :attr:`TransmissionOperator.factorization`) or the normwise backward
+    error |Ax - b| / (|A| |x| + |b|) in max norms exceeds 1e-12.
     """
-    matrix, rhs, n_plus = _assemble(data)
-    try:
-        lu = spla.splu(matrix)
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - matrix @ x)
-    except RuntimeError as exc:
-        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+    matrix, lu, norm_inf, cond = data.operator.factorization
+    rhs = _rhs(data)
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - matrix @ x)
     if not np.all(np.isfinite(x)):
-        raise SolverFailure("solver produced non-finite values")
-
-    cond = None
-    if check_condition:
-        cond = _condition_estimate(matrix, lu)
-        if cond > CONDITION_LIMIT:
-            raise SolverFailure(
-                f"system too ill-conditioned (estimate {cond:.3e} > {CONDITION_LIMIT:.1e}); "
-                "geometry is close to losing admissibility",
-                condition_estimate=cond,
-            )
+        raise SolverFailure("solver produced non-finite values", condition_estimate=cond)
 
     residual = np.max(np.abs(matrix @ x - rhs))
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(x)), 1.0)
-    if residual > RESIDUAL_LIMIT * scale:
+    scale = norm_inf * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    if residual > BACKWARD_ERROR_LIMIT * scale:
         raise SolverFailure(
-            f"relative residual {residual / scale:.3e} exceeds {RESIDUAL_LIMIT:.1e}",
+            f"normwise backward error {residual / scale:.3e} exceeds "
+            f"{BACKWARD_ERROR_LIMIT:.1e}",
             condition_estimate=cond,
         )
 
-    strip_p = data.plus_coeffs.strip
-    strip_m = data.minus_coeffs.strip
-    nx = strip_p.grid.n_x
-    v_plus = StripField(strip_p, x[:n_plus].reshape(nx, strip_p.n_y + 1))
-    v_minus = StripField(strip_m, x[n_plus:].reshape(nx, strip_m.n_y + 1))
-    return _make_solution(v_plus, v_minus)
+    strip_p, strip_m = data.operator.strips
+    x_plus, x_minus = np.split(x, [np.prod(strip_p.shape)])
+    return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
+                               StripField(strip_m, x_minus.reshape(strip_m.shape)))
 
 
 # ---------------------------------------------------------------------------
 # The potential problems
 
 
-def _default_ny(fh: InterfacePair) -> int:
-    return max(8, fh.grid.n_x // 2)
-
-
-def _strips(fh: InterfacePair, n_y: int | None) -> tuple[StripGrid, StripGrid]:
-    ny = _default_ny(fh) if n_y is None else int(n_y)
-    return (StripGrid(fh.grid, ny, "plus"), StripGrid(fh.grid, ny, "minus"))
-
-
-def _potential_data(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
-                    n_y: int | None, surface_tension: bool) -> DiffractionData:
-    strip_p, strip_m = _strips(fh, n_y)
-    grid = fh.grid
-    zero = PeriodicFn(grid, np.zeros(grid.n_x))
+def pulled_back_operator(fh: InterfacePair, params: FluidParams,
+                         n_y: int | None = None) -> TransmissionOperator:
+    """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers."""
+    n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
+    strip_p, strip_m = StripGrid(fh.grid, n_y, "plus"), StripGrid(fh.grid, n_y, "minus")
+    zero = np.zeros(fh.grid.n_x)
     b1p, b2p = b_coeffs_plus(fh.f, fh.h, params)
     b1m, b2m = b_coeffs_minus(fh.f, params)
+    return TransmissionOperator(
+        plus_coeffs=coeffs_A_plus(fh.f, fh.h, params, strip_p),
+        minus_coeffs=coeffs_A_minus(fh.f, params, strip_m),
+        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, zero),
+        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, zero),
+    )
+
+
+def _potential_data(operator: TransmissionOperator, fh: InterfacePair, b: PeriodicFn,
+                    params: FluidParams, surface_tension: bool = False) -> DiffractionData:
+    """The potential problem at fh with bottom pressure b, posed on fh's operator;
+    with surface_tension both interfaces carry Laplace-Young jumps."""
+    strip_p, strip_m = operator.strips
+    zero = PeriodicFn(fh.grid, np.zeros(fh.grid.n_x))
     jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
     top = params.g * params.rho_plus * fh.h
     if surface_tension:
         jump = jump + params.gamma_f * curvature(fh.f)
         top = top - params.gamma_h * curvature(fh.h)
     return DiffractionData(
-        plus_coeffs=coeffs_A_plus(fh.f, fh.h, params, strip_p),
-        minus_coeffs=coeffs_A_minus(fh.f, params, strip_m),
-        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(grid.n_x)),
-        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(grid.n_x)),
+        operator=operator,
         F_plus=StripField(strip_p, np.zeros(strip_p.shape)),
         F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
         phi1=zero,
@@ -388,13 +401,14 @@ def _potential_data(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
                      n_y: int | None = None) -> DiffractionSolution:
     """Transformed velocity potentials of the gravity-driven problem."""
-    return solve_general(_potential_data(fh, b, params, n_y, surface_tension=False))
+    return solve_general(_potential_data(pulled_back_operator(fh, params, n_y), fh, b, params))
 
 
 def solve_potentials_st(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
                         n_y: int | None = None) -> DiffractionSolution:
     """Transformed potentials with Laplace-Young jumps on both interfaces."""
-    return solve_general(_potential_data(fh, b, params, n_y, surface_tension=True))
+    return solve_general(_potential_data(pulled_back_operator(fh, params, n_y), fh, b, params,
+                                         surface_tension=True))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +419,9 @@ def solve_linearized_f(base: InterfacePair, base_solution: DiffractionSolution,
                        direction: PeriodicFn, params: FluidParams,
                        with_surface_tension: bool = False) -> tuple[StripField, StripField]:
     """Derivative of the potential pair with respect to the lower interface."""
-    strip_p = base_solution.v_plus.strip
-    strip_m = base_solution.v_minus.strip
-    grid = base.grid
-    zero = PeriodicFn(grid, np.zeros(grid.n_x))
+    operator = pulled_back_operator(base, params, base_solution.v_plus.strip.n_y)
+    strip_p, strip_m = operator.strips
+    zero = PeriodicFn(base.grid, np.zeros(base.grid.n_x))
 
     da_plus = frechet_A("plus_f", base, direction, params, strip_p)
     da_minus = frechet_A("minus_f", base, direction, params, strip_m)
@@ -421,21 +434,15 @@ def solve_linearized_f(base: InterfacePair, base_solution: DiffractionSolution,
     if with_surface_tension:
         jump = jump + params.gamma_f * curvature_frechet(base.f, direction)
 
-    b1p, b2p = b_coeffs_plus(base.f, base.h, params)
-    b1m, b2m = b_coeffs_minus(base.f, params)
-    data = DiffractionData(
-        plus_coeffs=coeffs_A_plus(base.f, base.h, params, strip_p),
-        minus_coeffs=coeffs_A_minus(base.f, params, strip_m),
-        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(grid.n_x)),
-        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(grid.n_x)),
+    sol = solve_general(DiffractionData(
+        operator=operator,
         F_plus=f_plus,
         F_minus=f_minus,
         phi1=flux,
         phi2=jump,
         phi3=zero,
         phi4=zero,
-    )
-    sol = solve_general(data)
+    ))
     return sol.v_plus, sol.v_minus
 
 
@@ -443,10 +450,9 @@ def solve_linearized_h(base: InterfacePair, base_solution: DiffractionSolution,
                        direction: PeriodicFn, params: FluidParams,
                        with_surface_tension: bool = False) -> tuple[StripField, StripField]:
     """Derivative of the potential pair with respect to the upper interface."""
-    strip_p = base_solution.v_plus.strip
-    strip_m = base_solution.v_minus.strip
-    grid = base.grid
-    zero = PeriodicFn(grid, np.zeros(grid.n_x))
+    operator = pulled_back_operator(base, params, base_solution.v_plus.strip.n_y)
+    strip_p, strip_m = operator.strips
+    zero = PeriodicFn(base.grid, np.zeros(base.grid.n_x))
 
     da_plus = frechet_A("plus_h", base, direction, params, strip_p)
     f_plus = -apply_operator(da_plus, base_solution.v_plus)
@@ -455,21 +461,15 @@ def solve_linearized_h(base: InterfacePair, base_solution: DiffractionSolution,
     if with_surface_tension:
         top = top - params.gamma_h * curvature_frechet(base.h, direction)
 
-    b1p, b2p = b_coeffs_plus(base.f, base.h, params)
-    b1m, b2m = b_coeffs_minus(base.f, params)
-    data = DiffractionData(
-        plus_coeffs=coeffs_A_plus(base.f, base.h, params, strip_p),
-        minus_coeffs=coeffs_A_minus(base.f, params, strip_m),
-        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(grid.n_x)),
-        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(grid.n_x)),
+    sol = solve_general(DiffractionData(
+        operator=operator,
         F_plus=f_plus,
         F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
         phi1=flux,
         phi2=zero,
         phi3=top,
         phi4=zero,
-    )
-    sol = solve_general(data)
+    ))
     return sol.v_plus, sol.v_minus
 
 

@@ -23,8 +23,10 @@ from .config import SimConfig
 from .diffraction import (
     DiffractionSolution,
     SolverFailure,
+    _potential_data,
+    pulled_back_operator,
+    solve_general,
     solve_potentials,
-    solve_potentials_st,
 )
 from .geometry import (
     AdmissibilityError,
@@ -83,7 +85,7 @@ class StepRejected(RuntimeError):
 class SimState:
     t: float
     fh: InterfacePair
-    last_solution: DiffractionSolution | None = None
+    slope: tuple[PeriodicFn, PeriodicFn] | None = None  # phi(t, fh), step's first stage
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,10 @@ class Trajectory:
         self.dt_used.append(float(dt))
 
 
-def _solve(fh, b, params, surface_tension, n_y):
-    solver = solve_potentials_st if surface_tension else solve_potentials
-    return solver(fh, b, params, n_y=n_y)
+def _velocities(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams):
+    df = -boundary_B_minus(fh.f, params, sol.v_minus)
+    dh = -boundary_B1(fh.f, fh.h, params, sol.v_plus)
+    return df, dh
 
 
 def phi(t: float, fh: InterfacePair, b, params: FluidParams,
@@ -128,11 +131,10 @@ def phi(t: float, fh: InterfacePair, b, params: FluidParams,
 
     b may be a PeriodicFn (time-constant) or a callable t -> PeriodicFn.
     """
-    b_fn = b(t) if callable(b) else b
-    sol = _solve(fh, b_fn, params, surface_tension, n_y)
-    df = -boundary_B_minus(fh.f, params, sol.v_minus)
-    dh = -boundary_B1(fh.f, fh.h, params, sol.v_plus)
-    return df, dh
+    operator = pulled_back_operator(fh, params, n_y)
+    b_t = b(t) if callable(b) else b
+    sol = solve_general(_potential_data(operator, fh, b_t, params, surface_tension))
+    return _velocities(fh, sol, params)
 
 
 def pressures(solution: DiffractionSolution, fh: InterfacePair,
@@ -147,19 +149,9 @@ def pressures(solution: DiffractionSolution, fh: InterfacePair,
     return p_plus, p_minus
 
 
-def rayleigh_taylor(fh: InterfacePair, b, params: FluidParams,
-                    n_y: int | None = None) -> RTReport:
-    """Parabolicity margins from the gravity-driven potentials.
-
-    margin_f is the minimum over x of minus the jump of the normal pressure
-    derivative across the lower interface; margin_h the minimum of minus the
-    upper fluid's normal pressure derivative on the top interface.  Both are
-    physical normal derivatives (slope-normalized).
-    """
+def _rt_report(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams) -> RTReport:
     from .geometry import spectral_derivative
 
-    b_fn = b(0.0) if callable(b) else b
-    sol = solve_potentials(fh, b_fn, params, n_y=n_y)
     fp = spectral_derivative(fh.f, 1).values
     hp = spectral_derivative(fh.h, 1).values
     co_minus = (params.mu_minus / params.k) * boundary_B_minus(fh.f, params, sol.v_minus).values
@@ -171,21 +163,38 @@ def rayleigh_taylor(fh: InterfacePair, b, params: FluidParams,
     return RTReport(margin_f=float(margin_f), margin_h=float(margin_h))
 
 
+def rayleigh_taylor(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
+                    n_y: int | None = None) -> RTReport:
+    """Parabolicity margins from the gravity-driven potentials.
+
+    margin_f is the minimum over x of minus the jump of the normal pressure
+    derivative across the lower interface; margin_h the minimum of minus the
+    upper fluid's normal pressure derivative on the top interface.  Both are
+    physical normal derivatives (slope-normalized).  b is the bottom pressure
+    at the time of fh; a time-dependent b is evaluated by the caller.
+    """
+    if not isinstance(b, PeriodicFn):
+        raise TypeError("b must be a PeriodicFn; evaluate a time-dependent b at the state's time")
+    return _rt_report(fh, solve_potentials(fh, b, params, n_y=n_y), params)
+
+
 def step(state: SimState, dt: float, b_at, params: FluidParams,
          surface_tension: bool = False, n_y: int | None = None):
     """One explicit RKF45 step of the interface evolution.
 
     Returns (new_state, error_estimate); the estimate is the sup-norm of the
-    embedded fourth/fifth-order difference.  Raises StepRejected when an
-    intermediate stage leaves the admissible set.
+    embedded fourth/fifth-order difference.  The first stage is the state's
+    slope, solved for here when the state carries none.  Raises
+    StepRejected when an intermediate stage leaves the admissible set.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     fh = state.fh
     f0, h0, d = fh.f.values, fh.h.values, fh.d
     grid = fh.grid
-    ks = []
-    for stage in range(6):
+    slope = state.slope or phi(state.t, fh, b_at, params, surface_tension, n_y)
+    ks = [(slope[0].values, slope[1].values)]
+    for stage in range(1, 6):
         fv = f0.copy()
         hv = h0.copy()
         for j, a in enumerate(_RKF_A[stage]):
@@ -237,6 +246,9 @@ def simulate(config: SimConfig) -> Trajectory:
     Terminates with reason 't_end', 'admissibility_lost', 'rt_violated'
     (when stop_on_rt is set on a run without surface tension), or
     'step_failure'; failures are recorded, never raised past the trajectory.
+    An accepted state's RT margins and first stage share one factorization
+    (and, without surface tension, one solve), released before the step's
+    later stages factorize theirs.
     """
     grid = make_grid(config.n_x)
     f = config.f0.build(grid)
@@ -245,25 +257,34 @@ def simulate(config: SimConfig) -> Trajectory:
     fh = InterfacePair(f, h, config.params.d)
     params = config.params
     stop_on_rt = config.stop_on_rt and not config.surface_tension
-
     traj = Trajectory()
-    state = SimState(t=0.0, fh=fh)
-    try:
-        report = rayleigh_taylor(fh, b, params, n_y=config.n_y)
-    except SolverFailure:
-        traj.reason = "step_failure"
-        return traj
-    traj.record(0.0, fh, report, 0.0)
-    if stop_on_rt and not report.satisfied:
-        traj.reason = "rt_violated"
-        return traj
 
+    def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
+        """Record an accepted state; return it with its slope, or None at the end."""
+        operator = pulled_back_operator(fh, params, config.n_y)
+        try:
+            gravity_sol = solve_general(_potential_data(operator, fh, b, params))
+            report = _rt_report(fh, gravity_sol, params)
+            traj.record(t, fh, report, dt_used)
+            if stop_on_rt and not report.satisfied:
+                traj.reason = "rt_violated"
+            elif t >= config.t_end * (1.0 - 1e-12):
+                traj.reason = "t_end"
+            else:
+                sol = gravity_sol
+                if config.surface_tension:
+                    sol = solve_general(_potential_data(operator, fh, b, params, True))
+                return SimState(t=t, fh=fh, slope=_velocities(fh, sol, params))
+        except SolverFailure:
+            traj.reason = "step_failure"
+        return None
+
+    state = accept(0.0, fh, 0.0)
+    if state is None:
+        return traj
     dt = min(config.dt_init, config.dt_max, _st_dt_cap(config), config.t_end)
     rejected_in_a_row = 0
     for _ in range(_MAX_STEPS):
-        if state.t >= config.t_end * (1.0 - 1e-12):
-            traj.reason = "t_end"
-            return traj
         dt = min(dt, config.t_end - state.t)
         try:
             new_state, err = step(state, dt, b, params,
@@ -298,16 +319,8 @@ def simulate(config: SimConfig) -> Trajectory:
         if not rep.ok:
             traj.reason = "admissibility_lost"
             return traj
-        state = SimState(t=new_state.t, fh=InterfacePair(f_new, h_new, params.d))
-
-        try:
-            report = rayleigh_taylor(state.fh, b, params, n_y=config.n_y)
-        except SolverFailure:
-            traj.reason = "step_failure"
-            return traj
-        traj.record(state.t, state.fh, report, dt)
-        if stop_on_rt and not report.satisfied:
-            traj.reason = "rt_violated"
+        state = accept(new_state.t, InterfacePair(f_new, h_new, params.d), dt)
+        if state is None:
             return traj
 
         growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** (-0.2))

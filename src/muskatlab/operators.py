@@ -354,11 +354,6 @@ def trace_dx(fld: StripField, edge: str) -> np.ndarray:
     return spectral_derivative(tr, 1).values
 
 
-def _gamma0_edge(strip: StripGrid) -> str:
-    # Gamma_0 (y = 0) is the top edge of the minus strip, bottom of the plus.
-    return "top" if strip.side == "minus" else "bottom"
-
-
 # ---------------------------------------------------------------------------
 # Boundary operators
 
@@ -412,14 +407,6 @@ def b_coeffs_plus(f: PeriodicFn, h: PeriodicFn, params: FluidParams):
     fp = spectral_derivative(f, 1).values
     coef = params.k / params.mu_plus
     return -coef * fp, coef * (1.0 + fp**2) / gap
-
-
-def b_coeffs_top(f: PeriodicFn, h: PeriodicFn, params: FluidParams):
-    """(beta_1, beta_2) of B_1(f,h) as a first-order Gamma_1 operator."""
-    gap = _gap_plus(f, h)
-    hp = spectral_derivative(h, 1).values
-    coef = params.k / params.mu_plus
-    return -coef * hp, coef * (1.0 + hp**2) / gap
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffraction, operators, symbols
-from .geometry import InterfacePair, PeriodicFn, constant_fn, make_grid, spectral_diff_matrix
+from .geometry import InterfacePair, PeriodicFn, constant_fn, make_grid
 from .operators import FluidParams, StripField, StripGrid
 
 
@@ -66,24 +66,18 @@ def check_manufactured(quick: bool = False) -> CheckResult:
     par = FluidParams()
     fh = _interfaces(grid, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x),
                      lambda x: 1.0 + 0.1 * np.cos(x))
-    strip_p = StripGrid(grid, n_y, "plus")
-    strip_m = StripGrid(grid, n_y, "minus")
+    op = diffraction.pulled_back_operator(fh, par, n_y)
+    strip_p, strip_m = op.strips
     v_plus = StripField(strip_p, np.sin(grid.nodes)[:, None]
                         * np.exp(strip_p.y_nodes)[None, :])
     v_minus = StripField(strip_m, np.cos(2 * grid.nodes)[:, None]
                          * (1 + strip_m.y_nodes)[None, :] ** 2)
-    cp = operators.coeffs_A_plus(fh.f, fh.h, par, strip_p)
-    cm = operators.coeffs_A_minus(fh.f, par, strip_m)
-    b1p, b2p = operators.b_coeffs_plus(fh.f, fh.h, par)
-    b1m, b2m = operators.b_coeffs_minus(fh.f, par)
-    bc_p = diffraction.BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(n))
-    bc_m = diffraction.BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(n))
-    dmat = spectral_diff_matrix(grid)
+    bc_p, bc_m = op.plus_bc, op.minus_bc
     data = diffraction.DiffractionData(
-        plus_coeffs=cp, minus_coeffs=cm, plus_bc=bc_p, minus_bc=bc_m,
-        F_plus=operators.apply_operator(cp, v_plus),
-        F_minus=operators.apply_operator(cm, v_minus),
-        phi1=PeriodicFn(grid, bc_p.apply(v_plus, dmat) - bc_m.apply(v_minus, dmat)),
+        operator=op,
+        F_plus=operators.apply_operator(op.plus_coeffs, v_plus),
+        F_minus=operators.apply_operator(op.minus_coeffs, v_minus),
+        phi1=PeriodicFn(grid, bc_p.apply(v_plus) - bc_m.apply(v_minus)),
         phi2=PeriodicFn(grid, v_plus.values[:, 0] - v_minus.values[:, -1]),
         phi3=PeriodicFn(grid, v_plus.values[:, -1]),
         phi4=PeriodicFn(grid, v_minus.values[:, 0]),

@@ -11,9 +11,9 @@ import pytest
 
 from muskatlab.config import SimConfig, WaveSpec
 from muskatlab.diffraction import (
-    BoundaryOperator,
     DiffractionData,
     check_complementing,
+    pulled_back_operator,
     solve_general,
     solve_potentials,
 )
@@ -30,15 +30,12 @@ from muskatlab.geometry import (
     constant_fn,
     from_callable,
     make_grid,
-    spectral_diff_matrix,
 )
 from muskatlab.operators import (
     FluidParams,
     StripField,
     StripGrid,
     apply_operator,
-    b_coeffs_minus,
-    b_coeffs_plus,
     boundary_B1,
     boundary_B_minus,
     boundary_B_plus,
@@ -103,17 +100,13 @@ def test_criterion_2_diffraction_solver():
                         * np.exp(strip_p.y_nodes)[None, :] + 0.2)
     v_minus = StripField(strip_m, np.cos(2 * grid.nodes)[:, None]
                          * (1 + strip_m.y_nodes)[None, :] ** 2)
-    cp = coeffs_A_plus(f, h, PAR, strip_p)
-    cm = coeffs_A_minus(f, PAR, strip_m)
-    b1p, b2p = b_coeffs_plus(f, h, PAR)
-    b1m, b2m = b_coeffs_minus(f, PAR)
-    bc_p = BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(grid.n_x))
-    bc_m = BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(grid.n_x))
-    dmat = spectral_diff_matrix(grid)
+    op = pulled_back_operator(fh, PAR, n_y)
+    bc_p, bc_m = op.plus_bc, op.minus_bc
     data = DiffractionData(
-        plus_coeffs=cp, minus_coeffs=cm, plus_bc=bc_p, minus_bc=bc_m,
-        F_plus=apply_operator(cp, v_plus), F_minus=apply_operator(cm, v_minus),
-        phi1=PeriodicFn(grid, bc_p.apply(v_plus, dmat) - bc_m.apply(v_minus, dmat)),
+        operator=op,
+        F_plus=apply_operator(op.plus_coeffs, v_plus),
+        F_minus=apply_operator(op.minus_coeffs, v_minus),
+        phi1=PeriodicFn(grid, bc_p.apply(v_plus) - bc_m.apply(v_minus)),
         phi2=PeriodicFn(grid, v_plus.values[:, 0] - v_minus.values[:, -1]),
         phi3=PeriodicFn(grid, v_plus.values[:, -1]),
         phi4=PeriodicFn(grid, v_minus.values[:, 0]))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import muskatlab.diffraction as diffraction
 from muskatlab.diffraction import (
-    BoundaryOperator,
     DiffractionData,
     SolverFailure,
     check_complementing,
+    pulled_back_operator,
     solve_general,
     solve_linearized_f,
     solve_linearized_h,
@@ -18,19 +19,14 @@ from muskatlab.geometry import (
     constant_fn,
     from_callable,
     make_grid,
-    spectral_diff_matrix,
 )
 from muskatlab.operators import (
     FluidParams,
     StripField,
     StripGrid,
     apply_operator,
-    b_coeffs_minus,
-    b_coeffs_plus,
     boundary_B_minus,
     boundary_B_plus,
-    coeffs_A_minus,
-    coeffs_A_plus,
 )
 
 PAR = FluidParams()
@@ -52,17 +48,11 @@ def wavy_pair(grid):
 
 def general_data(fh, params, n_y, F_plus=None, F_minus=None,
                  phi1=None, phi2=None, phi3=None, phi4=None):
-    g = fh.grid
-    strip_p = StripGrid(g, n_y, "plus")
-    strip_m = StripGrid(g, n_y, "minus")
-    zero = constant_fn(g, 0.0)
-    b1p, b2p = b_coeffs_plus(fh.f, fh.h, params)
-    b1m, b2m = b_coeffs_minus(fh.f, params)
+    op = pulled_back_operator(fh, params, n_y)
+    strip_p, strip_m = op.strips
+    zero = constant_fn(fh.grid, 0.0)
     return DiffractionData(
-        plus_coeffs=coeffs_A_plus(fh.f, fh.h, params, strip_p),
-        minus_coeffs=coeffs_A_minus(fh.f, params, strip_m),
-        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(g.n_x)),
-        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(g.n_x)),
+        operator=op,
         F_plus=F_plus if F_plus is not None else StripField(strip_p, np.zeros(strip_p.shape)),
         F_minus=F_minus if F_minus is not None else StripField(strip_m, np.zeros(strip_m.shape)),
         phi1=phi1 if phi1 is not None else zero,
@@ -99,19 +89,14 @@ class TestSolveGeneral:
         v_minus = StripField(strip_m, np.cos(2 * g.nodes)[:, None] * (1 + ym)[None, :] ** 2
                              + 0.1 * np.sin(g.nodes)[:, None])
 
-        cp = coeffs_A_plus(fh.f, fh.h, PAR, strip_p)
-        cm = coeffs_A_minus(fh.f, PAR, strip_m)
-        b1p, b2p = b_coeffs_plus(fh.f, fh.h, PAR)
-        b1m, b2m = b_coeffs_minus(fh.f, PAR)
-        bc_p = BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(g.n_x))
-        bc_m = BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(g.n_x))
-        dmat = spectral_diff_matrix(g)
+        op = pulled_back_operator(fh, PAR, n_y)
+        bc_p, bc_m = op.plus_bc, op.minus_bc
 
         data = DiffractionData(
-            plus_coeffs=cp, minus_coeffs=cm, plus_bc=bc_p, minus_bc=bc_m,
-            F_plus=apply_operator(cp, v_plus),
-            F_minus=apply_operator(cm, v_minus),
-            phi1=PeriodicFn(g, bc_p.apply(v_plus, dmat) - bc_m.apply(v_minus, dmat)),
+            operator=op,
+            F_plus=apply_operator(op.plus_coeffs, v_plus),
+            F_minus=apply_operator(op.minus_coeffs, v_minus),
+            phi1=PeriodicFn(g, bc_p.apply(v_plus) - bc_m.apply(v_minus)),
             phi2=PeriodicFn(g, v_plus.values[:, 0] - v_minus.values[:, -1]),
             phi3=PeriodicFn(g, v_plus.values[:, -1]),
             phi4=PeriodicFn(g, v_minus.values[:, 0]),
@@ -143,6 +128,71 @@ class TestSolveGeneral:
         with pytest.raises(SolverFailure) as err:
             solve_general(general_data(fh, PAR, 12, phi3=constant_fn(g, 1.0)))
         assert err.value.condition_estimate is None or err.value.condition_estimate > 1e12
+
+    def test_backward_error_guard_rejects_corrupted_solution(self, monkeypatch):
+        # every triangular solve returns x + c with |c| = 1e-11 |x|: refinement
+        # cannot remove a fixed offset, and the backward error lands near 1e-11
+        g = make_grid(16)
+        fh = wavy_pair(g)
+
+        def data():
+            return general_data(fh, PAR, 12, phi3=constant_fn(g, 1.0),
+                                phi4=constant_fn(g, 0.5))
+
+        exact = solve_general(data())
+        x_max = max(np.max(np.abs(exact.v_plus.values)), np.max(np.abs(exact.v_minus.values)))
+        n = exact.v_plus.values.size + exact.v_minus.values.size
+        offset = 1e-11 * x_max * np.random.default_rng(7).choice((-1.0, 1.0), n)
+        true_splu = diffraction.spla.splu
+
+        class OffsetLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs, trans="N"):
+                x = self.lu.solve(rhs, trans=trans)
+                return x + offset.reshape((-1,) + (1,) * (x.ndim - 1))
+
+        monkeypatch.setattr(diffraction.spla, "splu", lambda matrix: OffsetLU(true_splu(matrix)))
+        with pytest.raises(SolverFailure, match="backward error") as err:
+            solve_general(data())
+        assert err.value.condition_estimate < 1e12
+
+
+class TestTransmissionOperator:
+    def test_problems_on_one_operator_share_its_factorization(self, monkeypatch):
+        g = make_grid(16)
+        par = FluidParams(gamma_f=0.3, gamma_h=0.2)
+        fh = wavy_pair(g)
+        b = constant_fn(g, 0.4)
+        plain = solve_potentials(fh, b, par, n_y=12)
+        st = solve_potentials_st(fh, b, par, n_y=12)
+
+        factorizations = []
+        true_splu = diffraction.spla.splu
+
+        def counting_splu(matrix):
+            factorizations.append(matrix.shape)
+            return true_splu(matrix)
+
+        monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
+        op = pulled_back_operator(fh, par, 12)
+        pose = diffraction._potential_data
+        shared_plain = solve_general(pose(op, fh, b, par))
+        shared_st = solve_general(pose(op, fh, b, par, surface_tension=True))
+        assert len(factorizations) == 1
+        assert np.array_equal(shared_plain.v_plus.values, plain.v_plus.values)
+        assert np.array_equal(shared_st.v_minus.values, st.v_minus.values)
+
+    def test_data_must_match_operator_strips(self):
+        g = make_grid(16)
+        op = pulled_back_operator(wavy_pair(g), PAR, 12)
+        other = StripGrid(g, 10, "plus")
+        zero = constant_fn(g, 0.0)
+        with pytest.raises(ValueError):
+            DiffractionData(op, StripField(other, np.zeros(other.shape)),
+                            StripField(op.strips[1], np.zeros(op.strips[1].shape)),
+                            zero, zero, zero, zero)
 
 
 class TestSolvePotentials:
@@ -213,18 +263,13 @@ class TestSolvePotentials:
             um = np.exp(m * strip_heights(fh, strip_m)) * np.cos(m * g.nodes)[:, None]
             v_plus = StripField(strip_p, up)
             v_minus = StripField(strip_m, um)
-            dmat = spectral_diff_matrix(g)
-            b1p, b2p = b_coeffs_plus(fh.f, fh.h, PAR)
-            b1m, b2m = b_coeffs_minus(fh.f, PAR)
-            bc_p = BoundaryOperator(strip_p, "bottom", b1p, b2p, np.zeros(g.n_x))
-            bc_m = BoundaryOperator(strip_m, "top", b1m, b2m, np.zeros(g.n_x))
+            op = pulled_back_operator(fh, PAR, n)
+            bc_p, bc_m = op.plus_bc, op.minus_bc
             data = DiffractionData(
-                plus_coeffs=coeffs_A_plus(fh.f, fh.h, PAR, strip_p),
-                minus_coeffs=coeffs_A_minus(fh.f, PAR, strip_m),
-                plus_bc=bc_p, minus_bc=bc_m,
+                operator=op,
                 F_plus=StripField(strip_p, np.zeros(strip_p.shape)),
                 F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
-                phi1=PeriodicFn(g, bc_p.apply(v_plus, dmat) - bc_m.apply(v_minus, dmat)),
+                phi1=PeriodicFn(g, bc_p.apply(v_plus) - bc_m.apply(v_minus)),
                 phi2=PeriodicFn(g, v_plus.values[:, 0] - v_minus.values[:, -1]),
                 phi3=PeriodicFn(g, v_plus.values[:, -1]),
                 phi4=PeriodicFn(g, v_minus.values[:, 0]),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import muskatlab.diffraction as diffraction
+import muskatlab.evolution as evolution
 from muskatlab.config import SimConfig, WaveSpec
 from muskatlab.diffraction import solve_potentials
 from muskatlab.evolution import (
@@ -149,6 +151,17 @@ class TestRayleighTaylor:
             assert np.sign(rep.margin_h) == np.sign(mh)
             done += 1
 
+    def test_time_dependent_bottom_pressure_evaluated_by_caller(self):
+        g = make_grid(16)
+        fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)), constant_fn(g, 1.0), -1.0)
+
+        def b(t):
+            return fn(g, lambda x: 0.2 + t + 0.1 * np.cos(x))
+
+        with pytest.raises(TypeError):
+            rayleigh_taylor(fh, b, PAR, n_y=12)
+        assert rayleigh_taylor(fh, b(0.5), PAR, n_y=12) != rayleigh_taylor(fh, b(0.0), PAR, n_y=12)
+
 
 class TestStep:
     def test_zero_dt_identity(self):
@@ -261,6 +274,16 @@ class TestSimulate:
         assert rate > 0
 
 
+    def test_fingering_not_stopped_by_backward_stable_solve(self):
+        # near t = 0.337 the solves are backward stable (backward error ~1e-16)
+        # but their residual exceeds 1e-10 of max(|b|, |x|): ||A|| ~ 1e6 here
+        par = FluidParams(rho_minus=1.0, rho_plus=3.0, g=5.0)
+        cfg = SimConfig(n_x=16, n_y=8, params=par, f0=WaveSpec(modes=((2, 0.0, 0.05),)),
+                        b=WaveSpec(const=15.0), t_end=0.35, dt_max=0.5)
+        traj = simulate(cfg)
+        assert traj.reason == "t_end"
+
+
 class TestSurfaceTension:
     def test_equilibrium_stationary_with_gamma(self):
         par = FluidParams(gamma_f=0.5, gamma_h=1.0)
@@ -365,3 +388,73 @@ class TestLinearizedMatrix:
         mat_rev = linearized_matrix(flat_pair(g), constant_fn(g, par_rev.g * par_rev.rho_plus),
                                     par_rev, m, n_y=16)
         assert mat_rev[0, 0] > 0
+
+
+class TestFactorizationReuse:
+    """simulate factorizes each accepted state once, for its RT margins and
+    the first stage of the step from it; every step attempt factorizes its
+    five later stages.  Each factorization serves one solve, except that a
+    surface-tension state solves its first stage apart from the monitor."""
+
+    CONFIGS = {
+        "gravity": SimConfig(n_x=16, n_y=8, params=PAR, f0=WaveSpec(modes=((1, 0.05, 0.0),)),
+                             b=WaveSpec(const=1.0), t_end=0.3, dt_init=0.05, dt_max=0.1),
+        "surface_tension": SimConfig(n_x=16, n_y=8, params=FluidParams(gamma_f=0.5, gamma_h=1.0),
+                                     f0=WaveSpec(modes=((2, 0.0, 0.02),)), b=WaveSpec(const=1.0),
+                                     t_end=0.01, dt_init=1e-3, surface_tension=True),
+        "rejected_step": SimConfig(n_x=16, n_y=8, params=PAR,
+                                   f0=WaveSpec(modes=((1, 0.05, 0.0),)), b=WaveSpec(const=1.0),
+                                   t_end=0.6, dt_init=0.5, dt_max=0.5, rtol=1e-8, atol=1e-10),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_factorizations_per_step(self, name, monkeypatch):
+        factorizations, solves, attempts = [], [], []
+        true_splu, true_rhs, true_step = diffraction.spla.splu, diffraction._rhs, evolution.step
+
+        def counting_splu(matrix):
+            factorizations.append(matrix.shape)
+            return true_splu(matrix)
+
+        def counting_rhs(data):
+            solves.append(data.operator)
+            return true_rhs(data)
+
+        def counting_step(*args, **kwargs):
+            attempts.append(args[1])
+            return true_step(*args, **kwargs)
+
+        monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
+        monkeypatch.setattr(diffraction, "_rhs", counting_rhs)
+        monkeypatch.setattr(evolution, "step", counting_step)
+        config = self.CONFIGS[name]
+        traj = simulate(config)
+        assert traj.reason == "t_end"
+        accepted = len(traj.times) - 1
+        rejected = len(attempts) - accepted
+        assert accepted > 0
+        if name == "rejected_step":
+            assert rejected > 0
+        assert len(factorizations) == (accepted + 1) + 5 * (accepted + rejected)
+        # Without surface tension the monitor's solve is the first stage's.
+        extra = accepted if config.surface_tension else 0
+        assert len(solves) == len(factorizations) + extra
+
+    def test_step_reuses_a_given_slope(self, monkeypatch):
+        g = make_grid(16)
+        b = constant_fn(g, 0.3)
+        fh = InterfacePair(fn(g, lambda x: 0.05 * np.sin(x)), constant_fn(g, 1.0), -1.0)
+        plain = step(SimState(0.0, fh), 0.05, b, PAR, n_y=12)
+        with_slope = SimState(0.0, fh, phi(0.0, fh, b, PAR, n_y=12))
+        calls = []
+        true_phi = evolution.phi
+
+        def counting_phi(*args, **kwargs):
+            calls.append(args[0])
+            return true_phi(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "phi", counting_phi)
+        reused = step(with_slope, 0.05, b, PAR, n_y=12)
+        assert len(calls) == 5
+        assert np.array_equal(reused[0].fh.f.values, plain[0].fh.f.values)
+        assert reused[1] == plain[1]
