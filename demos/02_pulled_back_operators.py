@@ -10,15 +10,12 @@ import numpy as np
 
 from muskatlab.geometry import InterfacePair, constant_fn, from_callable, make_grid
 from muskatlab.operators import (
-    FluidParams,
     StripField,
     StripGrid,
     apply_operator,
     coeffs_A_minus,
     strip_heights,
 )
-
-params = FluidParams()
 
 print(f"{'n':>4} {'mode':>5} {'residual':>12} {'rate':>6}")
 for m in (1, 2, 3):
@@ -29,7 +26,7 @@ for m in (1, 2, 3):
         f = from_callable(grid, lambda t: 0.2 * np.sin(t))
         fh = InterfacePair(f, constant_fn(grid, 1.0), -1.0)
         harmonic = np.exp(m * strip_heights(fh, strip)) * np.cos(m * grid.nodes)[:, None]
-        coeffs = coeffs_A_minus(f, params, strip)
+        coeffs = coeffs_A_minus(fh, strip)
         resid = np.max(np.abs(apply_operator(coeffs, StripField(strip, harmonic)).values))
         rate = "" if prev is None else f"{np.log2(prev / resid):.2f}"
         print(f"{n:>4} {m:>5} {resid:>12.3e} {rate:>6}")

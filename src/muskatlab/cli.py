@@ -24,7 +24,7 @@ import numpy as np
 from .config import ConfigError, SimConfig
 from .diffraction import SolverFailure, solve_potentials, solve_potentials_st
 from .evolution import linearized_matrix, rayleigh_taylor, simulate
-from .geometry import AdmissibilityError, InterfacePair, make_grid
+from .geometry import AdmissibilityError, make_grid
 from .symbols import (
     frozen_constants,
     lambda_st_symbol,
@@ -52,14 +52,6 @@ def _load_config(path: str) -> SimConfig:
     return SimConfig.from_json(path)
 
 
-def _initial_state(config: SimConfig):
-    grid = make_grid(config.n_x)
-    f = config.f0.build(grid)
-    h = config.h0.build(grid)
-    b = config.b.build(grid)
-    return InterfacePair(f, h, config.params.d), b
-
-
 def _write_snapshot(path: Path, nodes, f_vals, h_vals):
     lines = ["x,f,h"]
     for x, fv, hv in zip(nodes, f_vals, h_vals):
@@ -70,7 +62,7 @@ def _write_snapshot(path: Path, nodes, f_vals, h_vals):
 def cmd_simulate(args) -> int:
     try:
         config = _load_config(args.config)
-        _initial_state(config)
+        config.initial_state()
     except (ConfigError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -112,7 +104,7 @@ def cmd_simulate(args) -> int:
 def cmd_rtcheck(args) -> int:
     try:
         config = _load_config(args.config)
-        fh, b = _initial_state(config)
+        fh, b = config.initial_state()
     except (ConfigError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -133,9 +125,12 @@ def cmd_symbols(args) -> int:
     if not 0.0 <= args.tau <= 1.0:
         print("error: --tau must lie in [0, 1]", file=sys.stderr)
         return EXIT_CONFIG
+    if not np.isfinite(args.x):
+        print("error: --x must be finite", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = _load_config(args.config)
-        fh, b = _initial_state(config)
+        fh, b = config.initial_state()
     except (ConfigError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -191,7 +186,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_CONFIG
     try:
         config = _load_config(args.config)
-        fh, b = _initial_state(config)
+        fh, b = config.initial_state()
     except (ConfigError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

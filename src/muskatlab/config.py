@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PeriodicFn, PeriodicGrid
+from .geometry import InterfacePair, PeriodicFn, PeriodicGrid, make_grid
 from .operators import FluidParams
 
 SCHEMA_VERSION = 1
@@ -95,6 +95,12 @@ class SimConfig:
             raise ConfigError(f"n_y must be >= 8, got {self.n_y}")
         if self.snapshot_stride < 1:
             raise ConfigError("snapshot_stride must be >= 1")
+
+    def initial_state(self) -> tuple[InterfacePair, PeriodicFn]:
+        """The initial pair, with params.d as its bottom height, and the bottom pressure."""
+        grid = make_grid(self.n_x)
+        return (InterfacePair(self.f0.build(grid), self.h0.build(grid), self.params.d),
+                self.b.build(grid))
 
     @staticmethod
     def from_dict(obj: dict) -> "SimConfig":

@@ -24,13 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (
-    InterfacePair,
-    PeriodicFn,
-    curvature,
-    curvature_frechet,
-    spectral_diff_matrix,
-)
+from .geometry import InterfacePair, PeriodicFn, curvature_frechet, spectral_diff_matrix
 from .operators import (
     CoefficientField,
     FluidParams,
@@ -366,11 +360,11 @@ def pulled_back_operator(fh: InterfacePair, params: FluidParams,
     n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
     strip_p, strip_m = StripGrid(fh.grid, n_y, "plus"), StripGrid(fh.grid, n_y, "minus")
     zero = np.zeros(fh.grid.n_x)
-    b1p, b2p = b_coeffs_plus(fh.f, fh.h, params)
-    b1m, b2m = b_coeffs_minus(fh.f, params)
+    b1p, b2p = b_coeffs_plus(fh, params)
+    b1m, b2m = b_coeffs_minus(fh, params)
     return TransmissionOperator(
-        plus_coeffs=coeffs_A_plus(fh.f, fh.h, params, strip_p),
-        minus_coeffs=coeffs_A_minus(fh.f, params, strip_m),
+        plus_coeffs=coeffs_A_plus(fh, strip_p),
+        minus_coeffs=coeffs_A_minus(fh, strip_m),
         plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, zero),
         minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, zero),
     )
@@ -385,8 +379,8 @@ def _potential_data(operator: TransmissionOperator, fh: InterfacePair, b: Period
     jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
     top = params.g * params.rho_plus * fh.h
     if surface_tension:
-        jump = jump + params.gamma_f * curvature(fh.f)
-        top = top - params.gamma_h * curvature(fh.h)
+        jump = jump + params.gamma_f * fh.curvature_f
+        top = top - params.gamma_h * fh.curvature_h
     return DiffractionData(
         operator=operator,
         F_plus=StripField(strip_p, np.zeros(strip_p.shape)),

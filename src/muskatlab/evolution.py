@@ -28,13 +28,7 @@ from .diffraction import (
     solve_general,
     solve_potentials,
 )
-from .geometry import (
-    AdmissibilityError,
-    InterfacePair,
-    PeriodicFn,
-    check_admissible,
-    make_grid,
-)
+from .geometry import AdmissibilityError, InterfacePair, PeriodicFn
 from .operators import (
     FluidParams,
     StripField,
@@ -120,8 +114,8 @@ class Trajectory:
 
 
 def _velocities(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams):
-    df = -boundary_B_minus(fh.f, params, sol.v_minus)
-    dh = -boundary_B1(fh.f, fh.h, params, sol.v_plus)
+    df = -boundary_B_minus(fh, params, sol.v_minus)
+    dh = -boundary_B1(fh, params, sol.v_plus)
     return df, dh
 
 
@@ -150,13 +144,11 @@ def pressures(solution: DiffractionSolution, fh: InterfacePair,
 
 
 def _rt_report(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams) -> RTReport:
-    from .geometry import spectral_derivative
-
-    fp = spectral_derivative(fh.f, 1).values
-    hp = spectral_derivative(fh.h, 1).values
-    co_minus = (params.mu_minus / params.k) * boundary_B_minus(fh.f, params, sol.v_minus).values
-    co_plus = (params.mu_plus / params.k) * boundary_B_plus(fh.f, fh.h, params, sol.v_plus).values
-    co_top = (params.mu_plus / params.k) * boundary_B1(fh.f, fh.h, params, sol.v_plus).values
+    fp = fh.f_x.values
+    hp = fh.h_x.values
+    co_minus = (params.mu_minus / params.k) * boundary_B_minus(fh, params, sol.v_minus).values
+    co_plus = (params.mu_plus / params.k) * boundary_B_plus(fh, params, sol.v_plus).values
+    co_top = (params.mu_plus / params.k) * boundary_B1(fh, params, sol.v_plus).values
     drho = params.g * (params.rho_minus - params.rho_plus)
     margin_f = np.min((drho - co_minus + co_plus) / np.sqrt(1.0 + fp**2))
     margin_h = np.min((params.g * params.rho_plus - co_top) / np.sqrt(1.0 + hp**2))
@@ -200,12 +192,10 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
         for j, a in enumerate(_RKF_A[stage]):
             fv = fv + dt * a * ks[j][0]
             hv = hv + dt * a * ks[j][1]
-        rep = check_admissible(PeriodicFn(grid, fv), PeriodicFn(grid, hv), d)
-        if not rep.ok:
-            raise StepRejected(
-                f"stage {stage} left the admissible set "
-                f"(gap_fd={rep.gap_fd:.3e}, gap_hf={rep.gap_hf:.3e})")
-        stage_fh = InterfacePair(PeriodicFn(grid, fv), PeriodicFn(grid, hv), d)
+        try:
+            stage_fh = InterfacePair(PeriodicFn(grid, fv), PeriodicFn(grid, hv), d)
+        except AdmissibilityError as exc:
+            raise StepRejected(f"stage {stage} left the admissible set ({exc})") from exc
         df, dh = phi(state.t + _RKF_C[stage] * dt, stage_fh, b_at, params,
                      surface_tension, n_y)
         ks.append((df.values, dh.values))
@@ -215,10 +205,10 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
     err_f = dt * sum((b5 - b4) * k[0] for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
     err_h = dt * sum((b5 - b4) * k[1] for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
     err = max(np.max(np.abs(err_f)), np.max(np.abs(err_h)))
-    rep = check_admissible(PeriodicFn(grid, f4), PeriodicFn(grid, h4), d)
-    if not rep.ok:
-        raise StepRejected("step result left the admissible set")
-    new_fh = InterfacePair(PeriodicFn(grid, f4), PeriodicFn(grid, h4), d)
+    try:
+        new_fh = InterfacePair(PeriodicFn(grid, f4), PeriodicFn(grid, h4), d)
+    except AdmissibilityError as exc:
+        raise StepRejected(f"step result left the admissible set ({exc})") from exc
     return SimState(t=state.t + dt, fh=new_fh), float(err)
 
 
@@ -250,11 +240,7 @@ def simulate(config: SimConfig) -> Trajectory:
     (and, without surface tension, one solve), released before the step's
     later stages factorize theirs.
     """
-    grid = make_grid(config.n_x)
-    f = config.f0.build(grid)
-    h = config.h0.build(grid)
-    b = config.b.build(grid)
-    fh = InterfacePair(f, h, config.params.d)
+    fh, b = config.initial_state()
     params = config.params
     stop_on_rt = config.stop_on_rt and not config.surface_tension
     traj = Trajectory()
@@ -313,13 +299,13 @@ def simulate(config: SimConfig) -> Trajectory:
             continue
         rejected_in_a_row = 0
 
-        f_new = dealias(new_state.fh.f)
-        h_new = dealias(new_state.fh.h)
-        rep = check_admissible(f_new, h_new, params.d)
-        if not rep.ok:
+        try:
+            dealiased = InterfacePair(dealias(new_state.fh.f), dealias(new_state.fh.h),
+                                      new_state.fh.d)
+        except AdmissibilityError:
             traj.reason = "admissibility_lost"
             return traj
-        state = accept(new_state.t, InterfacePair(f_new, h_new, params.d), dt)
+        state = accept(new_state.t, dealiased, dt)
         if state is None:
             return traj
 
@@ -346,8 +332,10 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     Directional finite differences of the velocity operator along the
     mode-m sine in each interface, projected back onto that sine; at an
     x-independent base the modes decouple and the result is a real 2x2
-    matrix per mode.
+    matrix per mode.  eps must be finite and positive.
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if m <= 0:
         raise ValueError("mode m must be positive")
     grid = fh.grid

@@ -10,6 +10,7 @@ are evaluated nodewise from those spectral derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,11 +178,13 @@ def spectral_diff_matrix(grid: PeriodicGrid) -> np.ndarray:
     return d
 
 
+def _curvature(zeta_x: PeriodicFn, zeta_xx: PeriodicFn) -> PeriodicFn:
+    return PeriodicFn(zeta_x.grid, zeta_xx.values / (1.0 + zeta_x.values**2) ** 1.5)
+
+
 def curvature(zeta: PeriodicFn) -> PeriodicFn:
     """Curvature of the graph y = zeta(x):  zeta'' / (1 + zeta'^2)^(3/2)."""
-    zp = spectral_derivative(zeta, 1).values
-    zpp = spectral_derivative(zeta, 2).values
-    return PeriodicFn(zeta.grid, zpp / (1.0 + zp**2) ** 1.5)
+    return _curvature(spectral_derivative(zeta, 1), spectral_derivative(zeta, 2))
 
 
 def curvature_frechet(zeta0: PeriodicFn, h: PeriodicFn) -> PeriodicFn:
@@ -218,15 +221,20 @@ def check_admissible(f: PeriodicFn, h: PeriodicFn, d: float) -> AdmissibilityRep
 
 @dataclass(frozen=True)
 class InterfacePair:
-    """Lower interface f, upper interface h, and bottom boundary height d < 0."""
+    """Lower interface f, upper interface h, and bottom boundary height d < 0.
+
+    The pair owns its geometry, derived once on first access and read by
+    every operator built on it: the spectral derivatives f_x, f_xx, h_x,
+    h_xx, the layer gaps gap_minus = f - d and gap_plus = h - f (positive,
+    as d < f < h is checked on construction) and the curvatures
+    curvature_f, curvature_h.
+    """
 
     f: PeriodicFn
     h: PeriodicFn
     d: float
 
     def __post_init__(self):
-        if self.f.grid != self.h.grid:
-            raise ValueError("f and h live on different grids")
         if not self.d < 0:
             raise ValueError(f"bottom height d must be negative, got {self.d}")
         report = check_admissible(self.f, self.h, self.d)
@@ -239,3 +247,35 @@ class InterfacePair:
     @property
     def grid(self) -> PeriodicGrid:
         return self.f.grid
+
+    @cached_property
+    def f_x(self) -> PeriodicFn:
+        return spectral_derivative(self.f, 1)
+
+    @cached_property
+    def f_xx(self) -> PeriodicFn:
+        return spectral_derivative(self.f, 2)
+
+    @cached_property
+    def h_x(self) -> PeriodicFn:
+        return spectral_derivative(self.h, 1)
+
+    @cached_property
+    def h_xx(self) -> PeriodicFn:
+        return spectral_derivative(self.h, 2)
+
+    @cached_property
+    def gap_minus(self) -> PeriodicFn:
+        return PeriodicFn(self.grid, self.f.values - self.d)
+
+    @cached_property
+    def gap_plus(self) -> PeriodicFn:
+        return PeriodicFn(self.grid, self.h.values - self.f.values)
+
+    @cached_property
+    def curvature_f(self) -> PeriodicFn:
+        return _curvature(self.f_x, self.f_xx)
+
+    @cached_property
+    def curvature_h(self) -> PeriodicFn:
+        return _curvature(self.h_x, self.h_xx)

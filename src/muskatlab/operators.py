@@ -13,8 +13,10 @@ their coefficient fields, applies them with second-order finite differences
 (one-sided at the strip edges, periodic in x), and provides the exact
 directional derivatives of both families with respect to the interfaces.
 
-x-derivatives of interface data are spectral; strip-interior derivatives are
-finite differences so the coupled transmission system stays sparse.
+x-derivatives of interface data are spectral and are read from the
+:class:`InterfacePair`, which derives them once per state, together with the
+layer gaps and the bottom height d; strip-interior derivatives are finite
+differences so the coupled transmission system stays sparse.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    AdmissibilityError,
     InterfacePair,
     PeriodicFn,
     PeriodicGrid,
@@ -52,7 +53,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Physical constants of the two-layer porous-medium flow."""
+    """Physical constants of the two-layer porous-medium flow.
+
+    d is the bottom height of the :class:`InterfacePair` built from a
+    config; the operators read d from the pair they are given, never from
+    here.
+    """
 
     k: float = 1.0
     mu_minus: float = 1.0
@@ -222,27 +228,13 @@ def strip_heights(fh: InterfacePair, strip: StripGrid) -> np.ndarray:
 # Coefficient assembly
 
 
-def _gap_minus(f: PeriodicFn, d: float) -> np.ndarray:
-    gap = f.values - d
-    if np.any(gap <= 0):
-        raise AdmissibilityError("f - d must be positive")
-    return gap
-
-
-def _gap_plus(f: PeriodicFn, h: PeriodicFn) -> np.ndarray:
-    gap = h.values - f.values
-    if np.any(gap <= 0):
-        raise AdmissibilityError("h - f must be positive")
-    return gap
-
-
-def coeffs_A_minus(f: PeriodicFn, params: FluidParams, strip: StripGrid) -> CoefficientField:
-    """Pulled-back Laplacian on the lower strip."""
+def coeffs_A_minus(fh: InterfacePair, strip: StripGrid) -> CoefficientField:
+    """Pulled-back Laplacian of fh's lower layer on the lower strip."""
     if strip.side != "minus":
         raise ValueError("coeffs_A_minus needs a minus-side strip")
-    gap = _gap_minus(f, params.d)[:, None]
-    fp = spectral_derivative(f, 1).values[:, None]
-    fpp = spectral_derivative(f, 2).values[:, None]
+    gap = fh.gap_minus.values[:, None]
+    fp = fh.f_x.values[:, None]
+    fpp = fh.f_xx.values[:, None]
     y = strip.y_nodes[None, :]
     one = np.ones(strip.shape)
     c_xy = -2.0 * (1.0 + y) * fp / gap
@@ -254,16 +246,15 @@ def coeffs_A_minus(f: PeriodicFn, params: FluidParams, strip: StripGrid) -> Coef
     return out
 
 
-def coeffs_A_plus(f: PeriodicFn, h: PeriodicFn, params: FluidParams,
-                  strip: StripGrid) -> CoefficientField:
-    """Pulled-back Laplacian on the upper strip."""
+def coeffs_A_plus(fh: InterfacePair, strip: StripGrid) -> CoefficientField:
+    """Pulled-back Laplacian of fh's upper layer on the upper strip."""
     if strip.side != "plus":
         raise ValueError("coeffs_A_plus needs a plus-side strip")
-    gap = _gap_plus(f, h)[:, None]
-    fp = spectral_derivative(f, 1).values[:, None]
-    fpp = spectral_derivative(f, 2).values[:, None]
-    hp = spectral_derivative(h, 1).values[:, None]
-    hpp = spectral_derivative(h, 2).values[:, None]
+    gap = fh.gap_plus.values[:, None]
+    fp = fh.f_x.values[:, None]
+    fpp = fh.f_xx.values[:, None]
+    hp = fh.h_x.values[:, None]
+    hpp = fh.h_xx.values[:, None]
     y = strip.y_nodes[None, :]
     q = y * hp + (1.0 - y) * fp
     qpp = y * hpp + (1.0 - y) * fpp
@@ -358,55 +349,46 @@ def trace_dx(fld: StripField, edge: str) -> np.ndarray:
 # Boundary operators
 
 
-def boundary_B_minus(f: PeriodicFn, params: FluidParams, fld: StripField) -> PeriodicFn:
-    """Co-normal trace operator of the lower fluid on Gamma_0."""
+def _co_normal(coef: float, slope: PeriodicFn, gap: PeriodicFn, fld: StripField,
+               edge: str) -> PeriodicFn:
+    s = slope.values
+    out = coef * ((1.0 + s**2) / gap.values * trace_dy(fld, edge) - s * trace_dx(fld, edge))
+    return PeriodicFn(slope.grid, out)
+
+
+def boundary_B_minus(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:
+    """Co-normal trace operator B(f) of the lower fluid on Gamma_0."""
     if fld.strip.side != "minus":
         raise ValueError("boundary_B_minus needs a minus-strip field")
-    gap = _gap_minus(f, params.d)
-    fp = spectral_derivative(f, 1).values
-    coef = params.k / params.mu_minus
-    out = coef * ((1.0 + fp**2) / gap * trace_dy(fld, "top") - fp * trace_dx(fld, "top"))
-    return PeriodicFn(f.grid, out)
+    return _co_normal(params.k / params.mu_minus, fh.f_x, fh.gap_minus, fld, "top")
 
 
-def boundary_B_plus(f: PeriodicFn, h: PeriodicFn, params: FluidParams,
-                    fld: StripField) -> PeriodicFn:
-    """Co-normal trace operator of the upper fluid on Gamma_0."""
+def boundary_B_plus(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:
+    """Co-normal trace operator B(f,h) of the upper fluid on Gamma_0."""
     if fld.strip.side != "plus":
         raise ValueError("boundary_B_plus needs a plus-strip field")
-    gap = _gap_plus(f, h)
-    fp = spectral_derivative(f, 1).values
-    coef = params.k / params.mu_plus
-    out = coef * ((1.0 + fp**2) / gap * trace_dy(fld, "bottom") - fp * trace_dx(fld, "bottom"))
-    return PeriodicFn(f.grid, out)
+    return _co_normal(params.k / params.mu_plus, fh.f_x, fh.gap_plus, fld, "bottom")
 
 
-def boundary_B1(f: PeriodicFn, h: PeriodicFn, params: FluidParams,
-                fld: StripField) -> PeriodicFn:
-    """Co-normal trace operator of the upper fluid on Gamma_1."""
+def boundary_B1(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:
+    """Co-normal trace operator B1 of the upper fluid on Gamma_1."""
     if fld.strip.side != "plus":
         raise ValueError("boundary_B1 needs a plus-strip field")
-    gap = _gap_plus(f, h)
-    hp = spectral_derivative(h, 1).values
-    coef = params.k / params.mu_plus
-    out = coef * ((1.0 + hp**2) / gap * trace_dy(fld, "top") - hp * trace_dx(fld, "top"))
-    return PeriodicFn(f.grid, out)
+    return _co_normal(params.k / params.mu_plus, fh.h_x, fh.gap_plus, fld, "top")
 
 
-def b_coeffs_minus(f: PeriodicFn, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
+def b_coeffs_minus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """(beta_1, beta_2) of B(f) as a first-order Gamma_0 operator."""
-    gap = _gap_minus(f, params.d)
-    fp = spectral_derivative(f, 1).values
+    fp = fh.f_x.values
     coef = params.k / params.mu_minus
-    return -coef * fp, coef * (1.0 + fp**2) / gap
+    return -coef * fp, coef * (1.0 + fp**2) / fh.gap_minus.values
 
 
-def b_coeffs_plus(f: PeriodicFn, h: PeriodicFn, params: FluidParams):
+def b_coeffs_plus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """(beta_1, beta_2) of B(f,h) as a first-order Gamma_0 operator."""
-    gap = _gap_plus(f, h)
-    fp = spectral_derivative(f, 1).values
+    fp = fh.f_x.values
     coef = params.k / params.mu_plus
-    return -coef * fp, coef * (1.0 + fp**2) / gap
+    return -coef * fp, coef * (1.0 + fp**2) / fh.gap_plus.values
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +416,8 @@ def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
     if which != "minus_f" and strip.side != "plus":
         raise ValueError(f"{which} needs a plus-side strip")
 
-    f, h, d = base.f, base.h, base.d
-    fp = spectral_derivative(f, 1).values[:, None]
-    fpp = spectral_derivative(f, 2).values[:, None]
+    fp = base.f_x.values[:, None]
+    fpp = base.f_xx.values[:, None]
     up = spectral_derivative(direction, 1).values[:, None]
     upp = spectral_derivative(direction, 2).values[:, None]
     u = direction.values[:, None]
@@ -445,7 +426,7 @@ def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
     one = np.ones(strip.shape)
 
     if which == "minus_f":
-        gap = _gap_minus(f, d)[:, None]
+        gap = base.gap_minus.values[:, None]
         c_xy = 2.0 * ((1.0 + y) * fp * u / gap**2 - (1.0 + y) * up / gap)
         c_yy = 2.0 * ((1.0 + y) ** 2 * fp * up / gap**2
                       - ((1.0 + y) ** 2 * fp**2 + 1.0) * u / gap**3)
@@ -453,9 +434,9 @@ def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
                             - 4.0 * fp * up / gap**2 + 4.0 * fp**2 * u / gap**3)
         return CoefficientField(strip, zero, c_xy * one, c_yy * one, zero, c_y * one, zero)
 
-    gap = _gap_plus(f, h)[:, None]
-    hp = spectral_derivative(h, 1).values[:, None]
-    hpp = spectral_derivative(h, 2).values[:, None]
+    gap = base.gap_plus.values[:, None]
+    hp = base.h_x.values[:, None]
+    hpp = base.h_xx.values[:, None]
     q = y * hp + (1.0 - y) * fp
     qpp = y * hpp + (1.0 - y) * fpp
 
@@ -482,23 +463,22 @@ def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
     if base.grid != direction.grid:
         raise ValueError("base and direction live on different grids")
 
-    f, h, d = base.f, base.h, base.d
-    fp = spectral_derivative(f, 1).values
+    fp = base.f_x.values
     up = spectral_derivative(direction, 1).values
     u = direction.values
 
     if which == "B_minus_f":
         if fld.strip.side != "minus":
             raise ValueError("B_minus_f needs a minus-strip field")
-        gap = _gap_minus(f, d)
+        gap = base.gap_minus.values
         coef = params.k / params.mu_minus
         out = coef * ((2.0 * fp * up / gap - (1.0 + fp**2) * u / gap**2)
                       * trace_dy(fld, "top") - up * trace_dx(fld, "top"))
-        return PeriodicFn(f.grid, out)
+        return PeriodicFn(base.grid, out)
 
     if fld.strip.side != "plus":
         raise ValueError(f"{which} needs a plus-strip field")
-    gap = _gap_plus(f, h)
+    gap = base.gap_plus.values
     coef = params.k / params.mu_plus
 
     if which == "B_plus_f":
@@ -507,7 +487,7 @@ def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
     elif which == "B_plus_h":
         out = -coef * (1.0 + fp**2) * u / gap**2 * trace_dy(fld, "bottom")
     else:  # B1_h
-        hp = spectral_derivative(h, 1).values
+        hp = base.h_x.values
         out = coef * ((2.0 * hp * up / gap - (1.0 + hp**2) * u / gap**2)
                       * trace_dy(fld, "top") - up * trace_dx(fld, "top"))
-    return PeriodicFn(f.grid, out)
+    return PeriodicFn(base.grid, out)

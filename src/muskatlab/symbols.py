@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffraction import DiffractionSolution
-from .geometry import InterfacePair, PeriodicFn, spectral_derivative
+from .geometry import InterfacePair, PeriodicFn
 from .operators import FluidParams
 
 __all__ = [
@@ -183,8 +183,8 @@ def frozen_constants(base: InterfacePair, base_solution: DiffractionSolution,
     if gap_minus <= 0 or gap_plus <= 0:
         raise ValueError("interfaces not admissible at the evaluation point")
     return frozen_from_local_data(
-        f_slope=spectral_derivative(base.f, 1).at(x),
-        h_slope=spectral_derivative(base.h, 1).at(x),
+        f_slope=base.f_x.at(x),
+        h_slope=base.h_x.at(x),
         gap_minus=gap_minus,
         gap_plus=gap_plus,
         dy_v_minus=base_solution.tr0_dy_vminus.at(x),
@@ -452,19 +452,17 @@ class RegionReport:
     margins: dict
 
 
-def _c2_norm(u: PeriodicFn) -> float:
-    return float(np.max(np.abs(u.values))
-                 + np.max(np.abs(spectral_derivative(u, 1).values))
-                 + np.max(np.abs(spectral_derivative(u, 2).values)))
+def _c2_norm(*derivatives: PeriodicFn) -> float:
+    return float(sum(np.max(np.abs(u.values)) for u in derivatives))
 
 
 def _common_margins(base: InterfacePair, sigma: float) -> dict:
-    gap = min(float(np.min(base.f.values - base.d)),
-              float(np.min(base.h.values - base.f.values)))
+    gap = min(float(np.min(base.gap_minus.values)), float(np.min(base.gap_plus.values)))
     inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma
     return {
         "gap": gap - sigma,
-        "norm": inv_sigma - (_c2_norm(base.f) + _c2_norm(base.h)),
+        "norm": inv_sigma - (_c2_norm(base.f, base.f_x, base.f_xx)
+                             + _c2_norm(base.h, base.h_x, base.h_xx)),
     }
 
 
@@ -485,8 +483,8 @@ def region_check_S(base: InterfacePair, base_solution: DiffractionSolution,
     margins = _common_margins(base, sigma)
     dy_m = base_solution.tr0_dy_vminus.values
     dy_p = base_solution.tr0_dy_vplus.values
-    gap_minus = base.f.values - base.d
-    gap_plus = base.h.values - base.f.values
+    gap_minus = base.gap_minus.values
+    gap_plus = base.gap_plus.values
     drho = params.g * (params.rho_minus - params.rho_plus)
     margins["jump_printed"] = float(np.min(drho - sigma - (dy_m / gap_plus - dy_p / gap_minus)))
     margins["jump_delta_a"] = float(np.min(drho - sigma - (dy_m / gap_minus - dy_p / gap_plus)))
@@ -504,7 +502,7 @@ def region_check_R(base: InterfacePair, base_solution: DiffractionSolution,
         raise ValueError("sigma must be nonnegative")
     margins = _common_margins(base, sigma)
     dy_top = base_solution.tr1_dy_vplus.values
-    gap_plus = base.h.values - base.f.values
+    gap_plus = base.gap_plus.values
     g_rho = params.g * params.rho_plus
     margins["jump"] = float(np.min(g_rho - sigma - dy_top / gap_plus))
     inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma

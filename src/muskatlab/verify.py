@@ -37,7 +37,6 @@ def _interfaces(grid, f_func, h_func, d=-1.0):
 def check_harmonic_pullback(quick: bool = False) -> CheckResult:
     sizes = (16, 32) if quick else (16, 32, 64)
     modes = (1, 2) if quick else (1, 2, 3)
-    par = FluidParams()
     worst = (np.inf, -np.inf)
     rates_all = []
     for m in modes:
@@ -48,7 +47,7 @@ def check_harmonic_pullback(quick: bool = False) -> CheckResult:
             fh = _interfaces(grid, lambda x: 0.2 * np.sin(x), lambda x: 0 * x + 1.0)
             y_phys = operators.strip_heights(fh, strip)
             u = np.exp(m * y_phys) * np.cos(m * grid.nodes)[:, None]
-            coeffs = operators.coeffs_A_minus(fh.f, par, strip)
+            coeffs = operators.coeffs_A_minus(fh, strip)
             errs.append(np.max(np.abs(
                 operators.apply_operator(coeffs, StripField(strip, u)).values)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -102,60 +101,59 @@ def check_manufactured(quick: bool = False) -> CheckResult:
                        f"recover {err:.1e}, two-layer {err2:.1e}, zero-data {err3:.1e}")
 
 
-def check_frechet(quick: bool = False) -> CheckResult:
+def check_frechet_at(seed: int, eps_list) -> CheckResult:
+    """Finite-difference check of the seven directional derivatives.
+
+    At a fixed wavy pair and in a random direction drawn from seed (the
+    boundary operators act on random fields drawn after it), the error of
+    the difference quotient of each operator against frechet_A/frechet_B
+    is taken at every eps in eps_list.  Each consecutive pair gives the
+    convergence slope log2(err_i/err_i+1) / log2(eps_i/eps_i+1), which is 1
+    for a correct derivative; every slope must lie within 0.2 of 1.
+    """
     grid = make_grid(32)
-    rng = np.random.default_rng(2024)
+    rng = np.random.default_rng(seed)
     par = FluidParams()
     fh = _interfaces(grid, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x),
                      lambda x: 1.2 + 0.1 * np.cos(x))
     direction = PeriodicFn(grid, rng.standard_normal(grid.n_x))
-    eps_list = (1e-3, 2.5e-4) if quick else (1e-3, 5e-4, 2.5e-4)
-    worst_dev = 0.0
+    eps = np.asarray(eps_list, dtype=float)
 
     def coeff_stack(c):
         return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_x, c.c_y, c.c_0])
 
-    cases_a = (("minus_f", "minus"), ("plus_f", "plus"), ("plus_h", "plus"))
-    for which, side in cases_a:
-        strip = StripGrid(grid, 16, side)
-        lin = coeff_stack(operators.frechet_A(which, fh, direction, par, strip))
-
-        def coeffs_at(eps, which=which, strip=strip):
-            f = fh.f + eps * direction if which in ("minus_f", "plus_f") else fh.f
-            h = fh.h + eps * direction if which == "plus_h" else fh.h
-            if which == "minus_f":
-                return coeff_stack(operators.coeffs_A_minus(f, par, strip))
-            return coeff_stack(operators.coeffs_A_plus(f, h, par, strip))
-
-        base = coeffs_at(0.0)
-        errs = [np.max(np.abs((coeffs_at(e) - base) / e - lin)) for e in eps_list]
-        slope = np.log2(errs[0] / errs[-1]) / np.log2(eps_list[0] / eps_list[-1])
-        worst_dev = max(worst_dev, abs(slope - 1.0))
-
-    cases_b = (("B_minus_f", "minus"), ("B_plus_f", "plus"),
-               ("B_plus_h", "plus"), ("B1_h", "plus"))
-    for which, side in cases_b:
-        strip = StripGrid(grid, 16, side)
+    cases = []  # (which, operator as a function of the pair, its derivative at fh)
+    for which in ("minus_f", "plus_f", "plus_h"):
+        strip = StripGrid(grid, 16, "minus" if which == "minus_f" else "plus")
+        coeffs = operators.coeffs_A_minus if which == "minus_f" else operators.coeffs_A_plus
+        cases.append((which, lambda pair, c=coeffs, s=strip: coeff_stack(c(pair, s)),
+                      coeff_stack(operators.frechet_A(which, fh, direction, par, strip))))
+    for which, boundary in (("B_minus_f", operators.boundary_B_minus),
+                            ("B_plus_f", operators.boundary_B_plus),
+                            ("B_plus_h", operators.boundary_B_plus),
+                            ("B1_h", operators.boundary_B1)):
+        strip = StripGrid(grid, 16, "minus" if which == "B_minus_f" else "plus")
         field = StripField(strip, rng.standard_normal(strip.shape))
-        lin = operators.frechet_B(which, fh, direction, par, field).values
+        cases.append((which, lambda pair, b=boundary, fld=field: b(pair, par, fld).values,
+                      operators.frechet_B(which, fh, direction, par, field).values))
 
-        def boundary_at(eps, which=which, field=field):
-            f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f") else fh.f
-            h = fh.h + eps * direction if which in ("B_plus_h", "B1_h") else fh.h
-            if which == "B_minus_f":
-                return operators.boundary_B_minus(f, par, field).values
-            if which == "B1_h":
-                return operators.boundary_B1(f, h, par, field).values
-            return operators.boundary_B_plus(f, h, par, field).values
+    worst = 0.0
+    for which, at, exact in cases:
+        moves_h = which in ("plus_h", "B_plus_h", "B1_h")
+        base, errs = at(fh), []
+        for e in eps:
+            pair = (InterfacePair(fh.f, fh.h + e * direction, fh.d) if moves_h
+                    else InterfacePair(fh.f + e * direction, fh.h, fh.d))
+            errs.append(np.max(np.abs((at(pair) - base) / e - exact)))
+        errs = np.array(errs)
+        slopes = np.log2(errs[:-1] / errs[1:]) / np.log2(eps[:-1] / eps[1:])
+        worst = max(worst, float(np.max(np.abs(slopes - 1.0))))
+    return CheckResult("frechet-derivatives", worst < 0.2,
+                       f"{len(cases)} operators, worst slope deviation {worst:.3f} (limit 0.2)")
 
-        base = boundary_at(0.0)
-        errs = [np.max(np.abs((boundary_at(e) - base) / e - lin)) for e in eps_list]
-        slope = np.log2(errs[0] / errs[-1]) / np.log2(eps_list[0] / eps_list[-1])
-        worst_dev = max(worst_dev, abs(slope - 1.0))
 
-    ok = worst_dev < 0.2
-    return CheckResult("frechet-derivatives", ok,
-                       f"7 operators, worst slope deviation {worst_dev:.3f} (limit 0.2)")
+def check_frechet(quick: bool = False) -> CheckResult:
+    return check_frechet_at(2024, (1e-3, 2.5e-4) if quick else (1e-3, 5e-4, 2.5e-4))
 
 
 def check_symbols_oracle(quick: bool = False):

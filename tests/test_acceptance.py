@@ -36,13 +36,7 @@ from muskatlab.operators import (
     StripField,
     StripGrid,
     apply_operator,
-    boundary_B1,
-    boundary_B_minus,
-    boundary_B_plus,
     coeffs_A_minus,
-    coeffs_A_plus,
-    frechet_A,
-    frechet_B,
     strip_heights,
 )
 from muskatlab.symbols import (
@@ -55,6 +49,7 @@ from muskatlab.symbols import (
     lambda_st_symbol,
     phi_symbol,
 )
+from muskatlab.verify import check_frechet_at
 
 PAR = FluidParams()
 
@@ -80,7 +75,7 @@ def test_criterion_1_harmonic_pullback_order():
             f = fn(grid, lambda x: 0.2 * np.sin(x))
             fh = InterfacePair(f, constant_fn(grid, 1.0), -1.0)
             u = np.exp(m * strip_heights(fh, strip)) * np.cos(m * grid.nodes)[:, None]
-            coeffs = coeffs_A_minus(f, PAR, strip)
+            coeffs = coeffs_A_minus(fh, strip)
             errs.append(np.max(np.abs(apply_operator(coeffs, StripField(strip, u)).values)))
         rates_all.extend(np.log2(np.array(errs[:-1]) / np.array(errs[1:])))
     elapsed = time.perf_counter() - started
@@ -131,56 +126,8 @@ def test_criterion_2_diffraction_solver():
 
 
 def test_criterion_3_frechet_consistency():
-    grid = make_grid(32)
-    rng = np.random.default_rng(515)
-    fh = InterfacePair(fn(grid, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x)),
-                       fn(grid, lambda x: 1.2 + 0.1 * np.cos(x)), -1.0)
-    direction = PeriodicFn(grid, rng.standard_normal(grid.n_x))
-    eps_list = np.array([1e-3, 5e-4, 2.5e-4])
-    slopes = {}
-
-    def coeff_stack(c):
-        return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_x, c.c_y, c.c_0])
-
-    for which, side in (("minus_f", "minus"), ("plus_f", "plus"), ("plus_h", "plus")):
-        strip = StripGrid(grid, 16, side)
-        lin = coeff_stack(frechet_A(which, fh, direction, PAR, strip))
-
-        def coeffs_at(eps, which=which, strip=strip):
-            f = fh.f + eps * direction if which in ("minus_f", "plus_f") else fh.f
-            h = fh.h + eps * direction if which == "plus_h" else fh.h
-            if which == "minus_f":
-                return coeff_stack(coeffs_A_minus(f, PAR, strip))
-            return coeff_stack(coeffs_A_plus(f, h, PAR, strip))
-
-        base = coeffs_at(0.0)
-        errs = np.array([np.max(np.abs((coeffs_at(e) - base) / e - lin))
-                         for e in eps_list])
-        slopes[which] = np.log2(errs[:-1] / errs[1:])
-
-    for which, side in (("B_minus_f", "minus"), ("B_plus_f", "plus"),
-                        ("B_plus_h", "plus"), ("B1_h", "plus")):
-        strip = StripGrid(grid, 16, side)
-        field = StripField(strip, rng.standard_normal(strip.shape))
-        lin = frechet_B(which, fh, direction, PAR, field).values
-
-        def boundary_at(eps, which=which, field=field):
-            f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f") else fh.f
-            h = fh.h + eps * direction if which in ("B_plus_h", "B1_h") else fh.h
-            if which == "B_minus_f":
-                return boundary_B_minus(f, PAR, field).values
-            if which == "B1_h":
-                return boundary_B1(f, h, PAR, field).values
-            return boundary_B_plus(f, h, PAR, field).values
-
-        base = boundary_at(0.0)
-        errs = np.array([np.max(np.abs((boundary_at(e) - base) / e - lin))
-                         for e in eps_list])
-        slopes[which] = np.log2(errs[:-1] / errs[1:])
-
-    worst = max(float(np.max(np.abs(s - 1.0))) for s in slopes.values())
-    report(3, worst < 0.2, f"{len(slopes)} derivative operators, worst Richardson "
-                           f"slope deviation {worst:.3f} (limit 0.2)")
+    result = check_frechet_at(515, (1e-3, 5e-4, 2.5e-4))
+    report(3, result.passed, result.detail)
 
 
 def test_criterion_4_rt_closed_form():

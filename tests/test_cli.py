@@ -176,6 +176,14 @@ class TestSymbolsCommand:
         path = write_config(tmp_path)
         assert main(["symbols", "--config", str(path), "--m-max", "0"]) == 1
 
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_nonfinite_x_rejected(self, tmp_path, capsys, x):
+        path = write_config(tmp_path)
+        assert main(["symbols", "--config", str(path), "--m-max", "2", "--x", x]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_csv_file_output(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "symbols.csv"
@@ -206,6 +214,11 @@ class TestSpectrumCommand:
             "h": {"const": 1.0, "modes": []}})
         assert main(["spectrum", "--config", str(path), "--modes", "1..2"]) == 1
 
+    def test_zero_eps_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["spectrum", "--config", str(path), "--modes", "1..2", "--eps", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_range_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["spectrum", "--config", str(path), "--modes", "3..1"]) == 1
@@ -229,8 +242,8 @@ class TestVerifyCommand:
 
         true_coeffs = operators_mod.coeffs_A_minus
 
-        def corrupted(f, params, strip):
-            out = true_coeffs(f, params, strip)
+        def corrupted(fh, strip):
+            out = true_coeffs(fh, strip)
             return operators_mod.CoefficientField(
                 strip, out.c_xx, 1.02 * out.c_xy, out.c_yy, out.c_x, out.c_y,
                 out.c_0)

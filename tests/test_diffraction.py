@@ -234,8 +234,8 @@ class TestSolvePotentials:
         g = make_grid(32)
         fh = wavy_pair(g)
         sol = solve_potentials(fh, fn(g, lambda x: 0.5 + 0.1 * np.sin(x)), PAR, n_y=16)
-        flux_p = boundary_B_plus(fh.f, fh.h, PAR, sol.v_plus).values
-        flux_m = boundary_B_minus(fh.f, PAR, sol.v_minus).values
+        flux_p = boundary_B_plus(fh, PAR, sol.v_plus).values
+        flux_m = boundary_B_minus(fh, PAR, sol.v_minus).values
         scale = max(1.0, np.max(np.abs(flux_p)))
         assert np.max(np.abs(flux_p - flux_m)) < 1e-8 * scale
 

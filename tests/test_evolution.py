@@ -151,6 +151,17 @@ class TestRayleighTaylor:
             assert np.sign(rep.margin_h) == np.sign(mh)
             done += 1
 
+    def test_bottom_height_read_from_the_pair(self):
+        # FluidParams() has d = -1; the lower layer of this pair is 2 thick
+        g = make_grid(16)
+        c = 0.25
+        rep = rayleigh_taylor(flat_pair(g, d=-2.0), constant_fn(g, c), PAR, n_y=12)
+        t = (PAR.g * PAR.rho_plus - c) / (PAR.mu_plus * 1.0 + PAR.mu_minus * 2.0)
+        assert abs(rep.margin_h - (PAR.g * PAR.rho_plus - PAR.mu_plus * t)) < 1e-9
+        assert abs(rep.margin_h - 0.75) < 1e-9
+        mf = PAR.g * (PAR.rho_minus - PAR.rho_plus) - (PAR.mu_minus - PAR.mu_plus) * t
+        assert abs(rep.margin_f - mf) < 1e-9
+
     def test_time_dependent_bottom_pressure_evaluated_by_caller(self):
         g = make_grid(16)
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)), constant_fn(g, 1.0), -1.0)
@@ -388,6 +399,38 @@ class TestLinearizedMatrix:
         mat_rev = linearized_matrix(flat_pair(g), constant_fn(g, par_rev.g * par_rev.rho_plus),
                                     par_rev, m, n_y=16)
         assert mat_rev[0, 0] > 0
+
+
+class TestGeometryReuse:
+    def test_interface_derivatives_taken_once_per_pair(self, monkeypatch):
+        import muskatlab.geometry as geometry
+        import muskatlab.operators as operators
+
+        g = make_grid(16)
+        fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
+                           fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
+        derived, differentiated = [], []
+        true_derivative = geometry.spectral_derivative
+
+        def counting(record):
+            def spectral_derivative(u, order):
+                record.append(u)
+                return true_derivative(u, order)
+            return spectral_derivative
+
+        monkeypatch.setattr(geometry, "spectral_derivative", counting(derived))
+        monkeypatch.setattr(operators, "spectral_derivative", counting(differentiated))
+        diffraction.pulled_back_operator(fh, PAR, 12)
+        assert len(derived) == 4
+        assert all(u is fh.f or u is fh.h for u in derived + differentiated)
+
+        derived.clear()
+        differentiated.clear()
+        diffraction.pulled_back_operator(fh, PAR, 12)
+        rayleigh_taylor(fh, constant_fn(g, 0.5), PAR, n_y=12)
+        assert derived == []
+        assert differentiated  # the solution's traces are still differentiated
+        assert not any(u is fh.f or u is fh.h for u in differentiated)
 
 
 class TestFactorizationReuse:

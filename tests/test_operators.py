@@ -27,6 +27,13 @@ def fn(grid, func):
     return from_callable(grid, func)
 
 
+def pair(f, h=None, d=-1.0):
+    """InterfacePair of f and h; h defaults to a flat interface 1 above max(f)."""
+    if h is None:
+        h = constant_fn(f.grid, float(np.max(f.values)) + 1.0)
+    return InterfacePair(f, h, d)
+
+
 def plus_strip(grid, n_y=16):
     return StripGrid(grid, n_y, "plus")
 
@@ -118,27 +125,26 @@ def chain_rule_coeffs_plus(f_expr, h_expr, x_nodes, y_nodes):
 class TestCoefficients:
     def test_flat_minus_is_laplacian(self):
         g = make_grid(16)
-        c = coeffs_A_minus(constant_fn(g, 0.0), PAR, minus_strip(g))
+        c = coeffs_A_minus(pair(constant_fn(g, 0.0)), minus_strip(g))
         assert np.allclose(c.c_xx, 1.0) and np.allclose(c.c_yy, 1.0)
         assert np.max(np.abs(c.c_xy)) < 1e-14 and np.max(np.abs(c.c_y)) < 1e-14
 
     def test_constant_offset_minus(self):
         g = make_grid(16)
         cval, d = 0.5, -2.0
-        par = FluidParams(d=d)
-        c = coeffs_A_minus(constant_fn(g, cval), par, minus_strip(g))
+        c = coeffs_A_minus(pair(constant_fn(g, cval), d=d), minus_strip(g))
         assert np.allclose(c.c_yy, 1.0 / (cval - d) ** 2)
         assert np.max(np.abs(c.c_xy)) < 1e-14 and np.max(np.abs(c.c_y)) < 1e-14
 
     def test_flat_plus_unit_gap(self):
         g = make_grid(16)
-        c = coeffs_A_plus(constant_fn(g, 0.0), constant_fn(g, 1.0), PAR, plus_strip(g))
+        c = coeffs_A_plus(pair(constant_fn(g, 0.0), constant_fn(g, 1.0)), plus_strip(g))
         assert np.allclose(c.c_xx, 1.0) and np.allclose(c.c_yy, 1.0)
         assert np.max(np.abs(c.c_xy)) < 1e-14
 
     def test_flat_plus_gap_two(self):
         g = make_grid(16)
-        c = coeffs_A_plus(constant_fn(g, 0.0), constant_fn(g, 2.0), PAR, plus_strip(g))
+        c = coeffs_A_plus(pair(constant_fn(g, 0.0), constant_fn(g, 2.0)), plus_strip(g))
         assert np.allclose(c.c_yy, 0.25)
         assert np.max(np.abs(c.c_xy)) < 1e-14
 
@@ -146,7 +152,7 @@ class TestCoefficients:
         g = make_grid(32)
         strip = minus_strip(g)
         x = sy.Symbol("x", real=True)
-        c = coeffs_A_minus(fn(g, lambda t: 0.2 * np.sin(t)), PAR, strip)
+        c = coeffs_A_minus(pair(fn(g, lambda t: 0.2 * np.sin(t))), strip)
         c_xy, c_yy, c_y = chain_rule_coeffs_minus(sy.Rational(1, 5) * sy.sin(x), -1.0,
                                                   g.nodes, strip.y_nodes)
         assert np.max(np.abs(c.c_xy - c_xy)) < 1e-10
@@ -159,7 +165,7 @@ class TestCoefficients:
         x = sy.Symbol("x", real=True)
         f = fn(g, lambda t: 0.2 * np.sin(t) - 0.1 * np.cos(2 * t))
         h = fn(g, lambda t: 1.0 + 0.15 * np.cos(t))
-        c = coeffs_A_plus(f, h, PAR, strip)
+        c = coeffs_A_plus(pair(f, h), strip)
         f_expr = sy.Rational(1, 5) * sy.sin(x) - sy.Rational(1, 10) * sy.cos(2 * x)
         h_expr = 1 + sy.Rational(3, 20) * sy.cos(x)
         c_xy, c_yy, c_y = chain_rule_coeffs_plus(f_expr, h_expr, g.nodes, strip.y_nodes)
@@ -175,8 +181,8 @@ class TestCoefficients:
             h_vals = 0.2 * rng.uniform(-1, 1, 2)
             f = fn(g, lambda t: f_vals[0] * np.sin(t) + f_vals[1] * np.cos(2 * t) + f_vals[2])
             h = fn(g, lambda t: 1.5 + h_vals[0] * np.sin(t) + h_vals[1] * np.cos(3 * t))
-            cm = coeffs_A_minus(f, PAR, minus_strip(g))
-            cp = coeffs_A_plus(f, h, PAR, plus_strip(g))
+            cm = coeffs_A_minus(pair(f, h), minus_strip(g))
+            cp = coeffs_A_plus(pair(f, h), plus_strip(g))
             for c in (cm, cp):
                 assert np.all(4 * c.c_xx * c.c_yy - c.c_xy**2 > 0)
 
@@ -184,16 +190,16 @@ class TestCoefficients:
         g = make_grid(16)
         from muskatlab.geometry import AdmissibilityError
         with pytest.raises(AdmissibilityError):
-            coeffs_A_minus(constant_fn(g, -2.0), PAR, minus_strip(g))
+            InterfacePair(constant_fn(g, -2.0), constant_fn(g, 1.0), -1.0)
         with pytest.raises(AdmissibilityError):
-            coeffs_A_plus(constant_fn(g, 1.0), constant_fn(g, 0.5), PAR, plus_strip(g))
+            InterfacePair(constant_fn(g, 1.0), constant_fn(g, 0.5), -1.0)
 
 
 class TestApplyOperator:
     def test_laplacian_on_fourier_mode(self):
         g = make_grid(64)
         strip = plus_strip(g, 16)
-        c = coeffs_A_plus(constant_fn(g, 0.0), constant_fn(g, 1.0), PAR, strip)
+        c = coeffs_A_plus(pair(constant_fn(g, 0.0), constant_fn(g, 1.0)), strip)
         k = 3
         u = np.cos(k * g.nodes)[:, None] * (0.5 + 0.25 * strip.y_nodes)[None, :]
         out = apply_operator(c, StripField(strip, u)).values
@@ -205,8 +211,7 @@ class TestApplyOperator:
     def test_constant_field_zero(self):
         g = make_grid(16)
         strip = minus_strip(g)
-        f = fn(g, lambda t: 0.1 * np.sin(t))
-        c = coeffs_A_minus(f, PAR, strip)
+        c = coeffs_A_minus(pair(fn(g, lambda t: 0.1 * np.sin(t))), strip)
         out = apply_operator(c, StripField(strip, np.full(strip.shape, 4.2))).values
         assert np.max(np.abs(out)) < 1e-12
 
@@ -220,7 +225,7 @@ class TestApplyOperator:
             fh = InterfacePair(f, constant_fn(g, 1.0), -1.0)
             y_phys = strip_heights(fh, strip)
             u = np.exp(m * y_phys) * np.cos(m * g.nodes)[:, None]
-            c = coeffs_A_minus(f, PAR, strip)
+            c = coeffs_A_minus(fh, strip)
             errs.append(np.max(np.abs(apply_operator(c, StripField(strip, u)).values)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - 2.0) < 0.3)
@@ -235,7 +240,7 @@ class TestApplyOperator:
             fh = InterfacePair(f, h, -1.0)
             y_phys = strip_heights(fh, strip)
             u = np.exp(2 * y_phys) * np.sin(2 * g.nodes)[:, None]
-            c = coeffs_A_plus(f, h, PAR, strip)
+            c = coeffs_A_plus(fh, strip)
             errs.append(np.max(np.abs(apply_operator(c, StripField(strip, u)).values)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - 2.0) < 0.3)
@@ -247,14 +252,14 @@ class TestBoundaryOperators:
         strip = minus_strip(g)
         f = constant_fn(g, 0.0)
         u = np.broadcast_to(strip.y_nodes + 1.0, strip.shape).copy()
-        out = boundary_B_minus(f, PAR, StripField(strip, u)).values
+        out = boundary_B_minus(pair(f), PAR, StripField(strip, u)).values
         assert np.max(np.abs(out - PAR.k / PAR.mu_minus)) < 1e-12
 
     def test_constant_field_zero(self):
         g = make_grid(16)
         f = fn(g, lambda t: 0.2 * np.cos(t))
         strip = minus_strip(g)
-        out = boundary_B_minus(f, PAR, StripField(strip, np.full(strip.shape, 2.0))).values
+        out = boundary_B_minus(pair(f), PAR, StripField(strip, np.full(strip.shape, 2.0))).values
         assert np.max(np.abs(out)) < 1e-13
 
     def test_normal_derivative_identity_minus(self):
@@ -264,7 +269,7 @@ class TestBoundaryOperators:
         f = fn(g, lambda t: 0.3 * np.cos(t))
         fh = InterfacePair(f, constant_fn(g, 1.0), -1.0)
         u = strip_heights(fh, strip)
-        out = boundary_B_minus(f, PAR, StripField(strip, u)).values
+        out = boundary_B_minus(fh, PAR, StripField(strip, u)).values
         assert np.max(np.abs(out - PAR.k / PAR.mu_minus)) < 1e-6
 
     def test_normal_derivative_identity_top(self):
@@ -274,7 +279,7 @@ class TestBoundaryOperators:
         h = fn(g, lambda t: 1.0 + 0.2 * np.sin(t))
         fh = InterfacePair(f, h, -1.0)
         u = strip_heights(fh, strip)
-        out = boundary_B1(f, h, PAR, StripField(strip, u)).values
+        out = boundary_B1(fh, PAR, StripField(strip, u)).values
         assert np.max(np.abs(out - PAR.k / PAR.mu_plus)) < 1e-6
 
     def test_plus_linear_field(self):
@@ -282,8 +287,8 @@ class TestBoundaryOperators:
         strip = plus_strip(g)
         f, h = constant_fn(g, 0.0), constant_fn(g, 1.0)
         u = np.broadcast_to(strip.y_nodes, strip.shape).copy()
-        out_b = boundary_B_plus(f, h, PAR, StripField(strip, u)).values
-        out_b1 = boundary_B1(f, h, PAR, StripField(strip, u)).values
+        out_b = boundary_B_plus(pair(f, h), PAR, StripField(strip, u)).values
+        out_b1 = boundary_B1(pair(f, h), PAR, StripField(strip, u)).values
         assert np.max(np.abs(out_b - PAR.k / PAR.mu_plus)) < 1e-12
         assert np.max(np.abs(out_b1 - PAR.k / PAR.mu_plus)) < 1e-12
 
@@ -298,7 +303,7 @@ class TestBoundaryOperators:
             fh = InterfacePair(f, constant_fn(g, 1.0), -1.0)
             y_phys = strip_heights(fh, strip)
             u = np.exp(m * y_phys) * np.cos(m * g.nodes)[:, None]
-            out = boundary_B_minus(f, PAR, StripField(strip, u)).values
+            out = boundary_B_minus(fh, PAR, StripField(strip, u)).values
             fp = 0.3 * -np.sin(g.nodes) * 0 - 0.3 * np.sin(g.nodes)
             exact = (PAR.k / PAR.mu_minus) * m * np.exp(m * f.values) * (
                 fp * np.sin(m * g.nodes) + np.cos(m * g.nodes))
@@ -307,11 +312,11 @@ class TestBoundaryOperators:
         assert np.all(rates > 1.6)
 
 
-def random_pair(grid, rng, scale=0.2):
+def random_pair(grid, rng, scale=0.2, d=-1.0):
     f = fn(grid, lambda t: scale * (np.sin(t) * rng.uniform(0.5, 1.0)
                                     + np.cos(2 * t) * rng.uniform(-0.5, 0.5)))
     h = fn(grid, lambda t: 1.2 + scale * np.cos(t) * rng.uniform(0.3, 1.0))
-    return InterfacePair(f, h, -1.0)
+    return InterfacePair(f, h, d)
 
 
 def coeff_stack(c):
@@ -342,22 +347,27 @@ class TestFrechetA:
         assert np.max(np.abs(out.c_y - (-(1 + y) * dpp))) < 1e-12
         assert np.max(np.abs(out.c_xx)) == 0.0
 
-    @pytest.mark.parametrize("which,side", [("minus_f", "minus"), ("plus_f", "plus"),
-                                            ("plus_h", "plus")])
-    def test_finite_difference_oracle(self, which, side):
+    @pytest.mark.parametrize("which,side,d", [
+        pytest.param("minus_f", "minus", -1.0, id="minus_f-minus"),
+        pytest.param("plus_f", "plus", -1.0, id="plus_f-plus"),
+        pytest.param("plus_h", "plus", -1.0, id="plus_h-plus"),
+        # d comes from the pair, not from FluidParams (whose d is -1)
+        pytest.param("minus_f", "minus", -2.0, id="minus_f-minus-deep"),
+    ])
+    def test_finite_difference_oracle(self, which, side, d):
         g = make_grid(32)
         rng = np.random.default_rng(29)
-        fh = random_pair(g, rng)
+        fh = random_pair(g, rng, d=d)
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
         strip = StripGrid(g, 16, side)
         lin = coeff_stack(frechet_A(which, fh, direction, PAR, strip))
 
         def coeffs_at(eps):
             if which == "minus_f":
-                return coeff_stack(coeffs_A_minus(fh.f + eps * direction, PAR, strip))
+                return coeff_stack(coeffs_A_minus(pair(fh.f + eps * direction, fh.h, d), strip))
             if which == "plus_f":
-                return coeff_stack(coeffs_A_plus(fh.f + eps * direction, fh.h, PAR, strip))
-            return coeff_stack(coeffs_A_plus(fh.f, fh.h + eps * direction, PAR, strip))
+                return coeff_stack(coeffs_A_plus(pair(fh.f + eps * direction, fh.h, d), strip))
+            return coeff_stack(coeffs_A_plus(pair(fh.f, fh.h + eps * direction, d), strip))
 
         base = coeffs_at(0.0)
         errs = []
@@ -415,10 +425,10 @@ class TestFrechetB:
             f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f") else fh.f
             h = fh.h + eps * direction if which in ("B_plus_h", "B1_h") else fh.h
             if which == "B_minus_f":
-                return boundary_B_minus(f, PAR, field).values
+                return boundary_B_minus(pair(f, h), PAR, field).values
             if which == "B_plus_f" or which == "B_plus_h":
-                return boundary_B_plus(f, h, PAR, field).values
-            return boundary_B1(f, h, PAR, field).values
+                return boundary_B_plus(pair(f, h), PAR, field).values
+            return boundary_B1(pair(f, h), PAR, field).values
 
         base = boundary_at(0.0)
         errs = []
