@@ -187,17 +187,20 @@ def curvature(zeta: PeriodicFn) -> PeriodicFn:
     return _curvature(spectral_derivative(zeta, 1), spectral_derivative(zeta, 2))
 
 
-def curvature_frechet(zeta0: PeriodicFn, h: PeriodicFn) -> PeriodicFn:
-    """Directional derivative of the curvature at zeta0 in direction h."""
-    if zeta0.grid != h.grid:
+def _curvature_frechet(zeta_x: PeriodicFn, zeta_xx: PeriodicFn, h: PeriodicFn) -> PeriodicFn:
+    if zeta_x.grid != h.grid:
         raise ValueError("operands live on different grids")
-    z0p = spectral_derivative(zeta0, 1).values
-    z0pp = spectral_derivative(zeta0, 2).values
+    z0p, z0pp = zeta_x.values, zeta_xx.values
     hp = spectral_derivative(h, 1).values
     hpp = spectral_derivative(h, 2).values
     s = 1.0 + z0p**2
     out = hpp / s**1.5 - 3.0 * z0p * z0pp * hp / s**2.5
-    return PeriodicFn(zeta0.grid, out)
+    return PeriodicFn(h.grid, out)
+
+
+def curvature_frechet(zeta0: PeriodicFn, h: PeriodicFn) -> PeriodicFn:
+    """Directional derivative of the curvature at zeta0 in direction h."""
+    return _curvature_frechet(spectral_derivative(zeta0, 1), spectral_derivative(zeta0, 2), h)
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,9 @@ class InterfacePair:
     The pair owns its geometry, derived once on first access and read by
     every operator built on it: the spectral derivatives f_x, f_xx, h_x,
     h_xx, the layer gaps gap_minus = f - d and gap_plus = h - f (positive,
-    as d < f < h is checked on construction) and the curvatures
-    curvature_f, curvature_h.
+    as d < f < h is checked on construction), the curvatures
+    curvature_f, curvature_h and, from the same derivatives, their Fréchet
+    derivatives along a direction.
     """
 
     f: PeriodicFn
@@ -279,3 +283,11 @@ class InterfacePair:
     @cached_property
     def curvature_h(self) -> PeriodicFn:
         return _curvature(self.h_x, self.h_xx)
+
+    def curvature_f_frechet(self, direction: PeriodicFn) -> PeriodicFn:
+        """Derivative of curvature_f as f moves in direction."""
+        return _curvature_frechet(self.f_x, self.f_xx, direction)
+
+    def curvature_h_frechet(self, direction: PeriodicFn) -> PeriodicFn:
+        """Derivative of curvature_h as h moves in direction."""
+        return _curvature_frechet(self.h_x, self.h_xx, direction)

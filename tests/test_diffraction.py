@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -153,10 +156,55 @@ class TestSolveGeneral:
                 x = self.lu.solve(rhs, trans=trans)
                 return x + offset.reshape((-1,) + (1,) * (x.ndim - 1))
 
-        monkeypatch.setattr(diffraction.spla, "splu", lambda matrix: OffsetLU(true_splu(matrix)))
+        monkeypatch.setattr(diffraction.spla, "splu",
+                            lambda matrix, **kwargs: OffsetLU(true_splu(matrix, **kwargs)))
         with pytest.raises(SolverFailure, match="backward error") as err:
             solve_general(data())
         assert err.value.condition_estimate < 1e12
+
+
+class TestFactorization:
+    """The equilibrated, minimum-degree, threshold-pivoted LU against dense references."""
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.1, 0.3, 0.45])
+    def test_matches_dense_solve_and_condition(self, amplitude):
+        g = make_grid(16)
+        f = fn(g, lambda x: amplitude * np.sin(x) + 0.2 * amplitude * np.cos(3 * x))
+        fh = InterfacePair(f, fn(g, lambda x: 1.0 + 0.1 * np.cos(2 * x)), -1.0)
+        rng = np.random.default_rng(11)
+        strip_p, strip_m = StripGrid(g, 8, "plus"), StripGrid(g, 8, "minus")
+        data = general_data(fh, PAR, 8,
+                            F_plus=StripField(strip_p, rng.standard_normal(strip_p.shape)),
+                            F_minus=StripField(strip_m, rng.standard_normal(strip_m.shape)),
+                            phi1=PeriodicFn(g, rng.standard_normal(g.n_x)),
+                            phi2=PeriodicFn(g, rng.standard_normal(g.n_x)),
+                            phi3=PeriodicFn(g, rng.standard_normal(g.n_x)),
+                            phi4=PeriodicFn(g, rng.standard_normal(g.n_x)))
+        sol = solve_general(data)
+        x = np.concatenate([sol.v_plus.values.ravel(), sol.v_minus.values.ravel()])
+        dense = data.operator.factorization[0].toarray()
+        reference = np.linalg.solve(dense, diffraction._rhs(data))
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+        exact = np.linalg.cond(dense, 1)
+        cond = data.operator.factorization[-1]
+        assert exact / 3 <= cond <= exact * (1 + 1e-8)
+
+    def test_fill(self):
+        g = make_grid(32)
+        lu = pulled_back_operator(wavy_pair(g), PAR, 16).factorization[2]
+        assert lu.L.nnz + lu.U.nnz <= 60_000
+
+    def test_factored_operator_freed_without_cycle_collector(self):
+        g = make_grid(16)
+        gc.disable()
+        try:
+            data = general_data(wavy_pair(g), PAR, 12, phi3=constant_fn(g, 1.0))
+            solve_general(data)
+            ref = weakref.ref(data.operator)
+            del data
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTransmissionOperator:
@@ -171,9 +219,9 @@ class TestTransmissionOperator:
         factorizations = []
         true_splu = diffraction.spla.splu
 
-        def counting_splu(matrix):
+        def counting_splu(matrix, **kwargs):
             factorizations.append(matrix.shape)
-            return true_splu(matrix)
+            return true_splu(matrix, **kwargs)
 
         monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
         op = pulled_back_operator(fh, par, 12)

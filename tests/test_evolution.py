@@ -432,6 +432,28 @@ class TestGeometryReuse:
         assert differentiated  # the solution's traces are still differentiated
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 
+    def test_surface_tension_linearization_reads_the_pair(self, monkeypatch):
+        import muskatlab.geometry as geometry
+
+        g = make_grid(16)
+        fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
+                           fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
+        par = FluidParams(gamma_f=0.5, gamma_h=1.0)
+        base = diffraction.solve_potentials_st(fh, constant_fn(g, 0.5), par, n_y=12)
+        direction = fn(g, lambda x: np.cos(2 * x))
+        differentiated = []
+        true_derivative = geometry.spectral_derivative
+
+        def spectral_derivative(u, order):
+            differentiated.append(u)
+            return true_derivative(u, order)
+
+        monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
+        diffraction.solve_linearized_f(fh, base, direction, par, with_surface_tension=True)
+        diffraction.solve_linearized_h(fh, base, direction, par, with_surface_tension=True)
+        assert any(u is direction for u in differentiated)
+        assert not any(u is fh.f or u is fh.h for u in differentiated)
+
 
 class TestFactorizationReuse:
     """simulate factorizes each accepted state once, for its RT margins and
@@ -455,9 +477,9 @@ class TestFactorizationReuse:
         factorizations, solves, attempts = [], [], []
         true_splu, true_rhs, true_step = diffraction.spla.splu, diffraction._rhs, evolution.step
 
-        def counting_splu(matrix):
+        def counting_splu(matrix, **kwargs):
             factorizations.append(matrix.shape)
-            return true_splu(matrix)
+            return true_splu(matrix, **kwargs)
 
         def counting_rhs(data):
             solves.append(data.operator)
