@@ -190,18 +190,18 @@ def cmd_spectrum(args) -> int:
     except (ConfigError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    modes = range(lo, hi + 1)
+    try:
+        mats = linearized_matrix(fh, b, config.params, modes,
+                                 surface_tension=config.surface_tension, n_y=config.n_y)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SolverFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     lines = ["m,a11,a12,a21,a22,eig1_re,eig1_im,eig2_re,eig2_im"]
-    for m in range(lo, hi + 1):
-        try:
-            mat = linearized_matrix(fh, b, config.params, m,
-                                    surface_tension=config.surface_tension,
-                                    eps=args.eps, n_y=config.n_y)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except SolverFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+    for m, mat in zip(modes, mats):
         eigs = np.sort_complex(np.linalg.eigvals(mat))
         lines.append(",".join([str(m)] + [_fmt(v) for v in
                                           (mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])]
@@ -258,7 +258,6 @@ def main(argv=None) -> int:
     p_spec = sub.add_parser("spectrum", help="per-mode linearization matrices")
     p_spec.add_argument("--config", required=True)
     p_spec.add_argument("--modes", required=True, help="mode range a..b")
-    p_spec.add_argument("--eps", type=float, default=1e-6)
     p_spec.add_argument("--out", default=None)
     p_spec.set_defaults(func=cmd_spectrum)
 

@@ -11,7 +11,8 @@ threshold, which keeps the pivots on the diagonal where they are large enough
 and so roughly halves the fill of SuperLU's default COLAMD ordering with
 partial pivoting; the guards (condition estimate, backward error) still
 measure the unscaled matrix.  The matrix depends only on the geometry, so one
-:class:`TransmissionOperator` factor serves every problem on it.
+:class:`TransmissionOperator` factor serves every problem on it, the
+linearized problems around a solved state included.
 
 Interior rows discretize the operators with the same second-order stencils
 as :func:`muskatlab.operators.apply_operator`; the flux rows use one-sided
@@ -196,10 +197,12 @@ def _trace(kind, side: str, edge: str) -> property:
 
 @dataclass(frozen=True)
 class DiffractionSolution:
-    """Solved strip fields; their edge traces are computed on access."""
+    """Solved strip fields with the operator they were solved on; their edge
+    traces are computed on access."""
 
     v_plus: StripField
     v_minus: StripField
+    operator: TransmissionOperator = field(repr=False)
 
     tr0_vplus = _trace(trace_values, "v_plus", "bottom")
     tr0_vminus = _trace(trace_values, "v_minus", "top")
@@ -360,7 +363,8 @@ def solve_general(data: DiffractionData) -> DiffractionSolution:
     strip_p, strip_m = data.operator.strips
     x_plus, x_minus = np.split(x, [np.prod(strip_p.shape)])
     return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
-                               StripField(strip_m, x_minus.reshape(strip_m.shape)))
+                               StripField(strip_m, x_minus.reshape(strip_m.shape)),
+                               data.operator)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +424,19 @@ def solve_potentials_st(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 
 # ---------------------------------------------------------------------------
 # Linearized problems around a base state
+#
+# base_solution is the potential pair solved at base (with or without
+# surface tension, as with_surface_tension says).  The linearized problem has
+# the base state's matrix, so it is posed on base_solution.operator and
+# solved with that operator's factorization: no new factorization is made.
 
 
 def solve_linearized_f(base: InterfacePair, base_solution: DiffractionSolution,
                        direction: PeriodicFn, params: FluidParams,
                        with_surface_tension: bool = False) -> tuple[StripField, StripField]:
-    """Derivative of the potential pair with respect to the lower interface."""
-    operator = pulled_back_operator(base, params, base_solution.v_plus.strip.n_y)
+    """Derivative of the potential pair with respect to the lower interface,
+    solved on the base solution's operator."""
+    operator = base_solution.operator
     strip_p, strip_m = operator.strips
     zero = PeriodicFn(base.grid, np.zeros(base.grid.n_x))
 
@@ -456,8 +466,9 @@ def solve_linearized_f(base: InterfacePair, base_solution: DiffractionSolution,
 def solve_linearized_h(base: InterfacePair, base_solution: DiffractionSolution,
                        direction: PeriodicFn, params: FluidParams,
                        with_surface_tension: bool = False) -> tuple[StripField, StripField]:
-    """Derivative of the potential pair with respect to the upper interface."""
-    operator = pulled_back_operator(base, params, base_solution.v_plus.strip.n_y)
+    """Derivative of the potential pair with respect to the upper interface,
+    solved on the base solution's operator."""
+    operator = base_solution.operator
     strip_p, strip_m = operator.strips
     zero = PeriodicFn(base.grid, np.zeros(base.grid.n_x))
 

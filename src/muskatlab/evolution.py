@@ -26,6 +26,8 @@ from .diffraction import (
     _potential_data,
     pulled_back_operator,
     solve_general,
+    solve_linearized_f,
+    solve_linearized_h,
     solve_potentials,
 )
 from .geometry import AdmissibilityError, InterfacePair, PeriodicFn
@@ -35,6 +37,7 @@ from .operators import (
     boundary_B1,
     boundary_B_minus,
     boundary_B_plus,
+    frechet_B,
     strip_heights,
 )
 
@@ -177,7 +180,8 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
     Returns (new_state, error_estimate); the estimate is the sup-norm of the
     embedded fourth/fifth-order difference.  The first stage is the state's
     slope, solved for here when the state carries none.  Raises
-    StepRejected when an intermediate stage leaves the admissible set.
+    StepRejected when an intermediate stage or the result is not finite or
+    leaves the admissible set.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -194,7 +198,7 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
             hv = hv + dt * a * ks[j][1]
         try:
             stage_fh = InterfacePair(PeriodicFn(grid, fv), PeriodicFn(grid, hv), d)
-        except AdmissibilityError as exc:
+        except ValueError as exc:  # not finite, or not admissible
             raise StepRejected(f"stage {stage} left the admissible set ({exc})") from exc
         df, dh = phi(state.t + _RKF_C[stage] * dt, stage_fh, b_at, params,
                      surface_tension, n_y)
@@ -207,7 +211,7 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
     err = max(np.max(np.abs(err_f)), np.max(np.abs(err_h)))
     try:
         new_fh = InterfacePair(PeriodicFn(grid, f4), PeriodicFn(grid, h4), d)
-    except AdmissibilityError as exc:
+    except ValueError as exc:  # not finite, or not admissible
         raise StepRejected(f"step result left the admissible set ({exc})") from exc
     return SimState(t=state.t + dt, fh=new_fh), float(err)
 
@@ -325,43 +329,50 @@ def _assert_x_independent(u: PeriodicFn, name: str):
 
 
 def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
-                      m: int, surface_tension: bool = False, eps: float = 1e-6,
+                      modes, surface_tension: bool = False,
                       n_y: int | None = None) -> np.ndarray:
-    """Per-mode Jacobian of the interface velocities at a flat state.
+    """Per-mode Jacobians of the interface velocities at a flat state.
 
-    Directional finite differences of the velocity operator along the
-    mode-m sine in each interface, projected back onto that sine; at an
-    x-independent base the modes decouple and the result is a real 2x2
-    matrix per mode.  eps must be finite and positive.
+    The derivative of (df, dh) = (-B(f) v_minus, -B1 v_plus) along the
+    mode-m sine in each interface is the Frechet derivative of the boundary
+    operator applied to the base potentials plus the boundary operator
+    applied to the linearized potentials (B(f) does not depend on h).  At an
+    x-independent base the modes decouple, so projecting back onto that
+    sine gives a real 2x2 matrix per mode.  The base operator is factored
+    once and every mode's two linearized problems are solved on it.  Returns
+    an array of shape (len(modes), 2, 2); every mode is validated before any
+    solve.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if m <= 0:
-        raise ValueError("mode m must be positive")
     grid = fh.grid
-    if m >= grid.n_x // 2:
-        raise ValueError("mode m must be below the Nyquist mode")
+    modes = list(modes)
+    for m in modes:
+        if m <= 0:
+            raise ValueError("mode m must be positive")
+        if m >= grid.n_x // 2:
+            raise ValueError("mode m must be below the Nyquist mode")
     _assert_x_independent(fh.f, "f")
     _assert_x_independent(fh.h, "h")
     _assert_x_independent(b, "b")
 
-    direction = np.sin(m * grid.nodes)
+    operator = pulled_back_operator(fh, params, n_y)
+    base = solve_general(_potential_data(operator, fh, b, params, surface_tension))
     weight = 2.0 / grid.n_x
-
-    def project(values):
-        return weight * float(values @ direction)
-
-    base_f, base_h = phi(0.0, fh, b, params, surface_tension, n_y)
-    out = np.empty((2, 2))
-    for col, (df_vals, dh_vals) in enumerate((
-            (eps * direction, np.zeros(grid.n_x)),
-            (np.zeros(grid.n_x), eps * direction))):
-        pert = InterfacePair(PeriodicFn(grid, fh.f.values + df_vals),
-                             PeriodicFn(grid, fh.h.values + dh_vals), fh.d)
-        pf, ph = phi(0.0, pert, b, params, surface_tension, n_y)
-        out[0, col] = project((pf.values - base_f.values) / eps)
-        out[1, col] = project((ph.values - base_h.values) / eps)
-    return out
+    out = np.empty((len(modes), 2, 2))
+    for i, m in enumerate(modes):
+        direction = PeriodicFn(grid, np.sin(m * grid.nodes))
+        sine = direction.values
+        w_plus, w_minus = solve_linearized_f(fh, base, direction, params, surface_tension)
+        lower_f = (frechet_B("B_minus_f", fh, direction, params, base.v_minus)
+                   + boundary_B_minus(fh, params, w_minus))
+        upper_f = (frechet_B("B1_f", fh, direction, params, base.v_plus)
+                   + boundary_B1(fh, params, w_plus))
+        w_plus, w_minus = solve_linearized_h(fh, base, direction, params, surface_tension)
+        lower_h = boundary_B_minus(fh, params, w_minus)
+        upper_h = (frechet_B("B1_h", fh, direction, params, base.v_plus)
+                   + boundary_B1(fh, params, w_plus))
+        out[i] = [[lower_f.values @ sine, lower_h.values @ sine],
+                  [upper_f.values @ sine, upper_h.values @ sine]]
+    return -weight * out
 
 
 def mode_amplitude(values: np.ndarray, m: int) -> float:

@@ -395,7 +395,7 @@ def b_coeffs_plus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, n
 # Directional derivatives
 
 _FRECHET_A_WHICH = ("minus_f", "plus_f", "plus_h")
-_FRECHET_B_WHICH = ("B_minus_f", "B_plus_f", "B_plus_h", "B1_h")
+_FRECHET_B_WHICH = ("B_minus_f", "B_plus_f", "B_plus_h", "B1_f", "B1_h")
 
 
 def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
@@ -457,7 +457,12 @@ def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
 
 def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
               params: FluidParams, fld: StripField) -> PeriodicFn:
-    """Directional derivative of a boundary operator, applied to a field."""
+    """Directional derivative of a boundary operator, applied to a field.
+
+    which names the operator and the interface it is differentiated in:
+    'B_minus_f' (B(f) of the lower fluid), 'B_plus_f' and 'B_plus_h' (B(f,h)
+    of the upper fluid on Gamma_0), 'B1_f' and 'B1_h' (B1 on Gamma_1).
+    """
     if which not in _FRECHET_B_WHICH:
         raise ValueError(f"which must be one of {_FRECHET_B_WHICH}, got {which!r}")
     if base.grid != direction.grid:
@@ -486,6 +491,8 @@ def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
                       * trace_dy(fld, "bottom") - up * trace_dx(fld, "bottom"))
     elif which == "B_plus_h":
         out = -coef * (1.0 + fp**2) * u / gap**2 * trace_dy(fld, "bottom")
+    elif which == "B1_f":
+        out = coef * (1.0 + base.h_x.values**2) * u / gap**2 * trace_dy(fld, "top")
     else:  # B1_h
         hp = base.h_x.values
         out = coef * ((2.0 * hp * up / gap - (1.0 + hp**2) * u / gap**2)

@@ -102,7 +102,7 @@ def check_manufactured(quick: bool = False) -> CheckResult:
 
 
 def check_frechet_at(seed: int, eps_list) -> CheckResult:
-    """Finite-difference check of the seven directional derivatives.
+    """Finite-difference check of the eight directional derivatives.
 
     At a fixed wavy pair and in a random direction drawn from seed (the
     boundary operators act on random fields drawn after it), the error of
@@ -131,7 +131,8 @@ def check_frechet_at(seed: int, eps_list) -> CheckResult:
     for which, boundary in (("B_minus_f", operators.boundary_B_minus),
                             ("B_plus_f", operators.boundary_B_plus),
                             ("B_plus_h", operators.boundary_B_plus),
-                            ("B1_h", operators.boundary_B1)):
+                            ("B1_h", operators.boundary_B1),
+                            ("B1_f", operators.boundary_B1)):
         strip = StripGrid(grid, 16, "minus" if which == "B_minus_f" else "plus")
         field = StripField(strip, rng.standard_normal(strip.shape))
         cases.append((which, lambda pair, b=boundary, fld=field: b(pair, par, fld).values,
@@ -207,9 +208,11 @@ def check_symbols_oracle(quick: bool = False):
     return result, info
 
 
-def check_complementing_sweep(quick: bool = False) -> CheckResult:
-    rng = np.random.default_rng(4096)
-    n_cases = 2000 if quick else 10_000
+def check_complementing_sweep_at(seed: int, n_cases: int) -> CheckResult:
+    """The complementing-condition quantity over n_cases random elliptic
+    operator pairs, frequencies and homotopy parameters drawn from seed;
+    the check passes when its minimum is positive."""
+    rng = np.random.default_rng(seed)
     min_quantity = np.inf
     for _ in range(n_cases):
         a11 = rng.uniform(0.1, 5.0, 2)
@@ -225,6 +228,10 @@ def check_complementing_sweep(quick: bool = False) -> CheckResult:
     ok = min_quantity > 0
     return CheckResult("complementing-condition", ok,
                        f"{n_cases} random elliptic cases, min quantity {min_quantity:.3e}")
+
+
+def check_complementing_sweep(quick: bool = False) -> CheckResult:
+    return check_complementing_sweep_at(4096, 2000 if quick else 10_000)
 
 
 def run_all(quick: bool = False):

@@ -12,7 +12,6 @@ import pytest
 from muskatlab.config import SimConfig, WaveSpec
 from muskatlab.diffraction import (
     DiffractionData,
-    check_complementing,
     pulled_back_operator,
     solve_general,
     solve_potentials,
@@ -49,7 +48,7 @@ from muskatlab.symbols import (
     lambda_st_symbol,
     phi_symbol,
 )
-from muskatlab.verify import check_frechet_at
+from muskatlab.verify import check_complementing_sweep_at, check_frechet_at
 
 PAR = FluidParams()
 
@@ -205,8 +204,8 @@ def bridge_matrices():
     fh = InterfacePair(constant_fn(grid, 0.0), constant_fn(grid, 1.0), -1.0)
     b = constant_fn(grid, PAR.g * PAR.rho_plus)
     started = time.perf_counter()
-    mats = {m: linearized_matrix(fh, b, PAR, m, eps=1e-6, n_y=48)
-            for m in (1, 2, 3, 4)}
+    modes = (1, 2, 3, 4)
+    mats = dict(zip(modes, linearized_matrix(fh, b, PAR, modes, n_y=48)))
     return mats, time.perf_counter() - started
 
 
@@ -352,20 +351,8 @@ def test_criterion_8_surface_tension():
 
 
 def test_criterion_9_complementing_condition():
-    rng = np.random.default_rng(8080)
-    min_quantity = np.inf
-    for _ in range(10_000):
-        a11 = rng.uniform(0.1, 5.0, 2)
-        a22 = rng.uniform(0.1, 5.0, 2)
-        a12 = rng.uniform(-0.99, 0.99, 2) * np.sqrt(a11 * a22)
-        beta2 = rng.uniform(0.05, 5.0, 2)
-        beta1 = rng.uniform(-3.0, 3.0, 2)
-        xi = rng.uniform(0.05, 4.0) * rng.choice((-1.0, 1.0))
-        tau = rng.uniform(0.0, 1.0)
-        rep = check_complementing(a11, a12, a22, beta1, beta2, xi=xi, tau=tau)
-        min_quantity = min(min_quantity, rep.quantity)
-    report(9, min_quantity > 0,
-           f"10^4 random elliptic cases, min quantity {min_quantity:.3e} (> 0)")
+    result = check_complementing_sweep_at(8080, 10_000)
+    report(9, result.passed, result.detail + " (> 0)")
 
 
 def test_criterion_10_marcinkiewicz_diagnostics():

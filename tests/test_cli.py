@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from muskatlab.cli import main
 from muskatlab.config import ConfigError, SimConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, **overrides):
@@ -214,10 +220,23 @@ class TestSpectrumCommand:
             "h": {"const": 1.0, "modes": []}})
         assert main(["spectrum", "--config", str(path), "--modes", "1..2"]) == 1
 
-    def test_zero_eps_rejected(self, tmp_path, capsys):
+    def test_eps_option_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
-        assert main(["spectrum", "--config", str(path), "--modes", "1..2", "--eps", "0"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", str(path), "--modes", "1..2", "--eps", "1e-6"])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
+
+    def test_runs_as_module(self, tmp_path):
+        path = write_config(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "muskatlab", "spectrum", "--config",
+                               str(path), "--modes", "1..2"],
+                              cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0].startswith("m,a11,")
+        assert len(done.stdout.splitlines()) == 3
 
     def test_bad_range_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)

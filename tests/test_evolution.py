@@ -224,6 +224,13 @@ class TestStep:
         with pytest.raises(StepRejected):
             step(state, 50.0, constant_fn(g, -40.0), par, n_y=12)
 
+    def test_nonfinite_stage_rejected(self):
+        g = make_grid(16)
+        huge = constant_fn(g, 1e308)
+        state = SimState(0.0, flat_pair(g), slope=(huge, huge))
+        with np.errstate(over="ignore"), pytest.raises(StepRejected):
+            step(state, 10.0, constant_fn(g, 1.0), PAR, n_y=12)
+
 
 class TestDealias:
     def test_zeroes_high_modes_only(self):
@@ -337,7 +344,7 @@ class TestLinearizedMatrix:
         fh = flat_pair(g)
         b = constant_fn(g, PAR.g * PAR.rho_plus)
         for m in (1, 2):
-            mat = linearized_matrix(fh, b, PAR, m, eps=1e-6, n_y=32)
+            mat = linearized_matrix(fh, b, PAR, [m], n_y=32)[0]
             target = -m / (2 * np.tanh(m))
             assert abs(mat[0, 0] - target) < 0.02 * abs(target)
 
@@ -347,7 +354,7 @@ class TestLinearizedMatrix:
         fh = flat_pair(g)
         b = constant_fn(g, PAR.g * PAR.rho_plus)
         for m in (1, 3):
-            mat = linearized_matrix(fh, b, PAR, m, eps=1e-6, n_y=32)
+            mat = linearized_matrix(fh, b, PAR, [m], n_y=32)[0]
             target = -m / (2 * np.sinh(m))
             assert abs(mat[0, 1] - target) < 0.02 * max(abs(target), 0.01)
             assert abs(mat[1, 0] - target) < 0.02 * max(abs(target), 0.01)
@@ -359,45 +366,85 @@ class TestLinearizedMatrix:
         fh = flat_pair(g)
         b = constant_fn(g, PAR.g * PAR.rho_plus)
         for m in (1, 2, 3):
-            mat = linearized_matrix(fh, b, PAR, m, eps=1e-6, n_y=32)
+            mat = linearized_matrix(fh, b, PAR, [m], n_y=32)[0]
             target = -PAR.g * PAR.rho_plus * m / np.tanh(2 * m)
             assert abs(mat[1, 1] - target) < 0.02 * abs(target)
 
-    def test_eps_halving_consistency(self):
+    @pytest.mark.parametrize("surface_tension", [False, True])
+    def test_matches_central_difference_of_phi(self, surface_tension):
+        g = make_grid(32)
+        par = FluidParams(gamma_f=0.5, gamma_h=1.0) if surface_tension else PAR
+        fh = flat_pair(g)
+        b = constant_fn(g, 0.25)  # off equilibrium: the base flow moves both interfaces
+        modes = (1, 8)
+        mats = linearized_matrix(fh, b, par, modes, surface_tension, n_y=16)
+        assert mats.shape == (2, 2, 2)
+        eps = 1e-6
+        for m, mat in zip(modes, mats):
+            sine = np.sin(m * g.nodes)
+            oracle = np.empty((2, 2))
+            for col in range(2):
+                moved = [constant_fn(g, 0.0), constant_fn(g, 0.0)]
+                moved[col] = PeriodicFn(g, eps * sine)
+                up = phi(0.0, InterfacePair(fh.f + moved[0], fh.h + moved[1], fh.d), b, par,
+                         surface_tension, n_y=16)
+                down = phi(0.0, InterfacePair(fh.f - moved[0], fh.h - moved[1], fh.d), b, par,
+                           surface_tension, n_y=16)
+                for row in range(2):
+                    rate = (up[row].values - down[row].values) / (2 * eps)
+                    oracle[row, col] = 2.0 / g.n_x * float(rate @ sine)
+            assert np.max(np.abs(mat - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    def test_one_factorization_for_all_modes(self, monkeypatch):
         g = make_grid(32)
         fh = flat_pair(g)
         b = constant_fn(g, PAR.g * PAR.rho_plus)
-        vals = []
-        for eps in (2e-2, 1e-2, 5e-3):
-            vals.append(linearized_matrix(fh, b, PAR, 1, eps=eps, n_y=16))
-        d1 = np.max(np.abs(vals[1] - vals[0]))
-        d2 = np.max(np.abs(vals[2] - vals[1]))
-        assert d2 < 0.75 * d1  # halving eps shrinks the O(eps) error
+        factorizations = []
+        true_splu = diffraction.spla.splu
+
+        def counting_splu(matrix, **kwargs):
+            factorizations.append(matrix.shape)
+            return true_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
+        with pytest.raises(ValueError):
+            linearized_matrix(fh, b, PAR, [1, 16], n_y=16)
+        assert factorizations == []  # every mode is checked before the first solve
+        mats = linearized_matrix(fh, b, PAR, range(1, 9), n_y=16)
+        assert mats.shape == (8, 2, 2)
+        assert len(factorizations) == 1
+
+        base = solve_potentials(fh, b, PAR, n_y=16)
+        assert len(factorizations) == 2
+        direction = fn(g, np.sin)
+        diffraction.solve_linearized_f(fh, base, direction, PAR)
+        diffraction.solve_linearized_h(fh, base, direction, PAR)
+        assert len(factorizations) == 2
 
     def test_nonflat_base_rejected(self):
         g = make_grid(32)
         fh = InterfacePair(fn(g, lambda x: 0.01 * np.sin(x)), constant_fn(g, 1.0), -1.0)
         with pytest.raises(ValueError):
-            linearized_matrix(fh, constant_fn(g, 1.0), PAR, 1)
+            linearized_matrix(fh, constant_fn(g, 1.0), PAR, [1])
 
     def test_bad_mode_rejected(self):
         g = make_grid(32)
         fh = flat_pair(g)
         b = constant_fn(g, 1.0)
         with pytest.raises(ValueError):
-            linearized_matrix(fh, b, PAR, 0)
+            linearized_matrix(fh, b, PAR, [0])
         with pytest.raises(ValueError):
-            linearized_matrix(fh, b, PAR, 16)
+            linearized_matrix(fh, b, PAR, [16])
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_sign_dichotomy_matches_symbols(self, m):
         g = make_grid(32)
         b_eq = PAR.g * PAR.rho_plus
-        mat = linearized_matrix(flat_pair(g), constant_fn(g, b_eq), PAR, m, n_y=16)
+        mat = linearized_matrix(flat_pair(g), constant_fn(g, b_eq), PAR, [m], n_y=16)[0]
         assert mat[0, 0] < 0 and mat[1, 1] < 0
         par_rev = FluidParams(rho_minus=1.0, rho_plus=2.0)
         mat_rev = linearized_matrix(flat_pair(g), constant_fn(g, par_rev.g * par_rev.rho_plus),
-                                    par_rev, m, n_y=16)
+                                    par_rev, [m], n_y=16)[0]
         assert mat_rev[0, 0] > 0
 
 

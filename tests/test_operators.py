@@ -411,7 +411,8 @@ class TestFrechetB:
         assert np.max(np.abs(out.values - target)) < 1e-12
 
     @pytest.mark.parametrize("which,side", [("B_minus_f", "minus"), ("B_plus_f", "plus"),
-                                            ("B_plus_h", "plus"), ("B1_h", "plus")])
+                                            ("B_plus_h", "plus"), ("B1_f", "plus"),
+                                            ("B1_h", "plus")])
     def test_finite_difference_oracle(self, which, side):
         g = make_grid(32)
         rng = np.random.default_rng(37)
@@ -422,7 +423,7 @@ class TestFrechetB:
         lin = frechet_B(which, fh, direction, PAR, field).values
 
         def boundary_at(eps):
-            f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f") else fh.f
+            f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f", "B1_f") else fh.f
             h = fh.h + eps * direction if which in ("B_plus_h", "B1_h") else fh.h
             if which == "B_minus_f":
                 return boundary_B_minus(pair(f, h), PAR, field).values
