@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SimConfig
+from .config import SimConfig
 from .diffraction import SolverFailure, solve_potentials, solve_potentials_st
 from .evolution import linearized_matrix, rayleigh_taylor, simulate
-from .geometry import AdmissibilityError, make_grid
+from .geometry import make_grid
 from .symbols import (
     frozen_constants,
     lambda_st_symbol,
@@ -48,8 +48,18 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _load_config(path: str) -> SimConfig:
-    return SimConfig.from_json(path)
+def _config_and_state(args):
+    """Load args.config and build its initial state; returns (config, fh, b)."""
+    config = SimConfig.from_json(args.config)
+    fh, b = config.initial_state()
+    return config, fh, b
+
+
+def _emit(text: str, out: str | None):
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _write_snapshot(path: Path, nodes, f_vals, h_vals):
@@ -60,13 +70,7 @@ def _write_snapshot(path: Path, nodes, f_vals, h_vals):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _load_config(args.config)
-        config.initial_state()
-    except (ConfigError, AdmissibilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    config, _, _ = _config_and_state(args)
     out_dir = Path(args.out if args.out else (config.out_dir or "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(config)
@@ -102,17 +106,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rtcheck(args) -> int:
-    try:
-        config = _load_config(args.config)
-        fh, b = config.initial_state()
-    except (ConfigError, AdmissibilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = rayleigh_taylor(fh, b, config.params, n_y=config.n_y)
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    config, fh, b = _config_and_state(args)
+    report = rayleigh_taylor(fh, b, config.params, n_y=config.n_y)
     print(json.dumps({"margin_f": report.margin_f, "margin_h": report.margin_h,
                       "satisfied": report.satisfied}, sort_keys=True))
     return EXIT_OK
@@ -128,20 +123,11 @@ def cmd_symbols(args) -> int:
     if not np.isfinite(args.x):
         print("error: --x must be finite", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = _load_config(args.config)
-        fh, b = config.initial_state()
-    except (ConfigError, AdmissibilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, fh, b = _config_and_state(args)
     params = config.params
-    try:
-        solver = solve_potentials_st if config.surface_tension else solve_potentials
-        sol = solver(fh, b, params, n_y=config.n_y)
-        fp = frozen_constants(fh, sol, params, args.x)
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    solver = solve_potentials_st if config.surface_tension else solve_potentials
+    sol = solver(fh, b, params, n_y=config.n_y)
+    fp = frozen_constants(fh, sol, params, args.x)
 
     lines = ["family,m,re_formula,im_formula,re_oracle,im_oracle"]
     for m in range(1, args.m_max + 1):
@@ -159,11 +145,7 @@ def cmd_symbols(args) -> int:
     for m in range(1, args.m_max + 1):
         lines.append(f"lambda_st,{m},{_fmt(lambda_st_symbol(fp, m))},{_fmt(0.0)},,")
         lines.append(f"phi_st,{m},{_fmt(phi_st_symbol(fp, m))},{_fmt(0.0)},,")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -184,22 +166,13 @@ def cmd_spectrum(args) -> int:
     if lo < 1 or hi < lo:
         print("error: mode range must satisfy 1 <= a <= b", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = _load_config(args.config)
-        fh, b = config.initial_state()
-    except (ConfigError, AdmissibilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    config, fh, b = _config_and_state(args)
+    if hi >= config.n_x // 2:
+        print("error: mode m must be below the Nyquist mode", file=sys.stderr)
         return EXIT_CONFIG
     modes = range(lo, hi + 1)
-    try:
-        mats = linearized_matrix(fh, b, config.params, modes,
-                                 surface_tension=config.surface_tension, n_y=config.n_y)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    mats = linearized_matrix(fh, b, config.params, modes,
+                             surface_tension=config.surface_tension, n_y=config.n_y)
     lines = ["m,a11,a12,a21,a22,eig1_re,eig1_im,eig2_re,eig2_im"]
     for m, mat in zip(modes, mats):
         eigs = np.sort_complex(np.linalg.eigvals(mat))
@@ -207,11 +180,7 @@ def cmd_spectrum(args) -> int:
                                           (mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])]
                               + [_fmt(eigs[0].real), _fmt(eigs[0].imag),
                                  _fmt(eigs[1].real), _fmt(eigs[1].imag)]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -266,7 +235,14 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # ConfigError, AdmissibilityError and rejected inputs
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SolverFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -497,50 +497,53 @@ def solve_linearized_h(base: InterfacePair, base_solution: DiffractionSolution,
 
 @dataclass(frozen=True)
 class ComplementingReport:
-    delta2: tuple[float, float]
-    quantity: float
+    delta2: np.ndarray
+    quantity: np.ndarray
 
     @property
-    def satisfied(self) -> bool:
+    def satisfied(self) -> np.ndarray:
         return self.quantity > 0.0
 
 
-def check_complementing(a11, a12, a22, beta1, beta2, xi: float, tau: float) -> ComplementingReport:
+def check_complementing(a11, a12, a22, beta1, beta2, xi, tau) -> ComplementingReport:
     """Evaluate the boundary-ODE quantity deciding the complementing condition.
 
-    a11, a12, a22, beta1, beta2 are pairs (one value per operator); a12 is
-    the symmetric half-coefficient of the mixed derivative.  Freezing the
+    a11, a12, a22, beta1, beta2 have shape (..., 2), one value per operator
+    along the last axis; a12 is the symmetric half-coefficient of the mixed
+    derivative.  xi and tau have shape (...).  All inputs broadcast
+    together, so one call evaluates a batch of cases: the report's delta2
+    has shape (..., 2) and its quantity shape (...).  Freezing the
     coefficients and replacing (dx, dy) by (xi, -i d/dt) yields a pair of
-    decaying-solution ODEs; the condition holds iff the returned quantity,
-    built from the decay exponents delta2, is positive.  beta1 only enters
-    the real part of the frozen boundary relation and drops out of the sign
-    decision; it is accepted to keep the full operator description together.
+    decaying-solution ODEs; the condition holds iff the quantity, built from
+    the decay exponents delta2, is positive.  beta1 only enters the real
+    part of the frozen boundary relation and drops out of the sign decision;
+    it is accepted to keep the full operator description together.  Raises
+    ValueError if any case of the batch is non-finite, has xi = 0 or tau
+    outside [0, 1], a non-elliptic operator or a non-positive beta2.
     """
-    a11 = tuple(float(v) for v in a11)
-    a12 = tuple(float(v) for v in a12)
-    a22 = tuple(float(v) for v in a22)
-    beta1 = tuple(float(v) for v in beta1)
-    beta2 = tuple(float(v) for v in beta2)
-    if xi == 0.0:
+    a11, a12, a22, beta1, beta2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a11, a12, a22, beta1, beta2)))
+    if a11.shape[-1:] != (2,):
+        raise ValueError("coefficients need a last axis of length 2, one per operator")
+    xi = np.asarray(xi, dtype=float)[..., None]
+    tau = np.asarray(tau, dtype=float)[..., None]
+    if not all(np.isfinite(v).all() for v in (a11, a12, a22, beta1, beta2, xi, tau)):
+        raise ValueError("inputs must be finite")
+    if np.any(xi == 0.0):
         raise ValueError("xi must be nonzero")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    for k in range(2):
-        if not (a11[k] > 0 and a22[k] > 0 and a11[k] * a22[k] > a12[k] ** 2):
-            raise ValueError(f"operator {k + 1} is not elliptic")
-        if beta2[k] <= 0:
-            raise ValueError(f"beta2 of operator {k + 1} must be positive")
+    if np.any((tau < 0.0) | (tau > 1.0)):
+        raise ValueError("tau must lie in [0, 1]")
+    if not np.all((a11 > 0) & (a22 > 0) & (a11 * a22 > a12**2)):
+        raise ValueError("every operator must be elliptic")
+    if np.any(beta2 <= 0):
+        raise ValueError("beta2 of every operator must be positive")
 
-    delta2 = []
-    quantity = 0.0
-    for k in range(2):
-        denom = (1.0 - tau) * a22[k] + tau
-        big_a1 = -2.0 * (1.0 - tau) * a12[k] * xi / denom
-        big_a2 = ((1.0 - tau) * a11[k] + tau) * xi**2 / denom
-        disc = big_a2 - big_a1**2 / 4.0
-        if disc <= 0:
-            raise ValueError("non-positive decay discriminant; inputs not elliptic")
-        d2 = float(np.sqrt(disc))
-        delta2.append(d2)
-        quantity += d2 * ((1.0 - tau) * beta2[k] + tau)
-    return ComplementingReport(delta2=(delta2[0], delta2[1]), quantity=float(quantity))
+    denom = (1.0 - tau) * a22 + tau
+    big_a1 = -2.0 * (1.0 - tau) * a12 * xi / denom
+    big_a2 = ((1.0 - tau) * a11 + tau) * xi**2 / denom
+    disc = big_a2 - big_a1**2 / 4.0
+    if np.any(disc <= 0):
+        raise ValueError("non-positive decay discriminant; inputs not elliptic")
+    delta2 = np.sqrt(disc)
+    quantity = np.sum(delta2 * ((1.0 - tau) * beta2 + tau), axis=-1)
+    return ComplementingReport(delta2=delta2, quantity=quantity)

@@ -10,12 +10,6 @@ import numpy as np
 import pytest
 
 from muskatlab.config import SimConfig, WaveSpec
-from muskatlab.diffraction import (
-    DiffractionData,
-    pulled_back_operator,
-    solve_general,
-    solve_potentials,
-)
 from muskatlab.evolution import (
     fit_mode_rate,
     linearized_matrix,
@@ -23,32 +17,23 @@ from muskatlab.evolution import (
     rayleigh_taylor,
     simulate,
 )
-from muskatlab.geometry import (
-    InterfacePair,
-    PeriodicFn,
-    constant_fn,
-    from_callable,
-    make_grid,
-)
-from muskatlab.operators import (
-    FluidParams,
-    StripField,
-    StripGrid,
-    apply_operator,
-    coeffs_A_minus,
-    strip_heights,
-)
+from muskatlab.geometry import InterfacePair, constant_fn, make_grid
+from muskatlab.operators import FluidParams
 from muskatlab.symbols import (
     frozen_from_local_data,
+    lambda_st_symbol,
     lambda_symbol,
     marcinkiewicz_check,
-    ode_oracle_lambda,
-    ode_oracle_phi,
     phi_st_symbol,
-    lambda_st_symbol,
     phi_symbol,
 )
-from muskatlab.verify import check_complementing_sweep_at, check_frechet_at
+from muskatlab.verify import (
+    check_complementing_sweep_at,
+    check_frechet_at,
+    check_harmonic_pullback_at,
+    check_manufactured_at,
+    check_symbols_oracle_at,
+)
 
 PAR = FluidParams()
 
@@ -59,69 +44,16 @@ def report(criterion, passed, detail):
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def fn(grid, func):
-    return from_callable(grid, func)
-
-
 def test_criterion_1_harmonic_pullback_order():
     started = time.perf_counter()
-    rates_all = []
-    for m in (1, 2, 3):
-        errs = []
-        for n in (16, 32, 64):
-            grid = make_grid(n)
-            strip = StripGrid(grid, n, "minus")
-            f = fn(grid, lambda x: 0.2 * np.sin(x))
-            fh = InterfacePair(f, constant_fn(grid, 1.0), -1.0)
-            u = np.exp(m * strip_heights(fh, strip)) * np.cos(m * grid.nodes)[:, None]
-            coeffs = coeffs_A_minus(fh, strip)
-            errs.append(np.max(np.abs(apply_operator(coeffs, StripField(strip, u)).values)))
-        rates_all.extend(np.log2(np.array(errs[:-1]) / np.array(errs[1:])))
+    result = check_harmonic_pullback_at((16, 32, 64), (1, 2, 3))
     elapsed = time.perf_counter() - started
-    ok = all(abs(r - 2.0) < 0.3 for r in rates_all) and elapsed < 10.0
-    report(1, ok, f"rates {[f'{r:.2f}' for r in rates_all]}, {elapsed:.1f}s (< 10 s)")
+    report(1, result.passed and elapsed < 10.0, f"{result.detail}, {elapsed:.1f}s (< 10 s)")
 
 
 def test_criterion_2_diffraction_solver():
-    grid = make_grid(32)
-    n_y = 16
-    f = fn(grid, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x))
-    h = fn(grid, lambda x: 1.0 + 0.1 * np.cos(x))
-    fh = InterfacePair(f, h, -1.0)
-    strip_p = StripGrid(grid, n_y, "plus")
-    strip_m = StripGrid(grid, n_y, "minus")
-    v_plus = StripField(strip_p, np.sin(grid.nodes)[:, None]
-                        * np.exp(strip_p.y_nodes)[None, :] + 0.2)
-    v_minus = StripField(strip_m, np.cos(2 * grid.nodes)[:, None]
-                         * (1 + strip_m.y_nodes)[None, :] ** 2)
-    op = pulled_back_operator(fh, PAR, n_y)
-    bc_p, bc_m = op.plus_bc, op.minus_bc
-    data = DiffractionData(
-        operator=op,
-        F_plus=apply_operator(op.plus_coeffs, v_plus),
-        F_minus=apply_operator(op.minus_coeffs, v_minus),
-        phi1=PeriodicFn(grid, bc_p.apply(v_plus) - bc_m.apply(v_minus)),
-        phi2=PeriodicFn(grid, v_plus.values[:, 0] - v_minus.values[:, -1]),
-        phi3=PeriodicFn(grid, v_plus.values[:, -1]),
-        phi4=PeriodicFn(grid, v_minus.values[:, 0]))
-    sol = solve_general(data)
-    err_mms = max(np.max(np.abs(sol.v_plus.values - v_plus.values)),
-                  np.max(np.abs(sol.v_minus.values - v_minus.values)))
-
-    flat = InterfacePair(constant_fn(grid, 0.0), constant_fn(grid, 1.0), -1.0)
-    c = 0.25
-    sol2 = solve_potentials(flat, constant_fn(grid, c), PAR, n_y=n_y)
-    t = (PAR.g * PAR.rho_plus - c) / (PAR.mu_plus + PAR.mu_minus)
-    vm = c + PAR.mu_minus * t * (strip_m.y_nodes + 1.0)
-    vp = PAR.g * PAR.rho_plus - PAR.mu_plus * t * (1.0 - strip_p.y_nodes)
-    err_flat = max(np.max(np.abs(sol2.v_minus.values - vm[None, :])),
-                   np.max(np.abs(sol2.v_plus.values - vp[None, :])))
-
-    sol3 = solve_potentials(flat, constant_fn(grid, 0.0), FluidParams(g=0.0), n_y=n_y)
-    err_zero = max(np.max(np.abs(sol3.v_plus.values)), np.max(np.abs(sol3.v_minus.values)))
-    ok = err_mms < 1e-12 and err_flat < 1e-11 and err_zero < 1e-10
-    report(2, ok, f"manufactured {err_mms:.1e} (< 1e-12), two-layer {err_flat:.1e}, "
-                  f"zero-data {err_zero:.1e}")
+    result = check_manufactured_at(32, 16)
+    report(2, result.passed, result.detail)
 
 
 def test_criterion_3_frechet_consistency():
@@ -155,47 +87,9 @@ def test_criterion_4_rt_closed_form():
 
 
 def test_criterion_5_symbol_vs_oracle():
-    rng = np.random.default_rng(31415)
-    worst_tau0 = 0.0
-    tau_pos_disc = 0.0
-    for _ in range(100):
-        par = FluidParams(k=rng.uniform(0.3, 3), mu_minus=rng.uniform(0.3, 3),
-                          mu_plus=rng.uniform(0.3, 3), rho_minus=rng.uniform(0, 3),
-                          rho_plus=rng.uniform(0, 3), g=rng.uniform(0, 2),
-                          gamma_f=rng.uniform(0, 1), gamma_h=rng.uniform(0, 1),
-                          d=-rng.uniform(0.5, 2.0))
-        fp = frozen_from_local_data(
-            rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 2),
-            rng.uniform(0.3, 2), rng.uniform(-1, 1), rng.uniform(-1, 1),
-            rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1),
-            rng.uniform(-1, 1), par)
-        m = int(rng.integers(1, 33))
-        worst_tau0 = max(
-            worst_tau0,
-            abs(ode_oracle_lambda(fp, m, 0.0, par).symbol_value
-                - lambda_symbol(fp, m, 0.0, par)),
-            abs(ode_oracle_phi(fp, m, 0.0, par).symbol_value
-                - phi_symbol(fp, m, 0.0, par)))
-        tau_pos_disc = max(
-            tau_pos_disc,
-            abs(ode_oracle_lambda(fp, m, 1.0, par).symbol_value
-                - lambda_symbol(fp, m, 1.0, par)))
-
-    fp_eq = frozen_from_local_data(0, 0, 1, 1, 0, 0, 0, 0, 0, 0, PAR)
-    worst_eq = 0.0
-    for tau in (0.25, 0.5, 0.75, 1.0):
-        for m in (1, 2, 4, 8, 16):
-            worst_eq = max(
-                worst_eq,
-                abs(ode_oracle_lambda(fp_eq, m, tau, PAR).symbol_value
-                    - lambda_symbol(fp_eq, m, tau, PAR)),
-                abs(ode_oracle_phi(fp_eq, m, tau, PAR).symbol_value
-                    - phi_symbol(fp_eq, m, tau, PAR)))
-    print(f"[acceptance] criterion 5 discrepancy report: printed formulas vs oracle "
-          f"at tau=1 off equilibrium: max {tau_pos_disc:.3e} (oracle authoritative)")
-    ok = worst_tau0 < 1e-9 and worst_eq < 1e-9
-    report(5, ok, f"tau=0 max gap {worst_tau0:.1e} (< 1e-9) over 100 points, "
-                  f"flat-equilibrium all-tau gap {worst_eq:.1e} (< 1e-9)")
+    result, info = check_symbols_oracle_at(31415, 100)
+    print(f"[acceptance] criterion 5 discrepancy report: {info}")
+    report(5, result.passed, result.detail)
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,22 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("command", [["rtcheck"], ["symbols", "--m-max", "2"],
+                                     ["spectrum", "--modes", "1..2"], ["simulate"]])
+def test_solver_failure_exit_2(tmp_path, capsys, command):
+    # the interfaces almost touch, so the transmission system is too ill-conditioned
+    path = write_config(tmp_path, n_x=16, n_y=8,
+                        initial={"f": {"const": 0.0, "modes": []},
+                                 "h": {"const": 1e-9, "modes": []}})
+    extra = ["--out", str(tmp_path / "out")] if command == ["simulate"] else []
+    assert main(command + ["--config", str(path)] + extra) == 2
+    err = capsys.readouterr().err
+    if command == ["simulate"]:
+        assert err == "error: simulation failed before the first step\n"
+    else:
+        assert err.startswith("error: system too ill-conditioned")
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path)
@@ -243,12 +259,21 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", str(path), "--modes", "3..1"]) == 1
         assert main(["spectrum", "--config", str(path), "--modes", "x..y"]) == 1
 
+    def test_huge_range_rejected_before_building(self, tmp_path, capsys):
+        import time
+        path = write_config(tmp_path)
+        started = time.perf_counter()
+        assert main(["spectrum", "--config", str(path), "--modes", "1..1000000000000"]) == 1
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == "error: mode m must be below the Nyquist mode\n"
+
 
 class TestVerifyCommand:
-    def test_quick_verify_passes_within_budget(self, capsys):
+    @pytest.mark.parametrize("flags", [["--quick"], []], ids=["quick", "full"])
+    def test_quick_verify_passes_within_budget(self, capsys, flags):
         import time
         started = time.perf_counter()
-        assert main(["verify", "--quick"]) == 0
+        assert main(["verify"] + flags) == 0
         assert time.perf_counter() - started < 60.0
         out = capsys.readouterr().out
         assert "all checks passed" in out

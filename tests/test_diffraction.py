@@ -447,7 +447,7 @@ class TestLinearizedSolves:
 class TestComplementing:
     def test_laplacian_pair_tau0(self):
         rep = check_complementing((1, 1), (0, 0), (1, 1), (0, 0), (1, 1), xi=1.0, tau=0.0)
-        assert rep.delta2 == (1.0, 1.0)
+        assert np.array_equal(rep.delta2, (1.0, 1.0))
         assert abs(rep.quantity - 2.0) < 1e-14
         assert rep.satisfied
 
@@ -455,26 +455,45 @@ class TestComplementing:
         rep = check_complementing((1, 1), (0, 0), (1, 1), (0, 0), (1, 1), xi=1.0, tau=1.0)
         assert abs(rep.quantity - 2.0) < 1e-14
 
-    def test_random_elliptic_sweep(self):
-        rng = np.random.default_rng(53)
-        for _ in range(2000):
-            a11 = rng.uniform(0.1, 5.0, 2)
-            a22 = rng.uniform(0.1, 5.0, 2)
-            bound = np.sqrt(a11 * a22)
-            a12 = rng.uniform(-0.99, 0.99, 2) * bound
-            beta2 = rng.uniform(0.05, 5.0, 2)
-            beta1 = rng.uniform(-3.0, 3.0, 2)
-            xi = rng.uniform(-4.0, 4.0)
-            if xi == 0:
-                xi = 1.0
-            tau = rng.uniform(0.0, 1.0)
-            rep = check_complementing(a11, a12, a22, beta1, beta2, xi=xi, tau=tau)
-            assert rep.quantity > 0
+    @staticmethod
+    def random_elliptic_cases(rng, n):
+        a11 = rng.uniform(0.1, 5.0, (n, 2))
+        a22 = rng.uniform(0.1, 5.0, (n, 2))
+        a12 = rng.uniform(-0.99, 0.99, (n, 2)) * np.sqrt(a11 * a22)
+        beta2 = rng.uniform(0.05, 5.0, (n, 2))
+        beta1 = rng.uniform(-3.0, 3.0, (n, 2))
+        xi = rng.uniform(-4.0, 4.0, n)
+        xi[xi == 0] = 1.0
+        tau = rng.uniform(0.0, 1.0, n)
+        return a11, a12, a22, beta1, beta2, xi, tau
 
-    def test_non_elliptic_rejected(self):
+    def test_random_elliptic_sweep(self):
+        rep = check_complementing(*self.random_elliptic_cases(np.random.default_rng(53), 2000))
+        assert rep.quantity.shape == (2000,)
+        assert np.all(rep.quantity > 0)
+
+    def test_batch_matches_single_cases(self):
+        cases = self.random_elliptic_cases(np.random.default_rng(59), 50)
+        batch = check_complementing(*cases)
+        for i in range(50):
+            single = check_complementing(*(c[i] for c in cases))
+            assert abs(batch.quantity[i] - single.quantity) <= 1e-15 * single.quantity
+            assert np.all(np.abs(batch.delta2[i] - single.delta2) <= 1e-15 * single.delta2)
+
+    @pytest.mark.parametrize("case", [
+        dict(a12=(2, 0)),
+        dict(beta2=(-1, 1)),
+        dict(xi=0.0),
+        dict(xi=np.nan),
+        dict(xi=np.inf),
+        dict(beta2=(1, np.inf)),
+        dict(beta2=(np.nan, 1)),
+        dict(xi=[1.0, -2.0, 0.0, 3.0]),
+        dict(beta2=[(1, 1), (1, 1), (1, np.inf)], xi=[1.0, 2.0, 3.0]),
+    ], ids=["mixed-term", "negative-beta2", "zero-xi", "nan-xi", "inf-xi", "inf-beta2",
+            "nan-beta2", "zero-xi-in-batch", "inf-beta2-in-batch"])
+    def test_non_elliptic_rejected(self, case):
+        args = dict(a11=(1, 1), a12=(0, 0), a22=(1, 1), beta1=(0, 0), beta2=(1, 1),
+                    xi=1.0, tau=0.0)
         with pytest.raises(ValueError):
-            check_complementing((1, 1), (2, 0), (1, 1), (0, 0), (1, 1), xi=1.0, tau=0.0)
-        with pytest.raises(ValueError):
-            check_complementing((1, 1), (0, 0), (1, 1), (0, 0), (-1, 1), xi=1.0, tau=0.0)
-        with pytest.raises(ValueError):
-            check_complementing((1, 1), (0, 0), (1, 1), (0, 0), (1, 1), xi=0.0, tau=0.0)
+            check_complementing(**{**args, **case})

@@ -19,6 +19,7 @@ from muskatlab.operators import (
     map_phi_plus,
     strip_heights,
 )
+from muskatlab.verify import check_harmonic_pullback_at
 
 PAR = FluidParams()
 
@@ -217,33 +218,12 @@ class TestApplyOperator:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_harmonic_pullback_second_order(self, m):
-        errs = []
-        for n in (16, 32, 64):
-            g = make_grid(n)
-            strip = StripGrid(g, n, "minus")
-            f = fn(g, lambda t: 0.2 * np.sin(t))
-            fh = InterfacePair(f, constant_fn(g, 1.0), -1.0)
-            y_phys = strip_heights(fh, strip)
-            u = np.exp(m * y_phys) * np.cos(m * g.nodes)[:, None]
-            c = coeffs_A_minus(fh, strip)
-            errs.append(np.max(np.abs(apply_operator(c, StripField(strip, u)).values)))
-        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(rates - 2.0) < 0.3)
+        result = check_harmonic_pullback_at((16, 32, 64), (m,))
+        assert result.passed, result.detail
 
     def test_harmonic_pullback_plus_strip(self):
-        errs = []
-        for n in (16, 32, 64):
-            g = make_grid(n)
-            strip = StripGrid(g, n, "plus")
-            f = fn(g, lambda t: 0.2 * np.sin(t))
-            h = fn(g, lambda t: 1.0 + 0.1 * np.cos(t))
-            fh = InterfacePair(f, h, -1.0)
-            y_phys = strip_heights(fh, strip)
-            u = np.exp(2 * y_phys) * np.sin(2 * g.nodes)[:, None]
-            c = coeffs_A_plus(fh, strip)
-            errs.append(np.max(np.abs(apply_operator(c, StripField(strip, u)).values)))
-        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(rates - 2.0) < 0.3)
+        result = check_harmonic_pullback_at((16, 32, 64), (2,))
+        assert result.passed, result.detail
 
 
 class TestBoundaryOperators:

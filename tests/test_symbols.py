@@ -17,30 +17,13 @@ from muskatlab.symbols import (
     region_check_R,
     region_check_S,
 )
+from muskatlab.verify import check_symbols_oracle_at, random_frozen_point
 
 PAR = FluidParams()  # k=mu=1, rho=(2,1), g=1, d=-1
 
 
 def flat_equilibrium_fp(params=PAR):
     return frozen_from_local_data(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, params)
-
-
-def random_params(rng):
-    return FluidParams(k=rng.uniform(0.3, 3), mu_minus=rng.uniform(0.3, 3),
-                       mu_plus=rng.uniform(0.3, 3), rho_minus=rng.uniform(0, 3),
-                       rho_plus=rng.uniform(0, 3), g=rng.uniform(0, 2),
-                       gamma_f=rng.uniform(0, 1), gamma_h=rng.uniform(0, 1),
-                       d=-rng.uniform(0.5, 2.0))
-
-
-def random_fp(rng, params):
-    return frozen_from_local_data(
-        f_slope=rng.uniform(-1, 1), h_slope=rng.uniform(-1, 1),
-        gap_minus=rng.uniform(0.3, 2), gap_plus=rng.uniform(0.3, 2),
-        dy_v_minus=rng.uniform(-1, 1), dy_v_plus=rng.uniform(-1, 1),
-        dx_v_minus=rng.uniform(-1, 1), dx_v_plus=rng.uniform(-1, 1),
-        dy_v_plus_top=rng.uniform(-1, 1), dx_v_plus_top=rng.uniform(-1, 1),
-        params=params)
 
 
 class TestFrozenConstants:
@@ -81,8 +64,7 @@ class TestFrozenConstants:
     def test_invariants_on_random_points(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
-            params = random_params(rng)
-            fp = random_fp(rng, params)
+            params, fp = random_frozen_point(rng)
             assert fp.b_plus - fp.a_plus**2 > 0
             assert fp.b_minus - fp.a_minus**2 > 0
             assert fp.beta2_plus > 0 and fp.beta2_minus > 0
@@ -106,15 +88,14 @@ class TestClosedFormSymbols:
     def test_tau_zero_is_real(self):
         rng = np.random.default_rng(67)
         for _ in range(20):
-            params = random_params(rng)
-            fp = random_fp(rng, params)
+            params, fp = random_frozen_point(rng)
             m = int(rng.integers(1, 20))
             assert lambda_symbol(fp, m, 0.0, params).imag == 0.0
             assert phi_symbol(fp, m, 0.0, params).imag == 0.0
 
     def test_v_zero_kills_phi_imaginary_and_nu(self):
         rng = np.random.default_rng(71)
-        params = random_params(rng)
+        params, _ = random_frozen_point(rng)
         fp = frozen_from_local_data(0.0, 0.0, 1.0, 1.5, 0.4, -0.2, 0.1, 0.3, 0.0, 0.0,
                                     params)
         for tau in (0.0, 0.5, 1.0):
@@ -123,8 +104,7 @@ class TestClosedFormSymbols:
 
     def test_large_m_asymptote(self):
         rng = np.random.default_rng(73)
-        params = random_params(rng)
-        fp = random_fp(rng, params)
+        params, fp = random_frozen_point(rng)
         if fp.Delta_rho + fp.Delta_A == 0:
             pytest.skip("degenerate draw")
         m = 200
@@ -135,8 +115,7 @@ class TestClosedFormSymbols:
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(79)
-        params = random_params(rng)
-        fp = random_fp(rng, params)
+        params, fp = random_frozen_point(rng)
         for m in (1, 4, 9):
             for tau in (0.0, 0.6, 1.0):
                 lam_p = lambda_symbol(fp, m, tau, params)
@@ -185,8 +164,7 @@ class TestSurfaceTensionSymbols:
     def test_algebraic_identities_exact(self):
         rng = np.random.default_rng(83)
         for _ in range(20):
-            params = random_params(rng)
-            fp = random_fp(rng, params)
+            params, fp = random_frozen_point(rng)
             for m in (1, 2, 5, 17, 64):
                 denom = (np.tanh(fp.D_plus * m) / (fp.beta2_plus * fp.D_plus * m)
                          + np.tanh(fp.D_minus * m) / (fp.beta2_minus * fp.D_minus * m))
@@ -208,21 +186,13 @@ class TestODEOracle:
             assert abs(phi.symbol_value - (-1.0 / np.tanh(1.0))) < 1e-12
 
     def test_tau_zero_equivalence_random(self):
-        rng = np.random.default_rng(89)
-        for _ in range(100):
-            params = random_params(rng)
-            fp = random_fp(rng, params)
-            m = int(rng.integers(1, 33))
-            lam_o = ode_oracle_lambda(fp, m, 0.0, params)
-            assert abs(lam_o.symbol_value - lambda_symbol(fp, m, 0.0, params)) < 1e-9
-            phi_o = ode_oracle_phi(fp, m, 0.0, params)
-            assert abs(phi_o.symbol_value - phi_symbol(fp, m, 0.0, params)) < 1e-9
+        result, _ = check_symbols_oracle_at(89, 100)
+        assert result.passed, result.detail
 
     def test_boundary_residuals_small(self):
         rng = np.random.default_rng(97)
         for _ in range(20):
-            params = random_params(rng)
-            fp = random_fp(rng, params)
+            params, fp = random_frozen_point(rng)
             for m in (1, 8, 32):
                 for tau in (0.0, 0.5, 1.0):
                     assert ode_oracle_lambda(fp, m, tau, params).residual < 1e-10
@@ -231,8 +201,7 @@ class TestODEOracle:
     def test_phi_top_boundary_value_imposed(self):
         # reconstructed B_m carries B(0) = 0 and B(1) = g rho_+ - (1-tau) V
         rng = np.random.default_rng(101)
-        params = random_params(rng)
-        fp = random_fp(rng, params)
+        params, fp = random_frozen_point(rng)
         tau = 0.6
         sol = ode_oracle_phi(fp, 5, tau, params)
         zeta = np.array(sol.zeta)
@@ -243,8 +212,7 @@ class TestODEOracle:
         # independent evaluation of the basis at y = 1 reproduces the
         # imposed boundary values to near machine precision
         rng = np.random.default_rng(109)
-        params = random_params(rng)
-        fp = random_fp(rng, params)
+        params, fp = random_frozen_point(rng)
         for m in (1, 2, 4):
             for tau in (0.0, 0.6, 1.0):
                 zeta = np.array(ode_oracle_phi(fp, m, tau, params).zeta)
@@ -264,8 +232,7 @@ class TestODEOracle:
 
     def test_oracle_conjugate_symmetry(self):
         rng = np.random.default_rng(103)
-        params = random_params(rng)
-        fp = random_fp(rng, params)
+        params, fp = random_frozen_point(rng)
         for tau in (0.3, 1.0):
             a = ode_oracle_lambda(fp, 6, tau, params).symbol_value
             b = ode_oracle_lambda(fp, -6, tau, params).symbol_value
@@ -275,8 +242,7 @@ class TestODEOracle:
         # the printed tau-dependent terms do not match the boundary value
         # problem away from equilibrium; the oracle is the reference
         rng = np.random.default_rng(107)
-        params = random_params(rng)
-        fp = random_fp(rng, params)
+        params, fp = random_frozen_point(rng)
         diff = abs(ode_oracle_lambda(fp, 2, 1.0, params).symbol_value
                    - lambda_symbol(fp, 2, 1.0, params))
         assert np.isfinite(diff)
