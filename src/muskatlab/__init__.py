@@ -35,7 +35,9 @@ from .operators import (
     coeffs_A_minus,
     coeffs_A_plus,
     frechet_A,
+    frechet_A_along,
     frechet_B,
+    frechet_B_along,
     map_phi_minus,
     map_phi_plus,
 )
@@ -48,8 +50,7 @@ from .diffraction import (
     check_complementing,
     pulled_back_operator,
     solve_general,
-    solve_linearized_f,
-    solve_linearized_h,
+    solve_linearized,
     solve_potentials,
     solve_potentials_st,
 )

@@ -41,18 +41,44 @@ class WaveSpec:
     @staticmethod
     def from_dict(obj: dict, where: str) -> "WaveSpec":
         _reject_unknown(obj, {"const", "modes"}, where)
+        entries = obj.get("modes", [])
+        if not (isinstance(entries, list)
+                and all(isinstance(e, list) and len(e) == 3 for e in entries)):
+            raise ConfigError(f"{where}.modes entries must be [m, cos_amp, sin_amp]")
         modes = []
-        for entry in obj.get("modes", []):
-            if len(entry) != 3:
-                raise ConfigError(f"{where}.modes entries must be [m, cos_amp, sin_amp]")
-            m = int(entry[0])
+        for m, cos_amp, sin_amp in entries:
+            m = _typed(m, int, f"{where}.modes mode number")
             if m <= 0:
                 raise ConfigError(f"{where}.modes: mode numbers must be positive")
-            modes.append((m, float(entry[1]), float(entry[2])))
-        return WaveSpec(const=float(obj.get("const", 0.0)), modes=tuple(modes))
+            modes.append((m, _typed(cos_amp, float, f"{where}.modes amplitude"),
+                          _typed(sin_amp, float, f"{where}.modes amplitude")))
+        return WaveSpec(const=_typed(obj.get("const", 0.0), float, f"{where}.const"),
+                        modes=tuple(modes))
 
     def to_dict(self) -> dict:
         return {"const": self.const, "modes": [list(m) for m in self.modes]}
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """value as kind (int, float, bool or str), or a ConfigError naming where.
+
+    Booleans are not numbers, and an integer must be integral: 16.0 reads
+    as 16, while 16.7 is an error rather than 16.
+    """
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    if ok:
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
@@ -108,42 +134,37 @@ class SimConfig:
                     "rtol", "atol", "dt_init", "dt_max", "cfl_st",
                     "surface_tension", "stop_on_rt", "out_dir", "snapshot_stride"}
         _reject_unknown(obj, top_keys, "config")
-        if obj.get("schema") != SCHEMA_VERSION:
-            raise ConfigError(f"config schema must be {SCHEMA_VERSION}, "
-                              f"got {obj.get('schema')!r}")
+        schema = obj.get("schema")
+        if isinstance(schema, bool) or schema != SCHEMA_VERSION:
+            raise ConfigError(f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
         for key in ("n_x", "n_y", "params", "initial", "t_end"):
             if key not in obj:
                 raise ConfigError(f"missing required config key {key!r}")
         _reject_unknown(obj["params"], set(_PARAM_KEYS), "params")
+        values = {k: _typed(v, float, f"params.{k}") for k, v in obj["params"].items()}
         try:
-            params = FluidParams(**{k: float(obj["params"][k])
-                                    for k in _PARAM_KEYS if k in obj["params"]})
+            params = FluidParams(**values)
         except ValueError as exc:
             raise ConfigError(f"bad params: {exc}") from exc
         _reject_unknown(obj["initial"], {"f", "h"}, "initial")
         if "f" not in obj["initial"] or "h" not in obj["initial"]:
             raise ConfigError("initial must contain 'f' and 'h'")
         kwargs = dict(
-            n_x=int(obj["n_x"]),
-            n_y=int(obj["n_y"]),
+            n_x=_typed(obj["n_x"], int, "n_x"),
+            n_y=_typed(obj["n_y"], int, "n_y"),
             params=params,
             f0=WaveSpec.from_dict(obj["initial"]["f"], "initial.f"),
             h0=WaveSpec.from_dict(obj["initial"]["h"], "initial.h"),
             b=WaveSpec.from_dict(obj.get("b", {}), "b"),
-            t_end=float(obj["t_end"]),
+            t_end=_typed(obj["t_end"], float, "t_end"),
         )
-        for key in ("rtol", "atol", "dt_init", "dt_max", "cfl_st"):
+        for key, kind in (("rtol", float), ("atol", float), ("dt_init", float),
+                          ("dt_max", float), ("cfl_st", float), ("surface_tension", bool),
+                          ("stop_on_rt", bool), ("snapshot_stride", int)):
             if key in obj:
-                kwargs[key] = float(obj[key])
-        for key in ("surface_tension", "stop_on_rt"):
-            if key in obj:
-                if not isinstance(obj[key], bool):
-                    raise ConfigError(f"{key} must be a boolean")
-                kwargs[key] = obj[key]
+                kwargs[key] = _typed(obj[key], kind, key)
         if obj.get("out_dir") is not None:
-            kwargs["out_dir"] = str(obj["out_dir"])
-        if "snapshot_stride" in obj:
-            kwargs["snapshot_stride"] = int(obj["snapshot_stride"])
+            kwargs["out_dir"] = _typed(obj["out_dir"], str, "out_dir")
         return SimConfig(**kwargs)
 
     @staticmethod

@@ -40,9 +40,9 @@ from .operators import (
     b_coeffs_plus,
     coeffs_A_minus,
     coeffs_A_plus,
-    frechet_A,
-    frechet_B,
     apply_operator,
+    frechet_A_along,
+    frechet_B_along,
     trace_dx,
     trace_dy,
     trace_values,
@@ -58,8 +58,7 @@ __all__ = [
     "check_complementing",
     "pulled_back_operator",
     "solve_general",
-    "solve_linearized_f",
-    "solve_linearized_h",
+    "solve_linearized",
     "solve_potentials",
     "solve_potentials_st",
 ]
@@ -78,19 +77,18 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """First-order edge operator beta1 * dx + beta2 * dy + gamma on a strip edge."""
+    """First-order edge operator beta1 * dx + beta2 * dy on a strip edge."""
 
     strip: StripGrid
     edge: str
     beta1: np.ndarray = field(repr=False)
     beta2: np.ndarray = field(repr=False)
-    gamma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.edge not in ("bottom", "top"):
             raise ValueError(f"edge must be 'bottom' or 'top', got {self.edge!r}")
         n = self.strip.grid.n_x
-        for name in ("beta1", "beta2", "gamma"):
+        for name in ("beta1", "beta2"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
@@ -98,9 +96,8 @@ class BoundaryOperator:
 
     def apply(self, fld: StripField) -> np.ndarray:
         """Apply the operator to a strip field with the assembly stencils."""
-        tr = trace_values(fld, self.edge)
-        dx_tr = spectral_diff_matrix(self.strip.grid) @ tr
-        return self.beta1 * dx_tr + self.beta2 * trace_dy(fld, self.edge) + self.gamma * tr
+        dx_tr = spectral_diff_matrix(self.strip.grid) @ trace_values(fld, self.edge)
+        return self.beta1 * dx_tr + self.beta2 * trace_dy(fld, self.edge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +234,7 @@ def _pde_entries(coeffs: CoefficientField, offset: int):
     cxx = coeffs.c_xx[ii, jj]
     cxy = coeffs.c_xy[ii, jj]
     cyy = coeffs.c_yy[ii, jj]
-    cx = coeffs.c_x[ii, jj]
     cy = coeffs.c_y[ii, jj]
-    c0 = coeffs.c_0[ii, jj]
 
     rows, cols, vals = [], [], []
 
@@ -248,11 +243,11 @@ def _pde_entries(coeffs: CoefficientField, offset: int):
         cols.append(c)
         vals.append(v)
 
-    add(node, idx(ip, jj), cxx / dx**2 + cx / (2 * dx))
-    add(node, idx(im, jj), cxx / dx**2 - cx / (2 * dx))
+    add(node, idx(ip, jj), cxx / dx**2)
+    add(node, idx(im, jj), cxx / dx**2)
     add(node, idx(ii, jj + 1), cyy / dy**2 + cy / (2 * dy))
     add(node, idx(ii, jj - 1), cyy / dy**2 - cy / (2 * dy))
-    add(node, node, -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2 + c0)
+    add(node, node, -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2)
     cross = cxy / (4.0 * dx * dy)
     add(node, idx(ip, jj + 1), cross)
     add(node, idx(ip, jj - 1), -cross)
@@ -302,10 +297,10 @@ def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
     flux_rows = m_idx(i_all, ny_m)
     dyp, dym = strip_p.dy, strip_m.dy
     b2p, b2m = op.plus_bc.beta2, op.minus_bc.beta2
-    add(flux_rows, p_idx(i_all, 0), -3.0 * b2p / (2 * dyp) + op.plus_bc.gamma)
+    add(flux_rows, p_idx(i_all, 0), -3.0 * b2p / (2 * dyp))
     add(flux_rows, p_idx(i_all, 1), 4.0 * b2p / (2 * dyp))
     add(flux_rows, p_idx(i_all, 2), -b2p / (2 * dyp))
-    add(flux_rows, m_idx(i_all, ny_m), -3.0 * b2m / (2 * dym) - op.minus_bc.gamma)
+    add(flux_rows, m_idx(i_all, ny_m), -3.0 * b2m / (2 * dym))
     add(flux_rows, m_idx(i_all, ny_m - 1), 4.0 * b2m / (2 * dym))
     add(flux_rows, m_idx(i_all, ny_m - 2), -b2m / (2 * dym))
 
@@ -376,14 +371,13 @@ def pulled_back_operator(fh: InterfacePair, params: FluidParams,
     """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers."""
     n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
     strip_p, strip_m = StripGrid(fh.grid, n_y, "plus"), StripGrid(fh.grid, n_y, "minus")
-    zero = np.zeros(fh.grid.n_x)
     b1p, b2p = b_coeffs_plus(fh, params)
     b1m, b2m = b_coeffs_minus(fh, params)
     return TransmissionOperator(
         plus_coeffs=coeffs_A_plus(fh, strip_p),
         minus_coeffs=coeffs_A_minus(fh, strip_m),
-        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p, zero),
-        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m, zero),
+        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p),
+        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m),
     )
 
 
@@ -431,62 +425,30 @@ def solve_potentials_st(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 # solved with that operator's factorization: no new factorization is made.
 
 
-def solve_linearized_f(base: InterfacePair, base_solution: DiffractionSolution,
-                       direction: PeriodicFn, params: FluidParams,
-                       with_surface_tension: bool = False) -> tuple[StripField, StripField]:
-    """Derivative of the potential pair with respect to the lower interface,
-    solved on the base solution's operator."""
+def solve_linearized(base: InterfacePair, base_solution: DiffractionSolution,
+                     delta_f: PeriodicFn, delta_h: PeriodicFn, params: FluidParams,
+                     with_surface_tension: bool = False) -> tuple[StripField, StripField]:
+    """Derivative of the potential pair as the interfaces move along
+    (delta_f, delta_h), solved on the base solution's operator."""
     operator = base_solution.operator
     strip_p, strip_m = operator.strips
-    zero = PeriodicFn(base.grid, np.zeros(base.grid.n_x))
-
-    da_plus = frechet_A("plus_f", base, direction, params, strip_p)
-    da_minus = frechet_A("minus_f", base, direction, params, strip_m)
-    f_plus = -apply_operator(da_plus, base_solution.v_plus)
-    f_minus = -apply_operator(da_minus, base_solution.v_minus)
-
-    flux = (-frechet_B("B_plus_f", base, direction, params, base_solution.v_plus)
-            + frechet_B("B_minus_f", base, direction, params, base_solution.v_minus))
-    jump = params.g * (params.rho_plus - params.rho_minus) * direction
+    v_plus, v_minus = base_solution.v_plus, base_solution.v_minus
+    flux = (frechet_B_along("B_minus", base, delta_f, delta_h, params, v_minus)
+            - frechet_B_along("B_plus", base, delta_f, delta_h, params, v_plus))
+    jump = params.g * (params.rho_plus - params.rho_minus) * delta_f
+    top = params.g * params.rho_plus * delta_h
     if with_surface_tension:
-        jump = jump + params.gamma_f * base.curvature_f_frechet(direction)
+        jump = jump + params.gamma_f * base.curvature_f_frechet(delta_f)
+        top = top - params.gamma_h * base.curvature_h_frechet(delta_h)
 
     sol = solve_general(DiffractionData(
         operator=operator,
-        F_plus=f_plus,
-        F_minus=f_minus,
+        F_plus=-apply_operator(frechet_A_along(base, delta_f, delta_h, strip_p), v_plus),
+        F_minus=-apply_operator(frechet_A_along(base, delta_f, delta_h, strip_m), v_minus),
         phi1=flux,
         phi2=jump,
-        phi3=zero,
-        phi4=zero,
-    ))
-    return sol.v_plus, sol.v_minus
-
-
-def solve_linearized_h(base: InterfacePair, base_solution: DiffractionSolution,
-                       direction: PeriodicFn, params: FluidParams,
-                       with_surface_tension: bool = False) -> tuple[StripField, StripField]:
-    """Derivative of the potential pair with respect to the upper interface,
-    solved on the base solution's operator."""
-    operator = base_solution.operator
-    strip_p, strip_m = operator.strips
-    zero = PeriodicFn(base.grid, np.zeros(base.grid.n_x))
-
-    da_plus = frechet_A("plus_h", base, direction, params, strip_p)
-    f_plus = -apply_operator(da_plus, base_solution.v_plus)
-    flux = -frechet_B("B_plus_h", base, direction, params, base_solution.v_plus)
-    top = params.g * params.rho_plus * direction
-    if with_surface_tension:
-        top = top - params.gamma_h * base.curvature_h_frechet(direction)
-
-    sol = solve_general(DiffractionData(
-        operator=operator,
-        F_plus=f_plus,
-        F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
-        phi1=flux,
-        phi2=zero,
         phi3=top,
-        phi4=zero,
+        phi4=PeriodicFn(base.grid, np.zeros(base.grid.n_x)),
     ))
     return sol.v_plus, sol.v_minus
 

@@ -26,8 +26,7 @@ from .diffraction import (
     _potential_data,
     pulled_back_operator,
     solve_general,
-    solve_linearized_f,
-    solve_linearized_h,
+    solve_linearized,
     solve_potentials,
 )
 from .geometry import AdmissibilityError, InterfacePair, PeriodicFn
@@ -37,7 +36,7 @@ from .operators import (
     boundary_B1,
     boundary_B_minus,
     boundary_B_plus,
-    frechet_B,
+    frechet_B_along,
     strip_heights,
 )
 
@@ -57,8 +56,8 @@ __all__ = [
     "step",
 ]
 
-# Fehlberg 4(5) tableau; the fourth-order solution is propagated.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+# Fehlberg 4(5) tableau; the fourth-order solution is propagated.  The bottom
+# pressure is constant in time, so the stage times are not needed.
 _RKF_A = (
     (),
     (1 / 4,),
@@ -82,7 +81,7 @@ class StepRejected(RuntimeError):
 class SimState:
     t: float
     fh: InterfacePair
-    slope: tuple[PeriodicFn, PeriodicFn] | None = None  # phi(t, fh), step's first stage
+    slope: tuple[PeriodicFn, PeriodicFn] | None = None  # phi(fh), step's first stage
 
 
 @dataclass(frozen=True)
@@ -122,15 +121,17 @@ def _velocities(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams
     return df, dh
 
 
-def phi(t: float, fh: InterfacePair, b, params: FluidParams,
-        surface_tension: bool = False, n_y: int | None = None):
-    """Interface velocities (df/dt, dh/dt) at time t.
+def _check_bottom_pressure(b):
+    if not isinstance(b, PeriodicFn):
+        raise TypeError("b must be a PeriodicFn; evaluate a time-dependent b at the state's time")
 
-    b may be a PeriodicFn (time-constant) or a callable t -> PeriodicFn.
-    """
+
+def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
+        surface_tension: bool = False, n_y: int | None = None):
+    """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b."""
+    _check_bottom_pressure(b)
     operator = pulled_back_operator(fh, params, n_y)
-    b_t = b(t) if callable(b) else b
-    sol = solve_general(_potential_data(operator, fh, b_t, params, surface_tension))
+    sol = solve_general(_potential_data(operator, fh, b, params, surface_tension))
     return _velocities(fh, sol, params)
 
 
@@ -168,12 +169,11 @@ def rayleigh_taylor(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     physical normal derivatives (slope-normalized).  b is the bottom pressure
     at the time of fh; a time-dependent b is evaluated by the caller.
     """
-    if not isinstance(b, PeriodicFn):
-        raise TypeError("b must be a PeriodicFn; evaluate a time-dependent b at the state's time")
+    _check_bottom_pressure(b)
     return _rt_report(fh, solve_potentials(fh, b, params, n_y=n_y), params)
 
 
-def step(state: SimState, dt: float, b_at, params: FluidParams,
+def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
          surface_tension: bool = False, n_y: int | None = None):
     """One explicit RKF45 step of the interface evolution.
 
@@ -188,7 +188,7 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
     fh = state.fh
     f0, h0, d = fh.f.values, fh.h.values, fh.d
     grid = fh.grid
-    slope = state.slope or phi(state.t, fh, b_at, params, surface_tension, n_y)
+    slope = state.slope or phi(fh, b, params, surface_tension, n_y)
     ks = [(slope[0].values, slope[1].values)]
     for stage in range(1, 6):
         fv = f0.copy()
@@ -200,12 +200,11 @@ def step(state: SimState, dt: float, b_at, params: FluidParams,
             stage_fh = InterfacePair(PeriodicFn(grid, fv), PeriodicFn(grid, hv), d)
         except ValueError as exc:  # not finite, or not admissible
             raise StepRejected(f"stage {stage} left the admissible set ({exc})") from exc
-        df, dh = phi(state.t + _RKF_C[stage] * dt, stage_fh, b_at, params,
-                     surface_tension, n_y)
+        df, dh = phi(stage_fh, b, params, surface_tension, n_y)
         ks.append((df.values, dh.values))
 
-    f4 = f0 + dt * sum(b * k[0] for b, k in zip(_RKF_B4, ks))
-    h4 = h0 + dt * sum(b * k[1] for b, k in zip(_RKF_B4, ks))
+    f4 = f0 + dt * sum(w * k[0] for w, k in zip(_RKF_B4, ks))
+    h4 = h0 + dt * sum(w * k[1] for w, k in zip(_RKF_B4, ks))
     err_f = dt * sum((b5 - b4) * k[0] for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
     err_h = dt * sum((b5 - b4) * k[1] for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
     err = max(np.max(np.abs(err_f)), np.max(np.abs(err_h)))
@@ -336,12 +335,11 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     The derivative of (df, dh) = (-B(f) v_minus, -B1 v_plus) along the
     mode-m sine in each interface is the Frechet derivative of the boundary
     operator applied to the base potentials plus the boundary operator
-    applied to the linearized potentials (B(f) does not depend on h).  At an
-    x-independent base the modes decouple, so projecting back onto that
-    sine gives a real 2x2 matrix per mode.  The base operator is factored
-    once and every mode's two linearized problems are solved on it.  Returns
-    an array of shape (len(modes), 2, 2); every mode is validated before any
-    solve.
+    applied to the linearized potentials.  At an x-independent base the
+    modes decouple, so projecting back onto that sine gives a real 2x2
+    matrix per mode.  The base operator is factored once and every mode's
+    two linearized problems are solved on it.  Returns an array of shape
+    (len(modes), 2, 2); every mode is validated before any solve.
     """
     grid = fh.grid
     modes = list(modes)
@@ -356,23 +354,18 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 
     operator = pulled_back_operator(fh, params, n_y)
     base = solve_general(_potential_data(operator, fh, b, params, surface_tension))
-    weight = 2.0 / grid.n_x
+    zero = PeriodicFn(grid, np.zeros(grid.n_x))
     out = np.empty((len(modes), 2, 2))
     for i, m in enumerate(modes):
-        direction = PeriodicFn(grid, np.sin(m * grid.nodes))
-        sine = direction.values
-        w_plus, w_minus = solve_linearized_f(fh, base, direction, params, surface_tension)
-        lower_f = (frechet_B("B_minus_f", fh, direction, params, base.v_minus)
-                   + boundary_B_minus(fh, params, w_minus))
-        upper_f = (frechet_B("B1_f", fh, direction, params, base.v_plus)
-                   + boundary_B1(fh, params, w_plus))
-        w_plus, w_minus = solve_linearized_h(fh, base, direction, params, surface_tension)
-        lower_h = boundary_B_minus(fh, params, w_minus)
-        upper_h = (frechet_B("B1_h", fh, direction, params, base.v_plus)
-                   + boundary_B1(fh, params, w_plus))
-        out[i] = [[lower_f.values @ sine, lower_h.values @ sine],
-                  [upper_f.values @ sine, upper_h.values @ sine]]
-    return -weight * out
+        sine = PeriodicFn(grid, np.sin(m * grid.nodes))
+        for j, delta in enumerate(((sine, zero), (zero, sine))):
+            w_plus, w_minus = solve_linearized(fh, base, *delta, params, surface_tension)
+            lower = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
+                     + boundary_B_minus(fh, params, w_minus))
+            upper = (frechet_B_along("B1", fh, *delta, params, base.v_plus)
+                     + boundary_B1(fh, params, w_plus))
+            out[i, :, j] = lower.values @ sine.values, upper.values @ sine.values
+    return -2.0 / grid.n_x * out
 
 
 def mode_amplitude(values: np.ndarray, m: int) -> float:

@@ -6,17 +6,19 @@ S x (0,1) by the graph maps
     phi_minus(x, y) = (x, -d*y + (1+y)*f(x)),
     phi_plus(x, y)  = (x, y*h(x) + (1-y)*f(x)).
 
-Pulling the Laplacian through these maps produces variable-coefficient
-second-order operators; pulling the co-normal derivatives through produces
-first-order boundary operators on the strip edges.  This module assembles
-their coefficient fields, applies them with second-order finite differences
-(one-sided at the strip edges, periodic in x), and provides the exact
-directional derivatives of both families with respect to the interfaces.
+Both are affine in (f, h, d), so the pulled-back Laplacian and co-normal
+derivatives see the interfaces only through the layer geometry q = Y_x,
+q_xx = Y_xx, gap = Y_y and gap_x = Y_xy of the height Y: the Laplacian is
 
-x-derivatives of interface data are spectral and are read from the
-:class:`InterfacePair`, which derives them once per state, together with the
-layer gaps and the bottom height d; strip-interior derivatives are finite
-differences so the coupled transmission system stays sparse.
+    dxx - 2q/gap dxy + (1 + q^2)/gap^2 dyy + (2 gap_x q - gap q_xx)/gap^2 dy
+
+on each strip, a co-normal derivative k/mu ((1 + q^2)/gap dy - q dx) on an
+edge.  The geometry of a direction (delta_f, delta_h) is the same map at
+d = 0, so the exact derivative of every operator along it is the chain rule
+of its formula.  Interface x-derivatives are spectral, those of the base
+state read from the :class:`InterfacePair`, which takes them once; strip
+derivatives are second-order finite differences (one-sided at the strip
+edges, periodic in x), so the coupled transmission system stays sparse.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ __all__ = [
     "coeffs_A_minus",
     "coeffs_A_plus",
     "frechet_A",
+    "frechet_A_along",
     "frechet_B",
+    "frechet_B_along",
     "map_phi_minus",
     "map_phi_plus",
     "strip_heights",
@@ -133,34 +137,13 @@ class StripField:
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def _check(self, other: "StripField"):
-        if self.strip != other.strip:
-            raise ValueError("fields live on different strips")
-
-    def __add__(self, other):
-        if isinstance(other, StripField):
-            self._check(other)
-            return StripField(self.strip, self.values + other.values)
-        return StripField(self.strip, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, StripField):
-            self._check(other)
-            return StripField(self.strip, self.values - other.values)
-        return StripField(self.strip, self.values - other)
-
-    def __mul__(self, other):
-        return StripField(self.strip, self.values * other)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return StripField(self.strip, -self.values)
 
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Coefficients of c_xx dxx + c_xy dxy + c_yy dyy + c_x dx + c_y dy + c_0.
+    """Coefficients of c_xx dxx + c_xy dxy + c_yy dyy + c_y dy.
 
     c_xy is the full coefficient of the mixed derivative.  PDE operators must
     satisfy the nodewise ellipticity check; directional-derivative operators
@@ -171,12 +154,10 @@ class CoefficientField:
     c_xx: np.ndarray = field(repr=False)
     c_xy: np.ndarray = field(repr=False)
     c_yy: np.ndarray = field(repr=False)
-    c_x: np.ndarray = field(repr=False)
     c_y: np.ndarray = field(repr=False)
-    c_0: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("c_xx", "c_xy", "c_yy", "c_x", "c_y", "c_0"):
+        for name in ("c_xx", "c_xy", "c_yy", "c_y"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.strip.shape:
                 raise ValueError(f"{name} shape {arr.shape} != strip shape {self.strip.shape}")
@@ -195,14 +176,9 @@ class CoefficientField:
 # Reference-strip maps
 
 
-def _as_points(point):
-    x, y = point
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-
 def map_phi_minus(f: PeriodicFn, d: float, point):
     """Map (x,y) in the closed lower strip to physical coordinates (x, Y)."""
-    x, y = _as_points(point)
+    x, y = (np.asarray(v, dtype=float) for v in point)
     if np.any(y < -1.0) or np.any(y > 0.0):
         raise ValueError("y must lie in [-1, 0] for the lower strip")
     return x, -d * y + (1.0 + y) * f.at(x)
@@ -210,7 +186,7 @@ def map_phi_minus(f: PeriodicFn, d: float, point):
 
 def map_phi_plus(f: PeriodicFn, h: PeriodicFn, point):
     """Map (x,y) in the closed upper strip to physical coordinates (x, Y)."""
-    x, y = _as_points(point)
+    x, y = (np.asarray(v, dtype=float) for v in point)
     if np.any(y < 0.0) or np.any(y > 1.0):
         raise ValueError("y must lie in [0, 1] for the upper strip")
     return x, y * h.at(x) + (1.0 - y) * f.at(x)
@@ -225,47 +201,68 @@ def strip_heights(fh: InterfacePair, strip: StripGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient assembly
+# Layer geometry and coefficient assembly
+
+
+def _jet(u: PeriodicFn | None, grid: PeriodicGrid):
+    """(u, u_x, u_xx) of a direction as arrays; zeros for None or a zero direction."""
+    if u is not None and u.grid != grid:
+        raise ValueError("base and direction live on different grids")
+    if u is None or not u.values.any():
+        return 0.0, 0.0, 0.0
+    return u.values, spectral_derivative(u, 1).values, spectral_derivative(u, 2).values
+
+
+def _geometry(fh: InterfacePair, side: str, y, delta=None):
+    """(q, q_xx, gap, gap_x) of fh's strip map on side, or with delta =
+    (delta_f, delta_h) their derivative along delta: arrays over x at an edge
+    level y, over the strip at its y-nodes (gap and gap_x as columns)."""
+    if delta is None:
+        f = fh.f.values, fh.f_x.values, fh.f_xx.values
+        h = fh.h.values, fh.h_x.values, fh.h_xx.values
+        d = fh.d
+    else:
+        (f, h), d = (_jet(u, fh.grid) for u in delta), 0.0
+    if np.ndim(y):
+        y = y[None, :]
+        f, h = ([np.asarray(a)[..., None] for a in jet] for jet in (f, h))
+    if side == "minus":
+        return (1.0 + y) * f[1], (1.0 + y) * f[2], f[0] - d, f[1]
+    return (y * h[1] + (1.0 - y) * f[1], y * h[2] + (1.0 - y) * f[2],
+            h[0] - f[0], h[1] - f[1])
+
+
+def _laplacian(fh: InterfacePair, strip: StripGrid, delta=None) -> CoefficientField:
+    """The pulled-back Laplacian on strip, or its derivative along delta."""
+    q, q_xx, gap, gap_x = _geometry(fh, strip.side, strip.y_nodes)
+    if delta is None:
+        c = (1.0, -2.0 * q / gap, (1.0 + q**2) / gap**2,
+             (2.0 * gap_x * q - gap * q_xx) / gap**2)
+    else:
+        dq, dq_xx, dgap, dgap_x = _geometry(fh, strip.side, strip.y_nodes, delta)
+        c = (0.0, 2.0 * (q * dgap / gap - dq) / gap,
+             2.0 * (q * dq - (1.0 + q**2) * dgap / gap) / gap**2,
+             (2.0 * (gap_x * dq + dgap_x * q) - gap * dq_xx - dgap * q_xx) / gap**2
+             - 2.0 * (2.0 * gap_x * q - gap * q_xx) * dgap / gap**3)
+    return CoefficientField(strip, *(np.broadcast_to(v, strip.shape) for v in c))
+
+
+def _coeffs_A(fh: InterfacePair, strip: StripGrid, side: str) -> CoefficientField:
+    if strip.side != side:
+        raise ValueError(f"coeffs_A_{side} needs a {side}-side strip")
+    out = _laplacian(fh, strip)
+    out.assert_elliptic()
+    return out
 
 
 def coeffs_A_minus(fh: InterfacePair, strip: StripGrid) -> CoefficientField:
     """Pulled-back Laplacian of fh's lower layer on the lower strip."""
-    if strip.side != "minus":
-        raise ValueError("coeffs_A_minus needs a minus-side strip")
-    gap = fh.gap_minus.values[:, None]
-    fp = fh.f_x.values[:, None]
-    fpp = fh.f_xx.values[:, None]
-    y = strip.y_nodes[None, :]
-    one = np.ones(strip.shape)
-    c_xy = -2.0 * (1.0 + y) * fp / gap
-    c_yy = ((1.0 + y) ** 2 * fp**2 + 1.0) / gap**2
-    c_y = -(1.0 + y) * (gap * fpp - 2.0 * fp**2) / gap**2
-    out = CoefficientField(strip, one, c_xy * one, c_yy * one,
-                           np.zeros(strip.shape), c_y * one, np.zeros(strip.shape))
-    out.assert_elliptic()
-    return out
+    return _coeffs_A(fh, strip, "minus")
 
 
 def coeffs_A_plus(fh: InterfacePair, strip: StripGrid) -> CoefficientField:
     """Pulled-back Laplacian of fh's upper layer on the upper strip."""
-    if strip.side != "plus":
-        raise ValueError("coeffs_A_plus needs a plus-side strip")
-    gap = fh.gap_plus.values[:, None]
-    fp = fh.f_x.values[:, None]
-    fpp = fh.f_xx.values[:, None]
-    hp = fh.h_x.values[:, None]
-    hpp = fh.h_xx.values[:, None]
-    y = strip.y_nodes[None, :]
-    q = y * hp + (1.0 - y) * fp
-    qpp = y * hpp + (1.0 - y) * fpp
-    one = np.ones(strip.shape)
-    c_xy = -2.0 * q / gap
-    c_yy = (q**2 + 1.0) / gap**2
-    c_y = -(qpp / gap - 2.0 * (hp - fp) * q / gap**2)
-    out = CoefficientField(strip, one, c_xy * one, c_yy * one,
-                           np.zeros(strip.shape), c_y * one, np.zeros(strip.shape))
-    out.assert_elliptic()
-    return out
+    return _coeffs_A(fh, strip, "plus")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +307,7 @@ def apply_operator(coeffs: CoefficientField, fld: StripField) -> StripField:
     u = fld.values
     uy = _dy(u, dy)
     out = (coeffs.c_xx * _dxx(u, dx) + coeffs.c_xy * _dx(uy, dx)
-           + coeffs.c_yy * _dyy(u, dy) + coeffs.c_x * _dx(u, dx)
-           + coeffs.c_y * uy + coeffs.c_0 * u)
+           + coeffs.c_yy * _dyy(u, dy) + coeffs.c_y * uy)
     return StripField(fld.strip, out)
 
 
@@ -348,54 +344,94 @@ def trace_dx(fld: StripField, edge: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Boundary operators
 
+# Co-normal operators beta_1 dx + beta_2 dy: name -> (strip side, edge,
+# strip level of the edge, viscosity).
+_CO_NORMAL = {"B_minus": ("minus", "top", 0.0, "mu_minus"),
+              "B_plus": ("plus", "bottom", 0.0, "mu_plus"),
+              "B1": ("plus", "top", 1.0, "mu_plus")}
 
-def _co_normal(coef: float, slope: PeriodicFn, gap: PeriodicFn, fld: StripField,
-               edge: str) -> PeriodicFn:
-    s = slope.values
-    out = coef * ((1.0 + s**2) / gap.values * trace_dy(fld, edge) - s * trace_dx(fld, edge))
-    return PeriodicFn(slope.grid, out)
+
+def _co_normal_coeffs(name: str, fh: InterfacePair, params: FluidParams, delta=None):
+    """(beta_1, beta_2) of the operator name, or with delta = (delta_f,
+    delta_h) their derivative along delta."""
+    side, _, level, mu = _CO_NORMAL[name]
+    coef = params.k / getattr(params, mu)
+    q, _, gap, _ = _geometry(fh, side, level)
+    if delta is None:
+        return -coef * q, coef * (1.0 + q**2) / gap
+    dq, _, dgap, _ = _geometry(fh, side, level, delta)
+    return -coef * dq, coef * (2.0 * q * dq - (1.0 + q**2) * dgap / gap) / gap
+
+
+def _co_normal(name: str, fh: InterfacePair, params: FluidParams, fld: StripField,
+               delta=None) -> PeriodicFn:
+    side, edge, _, _ = _CO_NORMAL[name]
+    if fld.strip.side != side:
+        raise ValueError(f"{name} needs a {side}-strip field")
+    beta_1, beta_2 = _co_normal_coeffs(name, fh, params, delta)
+    return PeriodicFn(fh.grid, beta_1 * trace_dx(fld, edge) + beta_2 * trace_dy(fld, edge))
 
 
 def boundary_B_minus(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:
     """Co-normal trace operator B(f) of the lower fluid on Gamma_0."""
-    if fld.strip.side != "minus":
-        raise ValueError("boundary_B_minus needs a minus-strip field")
-    return _co_normal(params.k / params.mu_minus, fh.f_x, fh.gap_minus, fld, "top")
+    return _co_normal("B_minus", fh, params, fld)
 
 
 def boundary_B_plus(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:
     """Co-normal trace operator B(f,h) of the upper fluid on Gamma_0."""
-    if fld.strip.side != "plus":
-        raise ValueError("boundary_B_plus needs a plus-strip field")
-    return _co_normal(params.k / params.mu_plus, fh.f_x, fh.gap_plus, fld, "bottom")
+    return _co_normal("B_plus", fh, params, fld)
 
 
 def boundary_B1(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:
     """Co-normal trace operator B1 of the upper fluid on Gamma_1."""
-    if fld.strip.side != "plus":
-        raise ValueError("boundary_B1 needs a plus-strip field")
-    return _co_normal(params.k / params.mu_plus, fh.h_x, fh.gap_plus, fld, "top")
+    return _co_normal("B1", fh, params, fld)
 
 
 def b_coeffs_minus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """(beta_1, beta_2) of B(f) as a first-order Gamma_0 operator."""
-    fp = fh.f_x.values
-    coef = params.k / params.mu_minus
-    return -coef * fp, coef * (1.0 + fp**2) / fh.gap_minus.values
+    return _co_normal_coeffs("B_minus", fh, params)
 
 
 def b_coeffs_plus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """(beta_1, beta_2) of B(f,h) as a first-order Gamma_0 operator."""
-    fp = fh.f_x.values
-    coef = params.k / params.mu_plus
-    return -coef * fp, coef * (1.0 + fp**2) / fh.gap_plus.values
+    return _co_normal_coeffs("B_plus", fh, params)
 
 
 # ---------------------------------------------------------------------------
-# Directional derivatives
+# Directional derivatives: the chain rule through the layer geometry
+#
+# A named derivative moves one interface: which -> (strip side or co-normal
+# operator, moved interface).
 
-_FRECHET_A_WHICH = ("minus_f", "plus_f", "plus_h")
-_FRECHET_B_WHICH = ("B_minus_f", "B_plus_f", "B_plus_h", "B1_f", "B1_h")
+_FRECHET_A = {"minus_f": ("minus", "f"), "plus_f": ("plus", "f"), "plus_h": ("plus", "h")}
+_FRECHET_B = {"B_minus_f": ("B_minus", "f"), "B_plus_f": ("B_plus", "f"),
+              "B_plus_h": ("B_plus", "h"), "B1_f": ("B1", "f"), "B1_h": ("B1", "h")}
+
+
+def frechet_A_along(base: InterfacePair, delta_f: PeriodicFn | None,
+                    delta_h: PeriodicFn | None, strip: StripGrid) -> CoefficientField:
+    """Derivative of the pulled-back Laplacian on strip as base's interfaces
+    move along (delta_f, delta_h); None leaves that interface in place."""
+    return _laplacian(base, strip, (delta_f, delta_h))
+
+
+def frechet_B_along(name: str, base: InterfacePair, delta_f: PeriodicFn | None,
+                    delta_h: PeriodicFn | None, params: FluidParams,
+                    fld: StripField) -> PeriodicFn:
+    """Derivative of the co-normal operator name ('B_minus', 'B_plus' or
+    'B1') as base's interfaces move along (delta_f, delta_h), applied to fld;
+    None leaves that interface in place."""
+    if name not in _CO_NORMAL:
+        raise ValueError(f"name must be one of {tuple(_CO_NORMAL)}, got {name!r}")
+    return _co_normal(name, base, params, fld, (delta_f, delta_h))
+
+
+def _named(table: dict, which: str, direction: PeriodicFn):
+    """(target, delta_f, delta_h) of the named derivative which."""
+    if which not in table:
+        raise ValueError(f"which must be one of {tuple(table)}, got {which!r}")
+    target, moved = table[which]
+    return (target, direction, None) if moved == "f" else (target, None, direction)
 
 
 def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
@@ -404,55 +440,12 @@ def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
 
     which selects the operator/direction pair: 'minus_f' differentiates the
     lower-strip operator in f; 'plus_f' and 'plus_h' differentiate the
-    upper-strip operator in f and h.  The result has c_xx = 0 and is linear
-    in the direction.
+    upper-strip operator in f and h.
     """
-    if which not in _FRECHET_A_WHICH:
-        raise ValueError(f"which must be one of {_FRECHET_A_WHICH}, got {which!r}")
-    if base.grid != direction.grid:
-        raise ValueError("base and direction live on different grids")
-    if which == "minus_f" and strip.side != "minus":
-        raise ValueError("minus_f needs a minus-side strip")
-    if which != "minus_f" and strip.side != "plus":
-        raise ValueError(f"{which} needs a plus-side strip")
-
-    fp = base.f_x.values[:, None]
-    fpp = base.f_xx.values[:, None]
-    up = spectral_derivative(direction, 1).values[:, None]
-    upp = spectral_derivative(direction, 2).values[:, None]
-    u = direction.values[:, None]
-    y = strip.y_nodes[None, :]
-    zero = np.zeros(strip.shape)
-    one = np.ones(strip.shape)
-
-    if which == "minus_f":
-        gap = base.gap_minus.values[:, None]
-        c_xy = 2.0 * ((1.0 + y) * fp * u / gap**2 - (1.0 + y) * up / gap)
-        c_yy = 2.0 * ((1.0 + y) ** 2 * fp * up / gap**2
-                      - ((1.0 + y) ** 2 * fp**2 + 1.0) * u / gap**3)
-        c_y = -(1.0 + y) * (upp / gap - fpp * u / gap**2
-                            - 4.0 * fp * up / gap**2 + 4.0 * fp**2 * u / gap**3)
-        return CoefficientField(strip, zero, c_xy * one, c_yy * one, zero, c_y * one, zero)
-
-    gap = base.gap_plus.values[:, None]
-    hp = base.h_x.values[:, None]
-    hpp = base.h_xx.values[:, None]
-    q = y * hp + (1.0 - y) * fp
-    qpp = y * hpp + (1.0 - y) * fpp
-
-    if which == "plus_f":
-        c_xy = -2.0 * ((1.0 - y) * up / gap + q * u / gap**2)
-        c_yy = 2.0 * ((q**2 + 1.0) * u / gap**3 + (1.0 - y) * q * up / gap**2)
-        c_y = (-(1.0 - y) * upp / gap - qpp * u / gap**2
-               - 2.0 * ((2.0 * y - 1.0) * hp + 2.0 * (1.0 - y) * fp) * up / gap**2
-               + 4.0 * (hp - fp) * q * u / gap**3)
-    else:  # plus_h
-        c_xy = 2.0 * (q * u / gap**2 - y * up / gap)
-        c_yy = 2.0 * (y * q * up / gap**2 - (q**2 + 1.0) * u / gap**3)
-        c_y = (-y * upp / gap + qpp * u / gap**2
-               + 2.0 * (2.0 * y * hp + (1.0 - 2.0 * y) * fp) * up / gap**2
-               - 4.0 * (hp - fp) * q * u / gap**3)
-    return CoefficientField(strip, zero, c_xy * one, c_yy * one, zero, c_y * one, zero)
+    side, delta_f, delta_h = _named(_FRECHET_A, which, direction)
+    if strip.side != side:
+        raise ValueError(f"{which} needs a {side}-side strip")
+    return frechet_A_along(base, delta_f, delta_h, strip)
 
 
 def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
@@ -463,38 +456,5 @@ def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
     'B_minus_f' (B(f) of the lower fluid), 'B_plus_f' and 'B_plus_h' (B(f,h)
     of the upper fluid on Gamma_0), 'B1_f' and 'B1_h' (B1 on Gamma_1).
     """
-    if which not in _FRECHET_B_WHICH:
-        raise ValueError(f"which must be one of {_FRECHET_B_WHICH}, got {which!r}")
-    if base.grid != direction.grid:
-        raise ValueError("base and direction live on different grids")
-
-    fp = base.f_x.values
-    up = spectral_derivative(direction, 1).values
-    u = direction.values
-
-    if which == "B_minus_f":
-        if fld.strip.side != "minus":
-            raise ValueError("B_minus_f needs a minus-strip field")
-        gap = base.gap_minus.values
-        coef = params.k / params.mu_minus
-        out = coef * ((2.0 * fp * up / gap - (1.0 + fp**2) * u / gap**2)
-                      * trace_dy(fld, "top") - up * trace_dx(fld, "top"))
-        return PeriodicFn(base.grid, out)
-
-    if fld.strip.side != "plus":
-        raise ValueError(f"{which} needs a plus-strip field")
-    gap = base.gap_plus.values
-    coef = params.k / params.mu_plus
-
-    if which == "B_plus_f":
-        out = coef * ((2.0 * fp * up / gap + (1.0 + fp**2) * u / gap**2)
-                      * trace_dy(fld, "bottom") - up * trace_dx(fld, "bottom"))
-    elif which == "B_plus_h":
-        out = -coef * (1.0 + fp**2) * u / gap**2 * trace_dy(fld, "bottom")
-    elif which == "B1_f":
-        out = coef * (1.0 + base.h_x.values**2) * u / gap**2 * trace_dy(fld, "top")
-    else:  # B1_h
-        hp = base.h_x.values
-        out = coef * ((2.0 * hp * up / gap - (1.0 + hp**2) * u / gap**2)
-                      * trace_dy(fld, "top") - up * trace_dx(fld, "top"))
-    return PeriodicFn(base.grid, out)
+    name, delta_f, delta_h = _named(_FRECHET_B, which, direction)
+    return frechet_B_along(name, base, delta_f, delta_h, params, fld)

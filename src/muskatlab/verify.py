@@ -147,7 +147,7 @@ def check_frechet_at(seed: int, eps_list) -> CheckResult:
     eps = np.asarray(eps_list, dtype=float)
 
     def coeff_stack(c):
-        return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_x, c.c_y, c.c_0])
+        return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_y])
 
     cases = []  # (which, operator as a function of the pair, its derivative at fh)
     for which in ("minus_f", "plus_f", "plus_h"):

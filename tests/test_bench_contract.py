@@ -1,0 +1,53 @@
+"""The traced benchmark still fits the package.
+
+perfbench/spans.py replaces named muskatlab functions with span-recording
+wrappers; renaming one of them would break the traced benchmark without
+failing any other test.  Here the tracer is installed, a small per-mode
+linearization and a short simulation run under it, and every layer they
+pass through must have recorded spans.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import muskatlab
+from muskatlab.config import SimConfig, WaveSpec
+from muskatlab.geometry import InterfacePair, constant_fn, make_grid
+from muskatlab.operators import FluidParams
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+LAYERS = {
+    "geometry.spectral_derivative", "geometry.check_admissible",
+    "operators.coeffs", "operators.boundary", "operators.apply",
+    "diffraction.solve", "diffraction.factor", "diffraction.condest",
+    "evolution.simulate", "evolution.step", "evolution.phi", "evolution.linearized",
+}
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_records_spans():
+    original_simulate = muskatlab.evolution.simulate
+    tracer = load_spans().Tracer()
+    tracer.install()  # looks up every wrapped name, so a renamed one raises here
+    try:
+        g = make_grid(16)
+        flat = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
+        mats = muskatlab.linearized_matrix(flat, constant_fn(g, 1.0), FluidParams(), [1, 2],
+                                           n_y=8)
+        traj = muskatlab.simulate(SimConfig(
+            n_x=16, n_y=8, params=FluidParams(), f0=WaveSpec(modes=((1, 0.05, 0.0),)),
+            b=WaveSpec(const=1.0), t_end=0.1, dt_init=0.05))
+    finally:
+        tracer.uninstall()
+    assert muskatlab.evolution.simulate is original_simulate
+    assert mats.shape == (2, 2, 2)
+    assert traj.reason == "t_end"
+    assert LAYERS <= {span["name"] for span in tracer.spans}
+    assert all(span["error"] is None for span in tracer.spans)

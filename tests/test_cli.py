@@ -78,6 +78,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="malformed"):
             SimConfig.from_json(path)
 
+    @pytest.mark.parametrize("overrides", [
+        {"schema": True},
+        {"n_x": None},
+        {"n_x": 16.7},
+        {"snapshot_stride": 2.5},
+        {"rtol": True},
+        {"t_end": "0.2"},
+        {"dt_max": [0.1]},
+        {"out_dir": 5},
+        {"params": {"g": None}},
+        {"b": {"const": None}},
+        {"initial": {"f": {"modes": [5]}, "h": {"const": 1.0}}},
+        {"initial": {"f": {"modes": 3}, "h": {"const": 1.0}}},
+        {"initial": {"f": {"modes": [[1.5, 0.1, 0.0]]}, "h": {"const": 1.0}}},
+    ], ids=["schema-bool", "n_x-null", "n_x-fraction", "stride-fraction", "rtol-bool",
+            "t_end-string", "dt_max-list", "out_dir-number", "param-null", "b-const-null",
+            "mode-not-a-list", "modes-not-a-list", "mode-number-fraction"])
+    def test_wrong_type_is_a_config_error(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError):
+            SimConfig.from_json(path)
+        assert main(["rtcheck", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integral_float_reads_as_integer(self, tmp_path):
+        cfg = SimConfig.from_json(write_config(tmp_path, n_x=32.0, snapshot_stride=2.0))
+        assert (cfg.n_x, cfg.snapshot_stride) == (32, 2)
+        assert isinstance(cfg.n_x, int)
+
     def test_builds_modes(self, tmp_path):
         path = write_config(tmp_path, initial={
             "f": {"const": 0.0, "modes": [[2, 0.0, 0.5]]},
@@ -289,8 +318,7 @@ class TestVerifyCommand:
         def corrupted(fh, strip):
             out = true_coeffs(fh, strip)
             return operators_mod.CoefficientField(
-                strip, out.c_xx, 1.02 * out.c_xy, out.c_yy, out.c_x, out.c_y,
-                out.c_0)
+                strip, out.c_xx, 1.02 * out.c_xy, out.c_yy, out.c_y)
 
         monkeypatch.setattr(verify_mod.operators, "coeffs_A_minus", corrupted)
         result = verify_mod.check_harmonic_pullback(quick=True)

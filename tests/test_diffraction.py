@@ -11,8 +11,7 @@ from muskatlab.diffraction import (
     check_complementing,
     pulled_back_operator,
     solve_general,
-    solve_linearized_f,
-    solve_linearized_h,
+    solve_linearized,
     solve_potentials,
     solve_potentials_st,
 )
@@ -365,8 +364,8 @@ class TestSolvePotentialsST:
         pert = InterfacePair(base.f + eps * direction, base.h, -1.0)
         base_sol = solve_potentials_st(base, b, par, n_y=16)
         pert_sol = solve_potentials_st(pert, b, par, n_y=16)
-        w_plus, w_minus = solve_linearized_f(base, base_sol, direction, par,
-                                             with_surface_tension=True)
+        w_plus, w_minus = solve_linearized(base, base_sol, direction, constant_fn(g, 0.0), par,
+                                           with_surface_tension=True)
         resid = np.max(np.abs(pert_sol.v_plus.values - base_sol.v_plus.values
                               - eps * w_plus.values))
         scale = eps * max(1.0, np.max(np.abs(w_plus.values)))
@@ -381,7 +380,8 @@ class TestLinearizedSolves:
         fh = wavy_pair(g)
         solver = solve_potentials_st if with_st else solve_potentials
         base_sol = solver(fh, constant_fn(g, 0.5), par, n_y=12)
-        wp, wm = solve_linearized_f(fh, base_sol, constant_fn(g, 0.0), par, with_st)
+        zero = constant_fn(g, 0.0)
+        wp, wm = solve_linearized(fh, base_sol, zero, zero, par, with_st)
         assert np.max(np.abs(wp.values)) < 1e-10
         assert np.max(np.abs(wm.values)) < 1e-10
 
@@ -391,7 +391,7 @@ class TestLinearizedSolves:
         grho = PAR.g * PAR.rho_plus
         base_sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
         direction = fn(g, np.sin)
-        wp, wm = solve_linearized_f(fh, base_sol, direction, PAR)
+        wp, wm = solve_linearized(fh, base_sol, direction, constant_fn(g, 0.0), PAR)
         # interface jump imposed, outer data zero
         jump = wp.values[:, 0] - wm.values[:, -1]
         target = PAR.g * (PAR.rho_plus - PAR.rho_minus) * direction.values
@@ -410,10 +410,9 @@ class TestLinearizedSolves:
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
         solver = solve_potentials_st if with_st else solve_potentials
         base_sol = solver(fh, b, par, n_y=16)
-        if which == "f":
-            wp, wm = solve_linearized_f(fh, base_sol, direction, par, with_st)
-        else:
-            wp, wm = solve_linearized_h(fh, base_sol, direction, par, with_st)
+        zero = constant_fn(g, 0.0)
+        delta = (direction, zero) if which == "f" else (zero, direction)
+        wp, wm = solve_linearized(fh, base_sol, *delta, par, with_st)
 
         def perturbed(eps):
             if which == "f":
@@ -439,7 +438,7 @@ class TestLinearizedSolves:
         grho = PAR.g * PAR.rho_plus
         base_sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
         direction = fn(g, np.cos)
-        wp, wm = solve_linearized_h(fh, base_sol, direction, PAR)
+        wp, wm = solve_linearized(fh, base_sol, constant_fn(g, 0.0), direction, PAR)
         assert np.max(np.abs(wp.values[:, -1] - grho * direction.values)) < 1e-11
         assert np.max(np.abs(wm.values[:, 0])) < 1e-12
 

@@ -38,7 +38,7 @@ class TestPhi:
         g = make_grid(32)
         fh = flat_pair(g)
         c = 0.25
-        df, dh = phi(0.0, fh, constant_fn(g, c), PAR, n_y=16)
+        df, dh = phi(fh, constant_fn(g, c), PAR, n_y=16)
         target = -PAR.k * (PAR.g * PAR.rho_plus - c) / (PAR.mu_plus + PAR.mu_minus)
         assert np.max(np.abs(df.values - target)) < 1e-11
         assert np.max(np.abs(dh.values - target)) < 1e-11
@@ -49,7 +49,7 @@ class TestPhi:
         par = FluidParams(gamma_f=0.5, gamma_h=0.5) if surface_tension else PAR
         fh = flat_pair(g)
         b = constant_fn(g, par.g * par.rho_plus)
-        df, dh = phi(0.0, fh, b, par, surface_tension, n_y=24)
+        df, dh = phi(fh, b, par, surface_tension, n_y=24)
         assert np.max(np.abs(df.values)) < 1e-9
         assert np.max(np.abs(dh.values)) < 1e-9
 
@@ -57,7 +57,7 @@ class TestPhi:
         g = make_grid(32)
         par = FluidParams(g=0.0)
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)), constant_fn(g, 1.0), -1.0)
-        df, dh = phi(0.0, fh, constant_fn(g, 0.0), par, n_y=16)
+        df, dh = phi(fh, constant_fn(g, 0.0), par, n_y=16)
         assert np.max(np.abs(df.values)) < 1e-10
         assert np.max(np.abs(dh.values)) < 1e-10
 
@@ -66,10 +66,10 @@ class TestPhi:
         fh = InterfacePair(fn(g, lambda x: 0.15 * np.sin(x)),
                            fn(g, lambda x: 1.0 + 0.1 * np.cos(2 * x)), -1.0)
         b = fn(g, lambda x: 0.4 + 0.1 * np.sin(x))
-        df, dh = phi(0.0, fh, b, PAR, n_y=16)
+        df, dh = phi(fh, b, PAR, n_y=16)
         shifted = InterfacePair(PeriodicFn(g, np.roll(fh.f.values, 1)),
                                 PeriodicFn(g, np.roll(fh.h.values, 1)), -1.0)
-        df_s, dh_s = phi(0.0, shifted, PeriodicFn(g, np.roll(b.values, 1)), PAR, n_y=16)
+        df_s, dh_s = phi(shifted, PeriodicFn(g, np.roll(b.values, 1)), PAR, n_y=16)
         assert np.max(np.abs(df_s.values - np.roll(df.values, 1))) < 1e-9
         assert np.max(np.abs(dh_s.values - np.roll(dh.values, 1))) < 1e-9
 
@@ -78,10 +78,15 @@ class TestPhi:
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.cos(x)),
                            fn(g, lambda x: 1.0 + 0.05 * np.cos(2 * x)), -1.0)
         b = fn(g, lambda x: 0.3 + 0.2 * np.cos(x))
-        df, dh = phi(0.0, fh, b, PAR, n_y=16)
+        df, dh = phi(fh, b, PAR, n_y=16)
         for vals in (df.values, dh.values):
             mirrored = np.concatenate(([vals[0]], vals[1:][::-1]))
             assert np.max(np.abs(vals - mirrored)) < 1e-9
+
+    def test_time_dependent_bottom_pressure_rejected(self):
+        g = make_grid(16)
+        with pytest.raises(TypeError, match="evaluate a time-dependent b"):
+            phi(flat_pair(g), lambda t: constant_fn(g, 0.2 + t), PAR, n_y=12)
 
 
 class TestPressures:
@@ -386,9 +391,9 @@ class TestLinearizedMatrix:
             for col in range(2):
                 moved = [constant_fn(g, 0.0), constant_fn(g, 0.0)]
                 moved[col] = PeriodicFn(g, eps * sine)
-                up = phi(0.0, InterfacePair(fh.f + moved[0], fh.h + moved[1], fh.d), b, par,
+                up = phi(InterfacePair(fh.f + moved[0], fh.h + moved[1], fh.d), b, par,
                          surface_tension, n_y=16)
-                down = phi(0.0, InterfacePair(fh.f - moved[0], fh.h - moved[1], fh.d), b, par,
+                down = phi(InterfacePair(fh.f - moved[0], fh.h - moved[1], fh.d), b, par,
                            surface_tension, n_y=16)
                 for row in range(2):
                     rate = (up[row].values - down[row].values) / (2 * eps)
@@ -417,8 +422,9 @@ class TestLinearizedMatrix:
         base = solve_potentials(fh, b, PAR, n_y=16)
         assert len(factorizations) == 2
         direction = fn(g, np.sin)
-        diffraction.solve_linearized_f(fh, base, direction, PAR)
-        diffraction.solve_linearized_h(fh, base, direction, PAR)
+        zero = constant_fn(g, 0.0)
+        diffraction.solve_linearized(fh, base, direction, zero, PAR)
+        diffraction.solve_linearized(fh, base, zero, direction, PAR)
         assert len(factorizations) == 2
 
     def test_nonflat_base_rejected(self):
@@ -496,8 +502,9 @@ class TestGeometryReuse:
             return true_derivative(u, order)
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
-        diffraction.solve_linearized_f(fh, base, direction, par, with_surface_tension=True)
-        diffraction.solve_linearized_h(fh, base, direction, par, with_surface_tension=True)
+        zero = constant_fn(g, 0.0)
+        diffraction.solve_linearized(fh, base, direction, zero, par, with_surface_tension=True)
+        diffraction.solve_linearized(fh, base, zero, direction, par, with_surface_tension=True)
         assert any(u is direction for u in differentiated)
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 
@@ -557,7 +564,7 @@ class TestFactorizationReuse:
         b = constant_fn(g, 0.3)
         fh = InterfacePair(fn(g, lambda x: 0.05 * np.sin(x)), constant_fn(g, 1.0), -1.0)
         plain = step(SimState(0.0, fh), 0.05, b, PAR, n_y=12)
-        with_slope = SimState(0.0, fh, phi(0.0, fh, b, PAR, n_y=12))
+        with_slope = SimState(0.0, fh, phi(fh, b, PAR, n_y=12))
         calls = []
         true_phi = evolution.phi
 

@@ -300,7 +300,7 @@ def random_pair(grid, rng, scale=0.2, d=-1.0):
 
 
 def coeff_stack(c):
-    return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_x, c.c_y, c.c_0])
+    return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_y])
 
 
 class TestFrechetA:
@@ -390,13 +390,19 @@ class TestFrechetB:
         target = -(PAR.k / PAR.mu_plus) * direction.values
         assert np.max(np.abs(out.values - target)) < 1e-12
 
-    @pytest.mark.parametrize("which,side", [("B_minus_f", "minus"), ("B_plus_f", "plus"),
-                                            ("B_plus_h", "plus"), ("B1_f", "plus"),
-                                            ("B1_h", "plus")])
-    def test_finite_difference_oracle(self, which, side):
+    @pytest.mark.parametrize("which,side,d", [
+        pytest.param("B_minus_f", "minus", -1.0, id="B_minus_f-minus"),
+        pytest.param("B_plus_f", "plus", -1.0, id="B_plus_f-plus"),
+        pytest.param("B_plus_h", "plus", -1.0, id="B_plus_h-plus"),
+        pytest.param("B1_f", "plus", -1.0, id="B1_f-plus"),
+        pytest.param("B1_h", "plus", -1.0, id="B1_h-plus"),
+        # d enters only through the lower layer's gap, read from the pair
+        pytest.param("B_minus_f", "minus", -2.0, id="B_minus_f-minus-deep"),
+    ])
+    def test_finite_difference_oracle(self, which, side, d):
         g = make_grid(32)
         rng = np.random.default_rng(37)
-        fh = random_pair(g, rng)
+        fh = random_pair(g, rng, d=d)
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
         strip = StripGrid(g, 16, side)
         field = StripField(strip, rng.standard_normal(strip.shape))
@@ -406,10 +412,10 @@ class TestFrechetB:
             f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f", "B1_f") else fh.f
             h = fh.h + eps * direction if which in ("B_plus_h", "B1_h") else fh.h
             if which == "B_minus_f":
-                return boundary_B_minus(pair(f, h), PAR, field).values
+                return boundary_B_minus(pair(f, h, d), PAR, field).values
             if which == "B_plus_f" or which == "B_plus_h":
-                return boundary_B_plus(pair(f, h), PAR, field).values
-            return boundary_B1(pair(f, h), PAR, field).values
+                return boundary_B_plus(pair(f, h, d), PAR, field).values
+            return boundary_B1(pair(f, h, d), PAR, field).values
 
         base = boundary_at(0.0)
         errs = []
