@@ -14,11 +14,13 @@ measure the unscaled matrix.  The matrix depends only on the geometry, so one
 :class:`TransmissionOperator` factor serves every problem on it, the
 linearized problems around a solved state included.
 
-Interior rows discretize the operators with the same second-order stencils
-as :func:`muskatlab.operators.apply_operator`; the flux rows use one-sided
-second-order y-stencils and the spectral x-derivative of the traces.  The
-traces of the solution are computed with the identical stencils, so
-the imposed interface conditions are recoverable to solver precision.
+The matrix is written from the operators' own stencils: its interior rows
+are :func:`muskatlab.operators.operator_entries`, the terms of
+:func:`~muskatlab.operators.apply_operator` as sparse entries, and its flux
+rows the entries of the two co-normal
+:class:`~muskatlab.operators.BoundaryOperator` on Gamma_0.  The traces of
+the solution are taken with the same stencils, so the imposed interface
+conditions are recoverable to solver precision.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import InterfacePair, PeriodicFn, spectral_diff_matrix
+from .geometry import InterfacePair, PeriodicFn
 from .operators import (
+    BoundaryOperator,
     CoefficientField,
     FluidParams,
     StripField,
@@ -43,6 +46,7 @@ from .operators import (
     apply_operator,
     frechet_A_along,
     frechet_B_along,
+    operator_entries,
     trace_dx,
     trace_dy,
     trace_values,
@@ -73,31 +77,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message: str, condition_estimate: float | None = None):
         super().__init__(message)
         self.condition_estimate = condition_estimate
-
-
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """First-order edge operator beta1 * dx + beta2 * dy on a strip edge."""
-
-    strip: StripGrid
-    edge: str
-    beta1: np.ndarray = field(repr=False)
-    beta2: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.edge not in ("bottom", "top"):
-            raise ValueError(f"edge must be 'bottom' or 'top', got {self.edge!r}")
-        n = self.strip.grid.n_x
-        for name in ("beta1", "beta2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-            object.__setattr__(self, name, arr)
-
-    def apply(self, fld: StripField) -> np.ndarray:
-        """Apply the operator to a strip field with the assembly stencils."""
-        dx_tr = spectral_diff_matrix(self.strip.grid) @ trace_values(fld, self.edge)
-        return self.beta1 * dx_tr + self.beta2 * trace_dy(fld, self.edge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,104 +195,26 @@ class DiffractionSolution:
 # Assembly
 
 
-def _pde_entries(coeffs: CoefficientField, offset: int):
-    """COO entries of the interior PDE rows of one strip."""
-    strip = coeffs.strip
-    nx, ny = strip.grid.n_x, strip.n_y
-    dx, dy = strip.grid.dx, strip.dy
-    stride = ny + 1
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    ip, im = (ii + 1) % nx, (ii - 1) % nx
-
-    def idx(i, j):
-        return offset + i * stride + j
-
-    node = idx(ii, jj)
-    cxx = coeffs.c_xx[ii, jj]
-    cxy = coeffs.c_xy[ii, jj]
-    cyy = coeffs.c_yy[ii, jj]
-    cy = coeffs.c_y[ii, jj]
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    add(node, idx(ip, jj), cxx / dx**2)
-    add(node, idx(im, jj), cxx / dx**2)
-    add(node, idx(ii, jj + 1), cyy / dy**2 + cy / (2 * dy))
-    add(node, idx(ii, jj - 1), cyy / dy**2 - cy / (2 * dy))
-    add(node, node, -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2)
-    cross = cxy / (4.0 * dx * dy)
-    add(node, idx(ip, jj + 1), cross)
-    add(node, idx(ip, jj - 1), -cross)
-    add(node, idx(im, jj + 1), -cross)
-    add(node, idx(im, jj - 1), cross)
-    return rows, cols, vals
-
-
 def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
+    """The transmission matrix: both strips' nodes numbered like their
+    ``values.ravel()``, the plus strip first.  Interior rows hold the strip
+    operators, the outer edges Dirichlet rows; on Gamma_0 the plus-strip edge
+    carries the value jump and the minus-strip edge the flux balance
+    plus_bc - minus_bc."""
     strip_p, strip_m = op.strips
-    nx = strip_p.grid.n_x
-    ny_p, ny_m = strip_p.n_y, strip_m.n_y
-    n_plus = nx * (ny_p + 1)
-    n_total = n_plus + nx * (ny_m + 1)
-    stride_p, stride_m = ny_p + 1, ny_m + 1
-    i_all = np.arange(nx)
-
-    def p_idx(i, j):
-        return i * stride_p + j
-
-    def m_idx(i, j):
-        return n_plus + i * stride_m + j
-
-    rows, cols, vals = [], [], []
-    for part in (_pde_entries(op.plus_coeffs, 0),
-                 _pde_entries(op.minus_coeffs, n_plus)):
-        rows += part[0]
-        cols += part[1]
-        vals += part[2]
-
-    def add(r, c, v):
-        rows.append(np.asarray(r))
-        cols.append(np.asarray(c))
-        vals.append(np.asarray(v))
-
+    nx, levels_p = strip_p.shape
+    _, levels_m = strip_m.shape
+    n_plus = nx * levels_p
+    i = np.arange(nx)
+    bottom_p, top_p = i * levels_p, i * levels_p + levels_p - 1
+    bottom_m, top_m = n_plus + i * levels_m, n_plus + i * levels_m + levels_m - 1
     ones = np.ones(nx)
-
-    # Dirichlet rows on the outer edges.
-    add(p_idx(i_all, ny_p), p_idx(i_all, ny_p), ones)
-    add(m_idx(i_all, 0), m_idx(i_all, 0), ones)
-
-    # Jump rows on Gamma_0, assigned to the plus-strip edge nodes.
-    add(p_idx(i_all, 0), p_idx(i_all, 0), ones)
-    add(p_idx(i_all, 0), m_idx(i_all, ny_m), -ones)
-
-    # Flux rows on Gamma_0, assigned to the minus-strip edge nodes.
-    flux_rows = m_idx(i_all, ny_m)
-    dyp, dym = strip_p.dy, strip_m.dy
-    b2p, b2m = op.plus_bc.beta2, op.minus_bc.beta2
-    add(flux_rows, p_idx(i_all, 0), -3.0 * b2p / (2 * dyp))
-    add(flux_rows, p_idx(i_all, 1), 4.0 * b2p / (2 * dyp))
-    add(flux_rows, p_idx(i_all, 2), -b2p / (2 * dyp))
-    add(flux_rows, m_idx(i_all, ny_m), -3.0 * b2m / (2 * dym))
-    add(flux_rows, m_idx(i_all, ny_m - 1), 4.0 * b2m / (2 * dym))
-    add(flux_rows, m_idx(i_all, ny_m - 2), -b2m / (2 * dym))
-
-    dmat = spectral_diff_matrix(strip_p.grid)
-    rr = np.repeat(flux_rows, nx)
-    cc_p = p_idx(np.tile(i_all, nx), 0)
-    cc_m = m_idx(np.tile(i_all, nx), ny_m)
-    add(rr, cc_p, (op.plus_bc.beta1[:, None] * dmat).ravel())
-    add(rr, cc_m, (-op.minus_bc.beta1[:, None] * dmat).ravel())
-
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v).ravel() for v in vals])
+    blocks = [*operator_entries(op.plus_coeffs), *operator_entries(op.minus_coeffs, n_plus),
+              (top_p, top_p, ones), (bottom_m, bottom_m, ones),
+              (bottom_p, bottom_p, ones), (bottom_p, top_m, -ones),
+              *op.plus_bc.entries(top_m), *(-op.minus_bc).entries(top_m, n_plus)]
+    rows, cols, vals = (np.concatenate([a.ravel() for a in parts]) for parts in zip(*blocks))
+    n_total = n_plus + nx * levels_m
     return sp.csc_matrix((vals, (rows, cols)), shape=(n_total, n_total))
 
 

@@ -112,6 +112,11 @@ class PeriodicFn:
     def __neg__(self):
         return PeriodicFn(self.grid, -self.values)
 
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectral first and second derivatives, taken on first access."""
+        return spectral_derivative(self, 1).values, spectral_derivative(self, 2).values
+
     def at(self, x) -> np.ndarray | float:
         """Evaluate the trigonometric interpolant at arbitrary points x.
 
@@ -170,12 +175,12 @@ def spectral_diff_matrix(grid: PeriodicGrid) -> np.ndarray:
     in the classical cotangent form for an even number of nodes.
     """
     n = grid.n_x
-    i = np.arange(n)
-    diff = i[:, None] - i[None, :]
+    diff = np.arange(1 - n, n)  # the entry (i, j) depends on i - j only
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / n)
-    np.fill_diagonal(d, 0.0)
-    return d
+        entries = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / n)
+    entries[n - 1] = 0.0
+    i = np.arange(n)
+    return entries[i[:, None] - i + n - 1]
 
 
 def _curvature(zeta_x: PeriodicFn, zeta_xx: PeriodicFn) -> PeriodicFn:
@@ -191,8 +196,7 @@ def _curvature_frechet(zeta_x: PeriodicFn, zeta_xx: PeriodicFn, h: PeriodicFn) -
     if zeta_x.grid != h.grid:
         raise ValueError("operands live on different grids")
     z0p, z0pp = zeta_x.values, zeta_xx.values
-    hp = spectral_derivative(h, 1).values
-    hpp = spectral_derivative(h, 2).values
+    hp, hpp = h.derivatives
     s = 1.0 + z0p**2
     out = hpp / s**1.5 - 3.0 * z0p * z0pp * hp / s**2.5
     return PeriodicFn(h.grid, out)

@@ -15,15 +15,18 @@ q_xx = Y_xx, gap = Y_y and gap_x = Y_xy of the height Y: the Laplacian is
 on each strip, a co-normal derivative k/mu ((1 + q^2)/gap dy - q dx) on an
 edge.  The geometry of a direction (delta_f, delta_h) is the same map at
 d = 0, so the exact derivative of every operator along it is the chain rule
-of its formula.  Interface x-derivatives are spectral, those of the base
-state read from the :class:`InterfacePair`, which takes them once; strip
-derivatives are second-order finite differences (one-sided at the strip
-edges, periodic in x), so the coupled transmission system stays sparse.
+of its formula.  Interface x-derivatives are spectral, taken once per
+function (the base state's by the :class:`InterfacePair`, a direction's by
+its :class:`PeriodicFn`); strip derivatives are second-order differences
+from one table of stencils (centred and periodic in x, one-sided at the
+y-edges), applied to fields and written as the entries of the sparse
+transmission matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,9 +35,11 @@ from .geometry import (
     PeriodicFn,
     PeriodicGrid,
     spectral_derivative,
+    spectral_diff_matrix,
 )
 
 __all__ = [
+    "BoundaryOperator",
     "CoefficientField",
     "FluidParams",
     "StripField",
@@ -51,6 +56,7 @@ __all__ = [
     "frechet_B_along",
     "map_phi_minus",
     "map_phi_plus",
+    "operator_entries",
     "strip_heights",
 ]
 
@@ -210,7 +216,7 @@ def _jet(u: PeriodicFn | None, grid: PeriodicGrid):
         raise ValueError("base and direction live on different grids")
     if u is None or not u.values.any():
         return 0.0, 0.0, 0.0
-    return u.values, spectral_derivative(u, 1).values, spectral_derivative(u, 2).values
+    return (u.values, *u.derivatives)
 
 
 def _geometry(fh: InterfacePair, side: str, y, delta=None):
@@ -266,30 +272,58 @@ def coeffs_A_plus(fh: InterfacePair, strip: StripGrid) -> CoefficientField:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference application
+# Difference stencils
+#
+# Second-order stencils as (offset, weight) pairs by derivative order, the
+# weights over _SCALE[order] * h**order.  The centred rows serve x (wrapped
+# periodically) and the interior y-levels; an edge y-level takes the
+# one-sided row, written for the bottom edge and mirrored at the top
+# (offsets negated, odd orders change sign).
+
+_CENTRED = {0: ((0, 1.0),), 1: ((1, 1.0), (-1, -1.0)), 2: ((1, 1.0), (0, -2.0), (-1, 1.0))}
+_ONE_SIDED = {1: ((0, -3.0), (1, 4.0), (2, -1.0)), 2: ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))}
+_SCALE = {0: 1.0, 1: 2.0, 2: 1.0}
+# (order, edge) -> (level of the edge, 0 or -1, and its one-sided stencil)
+_EDGE_ROWS = {(k, edge): (level, tuple((sign * o, sign**k * w) for o, w in row))
+              for k, row in _ONE_SIDED.items()
+              for edge, level, sign in (("bottom", 0, 1), ("top", -1, -1))}
+
+# The terms of the interior operator: coefficient, x- and y-derivative order.
+# The mixed derivative is the x-difference of the y-difference.
+_TERMS = (("c_xx", 2, 0), ("c_xy", 1, 1), ("c_yy", 0, 2), ("c_y", 0, 1))
 
 
-def _dx(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * dx)
+def _edge_row(order: int, edge: str):
+    if edge not in ("bottom", "top"):
+        raise ValueError(f"edge must be 'bottom' or 'top', got {edge!r}")
+    return _EDGE_ROWS[order, edge]
 
 
-def _dxx(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dx**2
+def _difference(take, stencil, order: int, h: float) -> np.ndarray:
+    """The stencil applied to take(offset), the values at that offset."""
+    terms = (take(o) if w == 1.0 else w * take(o) for o, w in stencil)
+    return reduce(np.add, terms) / (_SCALE[order] * h**order)
 
 
-def _dy(u: np.ndarray, dy: float) -> np.ndarray:
+def _x_difference(u: np.ndarray, order: int, dx: float) -> np.ndarray:
+    if order == 0:
+        return u
+    nx = u.shape[0]
+    wrapped = np.concatenate((u[-1:], u, u[:1]))  # the centred offsets reach one row out
+    return _difference(lambda o: wrapped[1 + o:1 + o + nx], _CENTRED[order], order, dx)
+
+
+def _edge_difference(u: np.ndarray, order: int, edge: str, dy: float) -> np.ndarray:
+    level, row = _edge_row(order, edge)
+    return _difference(lambda o: u[:, level + o], row, order, dy)
+
+
+def _y_difference(u: np.ndarray, order: int, dy: float) -> np.ndarray:
+    n = u.shape[1]
     out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dy)
-    out[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * dy)
-    out[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * dy)
-    return out
-
-
-def _dyy(u: np.ndarray, dy: float) -> np.ndarray:
-    out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dy**2
-    out[:, 0] = (2.0 * u[:, 0] - 5.0 * u[:, 1] + 4.0 * u[:, 2] - u[:, 3]) / dy**2
-    out[:, -1] = (2.0 * u[:, -1] - 5.0 * u[:, -2] + 4.0 * u[:, -3] - u[:, -4]) / dy**2
+    out[:, 1:-1] = _difference(lambda o: u[:, 1 + o:n - 1 + o], _CENTRED[order], order, dy)
+    out[:, 0] = _edge_difference(u, order, "bottom", dy)
+    out[:, -1] = _edge_difference(u, order, "top", dy)
     return out
 
 
@@ -302,13 +336,28 @@ def apply_operator(coeffs: CoefficientField, fld: StripField) -> StripField:
     """
     if coeffs.strip != fld.strip:
         raise ValueError("coefficients and field live on different strips")
-    dx = fld.strip.grid.dx
-    dy = fld.strip.dy
-    u = fld.values
-    uy = _dy(u, dy)
-    out = (coeffs.c_xx * _dxx(u, dx) + coeffs.c_xy * _dx(uy, dx)
-           + coeffs.c_yy * _dyy(u, dy) + coeffs.c_y * uy)
+    u_y = [fld.values] + [_y_difference(fld.values, order, fld.strip.dy) for order in (1, 2)]
+    out = reduce(np.add, (getattr(coeffs, name) * _x_difference(u_y[ky], kx, fld.strip.grid.dx)
+                          for name, kx, ky in _TERMS))
     return StripField(fld.strip, out)
+
+
+def operator_entries(coeffs: CoefficientField, first: int = 0) -> list[tuple]:
+    """:func:`apply_operator` on the interior y-levels as COO entries: one
+    (rows, columns, values) block per stencil offset, the strip's nodes
+    numbered from first like ``values.ravel()``."""
+    strip = coeffs.strip
+    nx, n = strip.shape
+    blocks = {}
+    for name, kx, ky in _TERMS:
+        c = getattr(coeffs, name)[:, 1:-1] / (_SCALE[kx] * strip.grid.dx**kx
+                                             * _SCALE[ky] * strip.dy**ky)
+        for ox, wx in _CENTRED[kx]:
+            for oy, wy in _CENTRED[ky]:
+                blocks[ox, oy] = blocks.get((ox, oy), 0.0) + wx * wy * c
+    i, j = np.arange(nx)[:, None], np.arange(1, n - 1)
+    node = first + i * n + j
+    return [(node, first + (i + ox) % nx * n + oy + j, v) for (ox, oy), v in blocks.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +375,7 @@ def trace_values(fld: StripField, edge: str) -> np.ndarray:
 
 def trace_dy(fld: StripField, edge: str) -> np.ndarray:
     """One-sided second-order y-derivative on a strip edge."""
-    u = fld.values
-    dy = fld.strip.dy
-    if edge == "bottom":
-        return (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * dy)
-    if edge == "top":
-        return (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * dy)
-    raise ValueError(f"edge must be 'bottom' or 'top', got {edge!r}")
+    return _edge_difference(fld.values, 1, edge, fld.strip.dy)
 
 
 def trace_dx(fld: StripField, edge: str) -> np.ndarray:
@@ -343,6 +386,50 @@ def trace_dx(fld: StripField, edge: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Boundary operators
+
+
+@dataclass(frozen=True)
+class BoundaryOperator:
+    """First-order edge operator beta1 * dx + beta2 * dy on a strip edge.
+
+    dx is the spectral x-derivative of the edge trace, dy the one-sided
+    second-order y-row; :meth:`apply` applies them and :meth:`entries` writes
+    the same operator as matrix entries.
+    """
+
+    strip: StripGrid
+    edge: str
+    beta1: np.ndarray = field(repr=False)
+    beta2: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.edge not in ("bottom", "top"):
+            raise ValueError(f"edge must be 'bottom' or 'top', got {self.edge!r}")
+        n = self.strip.grid.n_x
+        for name in ("beta1", "beta2"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},)")
+            object.__setattr__(self, name, arr)
+
+    def __neg__(self):
+        return BoundaryOperator(self.strip, self.edge, -self.beta1, -self.beta2)
+
+    def apply(self, fld: StripField) -> np.ndarray:
+        """The operator applied to a strip field, one value per x-node."""
+        return self.beta1 * trace_dx(fld, self.edge) + self.beta2 * trace_dy(fld, self.edge)
+
+    def entries(self, rows: np.ndarray, first: int = 0) -> list[tuple]:
+        """:meth:`apply` as COO entries: (rows, columns, values) blocks with
+        rows[i] the row of the edge's x-node i and the strip's nodes
+        numbered from first like ``values.ravel()``."""
+        nx, n = self.strip.shape
+        level, row = _edge_row(1, self.edge)
+        edge_nodes = first + np.arange(nx) * n + level % n
+        dx = self.beta1[:, None] * spectral_diff_matrix(self.strip.grid)
+        return [(np.repeat(rows, nx), np.tile(edge_nodes, nx), dx.ravel())] + [
+            (rows, edge_nodes + o, w * self.beta2 / (_SCALE[1] * self.strip.dy)) for o, w in row]
+
 
 # Co-normal operators beta_1 dx + beta_2 dy: name -> (strip side, edge,
 # strip level of the edge, viscosity).
@@ -360,7 +447,8 @@ def _co_normal_coeffs(name: str, fh: InterfacePair, params: FluidParams, delta=N
     if delta is None:
         return -coef * q, coef * (1.0 + q**2) / gap
     dq, _, dgap, _ = _geometry(fh, side, level, delta)
-    return -coef * dq, coef * (2.0 * q * dq - (1.0 + q**2) * dgap / gap) / gap
+    return (np.broadcast_to(-coef * dq, q.shape),
+            coef * (2.0 * q * dq - (1.0 + q**2) * dgap / gap) / gap)
 
 
 def _co_normal(name: str, fh: InterfacePair, params: FluidParams, fld: StripField,
@@ -368,8 +456,8 @@ def _co_normal(name: str, fh: InterfacePair, params: FluidParams, fld: StripFiel
     side, edge, _, _ = _CO_NORMAL[name]
     if fld.strip.side != side:
         raise ValueError(f"{name} needs a {side}-strip field")
-    beta_1, beta_2 = _co_normal_coeffs(name, fh, params, delta)
-    return PeriodicFn(fh.grid, beta_1 * trace_dx(fld, edge) + beta_2 * trace_dy(fld, edge))
+    operator = BoundaryOperator(fld.strip, edge, *_co_normal_coeffs(name, fh, params, delta))
+    return PeriodicFn(fh.grid, operator.apply(fld))
 
 
 def boundary_B_minus(fh: InterfacePair, params: FluidParams, fld: StripField) -> PeriodicFn:

@@ -206,6 +206,47 @@ class TestFactorization:
             gc.enable()
 
 
+class TestAssembledStructure:
+    """The LU ordering and fill follow the sparsity pattern alone, so the
+    assembled pattern is pinned; its rows are the operators' own stencils."""
+
+    @staticmethod
+    def assembled(fh, n_y):
+        op = pulled_back_operator(fh, PAR, n_y)
+        matrix = diffraction._assemble(op)
+        matrix.sum_duplicates()
+        return op, matrix
+
+    def test_pattern_depends_on_the_shape_only(self):
+        g = make_grid(32)
+        _, flat = self.assembled(unit_pair(g), 16)
+        _, wavy = self.assembled(wavy_pair(g), 16)
+        assert np.array_equal(flat.indptr, wavy.indptr)
+        assert np.array_equal(flat.indices, wavy.indices)
+        assert np.count_nonzero(flat.data == 0.0) == 5824
+
+    @pytest.mark.parametrize("n, n_y, nnz", [(32, 16, 10944), (16, 8, 2656)])
+    def test_nonzero_count(self, n, n_y, nnz):
+        assert self.assembled(wavy_pair(make_grid(n)), n_y)[1].nnz == nnz
+
+    def test_rows_apply_the_operators(self):
+        g = make_grid(32)
+        op, matrix = self.assembled(wavy_pair(g), 16)
+        strip_p, strip_m = op.strips
+        rng = np.random.default_rng(8)
+        v_plus = StripField(strip_p, rng.standard_normal(strip_p.shape))
+        v_minus = StripField(strip_m, rng.standard_normal(strip_m.shape))
+        product = matrix @ np.concatenate([v_plus.values.ravel(), v_minus.values.ravel()])
+        plus, minus = np.split(product, [v_plus.values.size])
+        plus, minus = plus.reshape(strip_p.shape), minus.reshape(strip_m.shape)
+        for rows, coeffs, fld in ((plus, op.plus_coeffs, v_plus),
+                                  (minus, op.minus_coeffs, v_minus)):
+            interior = apply_operator(coeffs, fld).values[:, 1:-1]
+            assert np.max(np.abs(rows[:, 1:-1] - interior)) <= 1e-13 * np.max(np.abs(interior))
+        flux = op.plus_bc.apply(v_plus) - op.minus_bc.apply(v_minus)
+        assert np.max(np.abs(minus[:, -1] - flux)) <= 1e-13 * np.max(np.abs(flux))
+
+
 class TestTransmissionOperator:
     def test_problems_on_one_operator_share_its_factorization(self, monkeypatch):
         g = make_grid(16)
@@ -284,7 +325,7 @@ class TestSolvePotentials:
         flux_p = boundary_B_plus(fh, PAR, sol.v_plus).values
         flux_m = boundary_B_minus(fh, PAR, sol.v_minus).values
         scale = max(1.0, np.max(np.abs(flux_p)))
-        assert np.max(np.abs(flux_p - flux_m)) < 1e-8 * scale
+        assert np.max(np.abs(flux_p - flux_m)) < 1e-12 * scale
 
     def test_maximum_principle_flat(self):
         g = make_grid(16)

@@ -509,6 +509,36 @@ class TestGeometryReuse:
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 
 
+    @pytest.mark.parametrize("surface_tension", [False, True])
+    def test_linearized_directions_differentiated_once(self, monkeypatch, surface_tension):
+        import muskatlab.geometry as geometry
+        import muskatlab.operators as operators
+
+        g = make_grid(16)
+        fh = flat_pair(g)
+        modes = (1, 2, 3)
+        differentiated = []
+        true_derivative = geometry.spectral_derivative
+
+        def spectral_derivative(u, order):
+            differentiated.append((u, order))
+            return true_derivative(u, order)
+
+        monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
+        monkeypatch.setattr(operators, "spectral_derivative", spectral_derivative)
+        par = FluidParams(gamma_f=0.5, gamma_h=1.0) if surface_tension else PAR
+        linearized_matrix(fh, constant_fn(g, 1.0), par, modes, surface_tension, n_y=8)
+        # traces take first derivatives only, so second derivatives mark the directions
+        directions = [u for u, order in differentiated
+                      if order == 2 and u is not fh.f and u is not fh.h]
+        for m in modes:
+            sines = [u for u in directions if np.array_equal(u.values, np.sin(m * g.nodes))]
+            assert len(sines) == 1
+            assert sum(u is sines[0] for u, _ in differentiated) == 2
+        if not surface_tension:
+            assert len(directions) == len(modes)
+
+
 class TestFactorizationReuse:
     """simulate factorizes each accepted state once, for its RT margins and
     the first stage of the step from it; every step attempt factorizes its
