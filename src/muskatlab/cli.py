@@ -8,8 +8,8 @@ Subcommands:
   verify    run the built-in oracle suite
 
 All outputs are deterministic: the same config produces byte-identical
-files.  Exit codes: 0 success, 1 configuration/usage error, 2 solver
-failure.
+files.  Exit codes: 0 success, 1 configuration/usage error (an unwritable
+output path included), 2 solver failure.
 """
 
 from __future__ import annotations
@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError, AdmissibilityError and rejected inputs
+    except (ValueError, OSError) as exc:
+        # ConfigError, AdmissibilityError, rejected inputs, unwritable output paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailure as exc:

@@ -113,35 +113,42 @@ class TransmissionOperator:
 
     @cached_property
     def factorization(self) -> tuple:
-        """(matrix, row scale D, sparse LU of D @ matrix, max-norm of the matrix,
-        1-norm condition estimate of the matrix).
+        """(matrix, row scale d, sparse LU of diag(d) @ matrix, max-norm of the
+        matrix, 1-norm condition estimate of the matrix).
 
-        D = diag(1 / max_j |a_ij|) equilibrates the rows; the LU of D A is
-        ordered by minimum degree on (DA)^T + DA and pivots by threshold
-        (diagonal pivot kept when at least 0.1 of its column's largest entry).
+        d = 1 / max_j |a_ij| equilibrates the rows and is kept as a vector;
+        the LU of D A = diag(d) A is ordered by minimum degree on
+        (DA)^T + DA and pivots by threshold (diagonal pivot kept when at
+        least 0.1 of its column's largest entry).  The assembled pattern is
+        the same for every geometry, so a flat state stores exact zeros
+        (its vanishing mixed-derivative terms); they are dropped from D A
+        before the ordering, which would otherwise fill in around them.
         Raises :class:`SolverFailure` when the factorization breaks down or
         the condition estimate exceeds 1e12; a failure is not cached.
         """
         matrix = _assemble(self)
-        magnitude = abs(matrix)
-        scale = sp.diags(1.0 / magnitude.max(axis=1).toarray().ravel())
+        d, scaled, norm_1, norm_inf = _equilibrate(matrix)
         try:
-            lu = spla.splu((scale @ matrix).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.1)
+            lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
             raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-        # ||A||_1 exactly, ||A^-1||_1 = ||(DA)^-1 D||_1 estimated from solves with the factor
-        n = matrix.shape[0]
-        inverse = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(scale @ x),
-                                      rmatvec=lambda x: scale @ lu.solve(x, trans="T"))
-        cond = float(magnitude.sum(axis=0).max()) * float(spla.onenormest(inverse))
+        # ||A^-1||_1 = ||(DA)^-1 D||_1 estimated from solves with the factor.  The
+        # estimator's blocks are solved all columns at once, and returned in C order
+        # so that its column sums, and the estimate, are those of column-by-column solves.
+        inverse = spla.LinearOperator(
+            matrix.shape, dtype=float,
+            matvec=lambda x: lu.solve(d * x.ravel()),
+            rmatvec=lambda x: d * lu.solve(x.ravel(), trans="T"),
+            matmat=lambda x: np.ascontiguousarray(lu.solve(d[:, None] * x)),
+            rmatmat=lambda x: np.ascontiguousarray(d[:, None] * lu.solve(x, trans="T")))
+        cond = norm_1 * float(spla.onenormest(inverse))
         if cond > CONDITION_LIMIT:
             raise SolverFailure(
                 f"system too ill-conditioned (estimate {cond:.3e} > {CONDITION_LIMIT:.1e}); "
                 "geometry is close to losing admissibility",
                 condition_estimate=cond,
             )
-        return matrix, scale, lu, float(magnitude.sum(axis=1).max()), cond
+        return matrix, d, lu, norm_inf, cond
 
 
 @dataclass(frozen=True)
@@ -218,6 +225,25 @@ def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(n_total, n_total))
 
 
+def _equilibrate(matrix: sp.csc_matrix) -> tuple:
+    """(d, D A, ||A||_1, ||A||_inf) of a square CSC matrix A, with d = 1 /
+    max_j |a_ij| and D A = diag(d) A on A's pattern less its zero entries,
+    all from A's arrays (||A||_1 takes A to have no empty column, as a
+    nonsingular A has).  The temporaries are freed on return, before the
+    factorization allocates its L and U."""
+    n = matrix.shape[0]
+    rows, magnitude = matrix.indices, np.abs(matrix.data)
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, rows, magnitude)
+    norm_1 = float(np.add.reduceat(magnitude, matrix.indptr[:-1]).max())
+    norm_inf = float(np.bincount(rows, weights=magnitude, minlength=n).max())
+    d = 1.0 / row_max
+    scaled = matrix.data * d[rows]
+    kept = scaled != 0.0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[matrix.indptr]
+    return d, sp.csc_matrix((scaled[kept], rows[kept], indptr), shape=(n, n)), norm_1, norm_inf
+
+
 def _rhs(data: DiffractionData) -> np.ndarray:
     """Right-hand side in the node ordering of :func:`_assemble`: the edge
     rows carry phi2 (jump) and phi3 on the plus strip, phi4 and phi1 (flux)
@@ -240,18 +266,18 @@ def solve_general(data: DiffractionData) -> DiffractionSolution:
     fails (see :attr:`TransmissionOperator.factorization`) or the normwise
     backward error |Ax - b| / (|A| |x| + |b|) in max norms exceeds 1e-12.
     """
-    matrix, scale, lu, norm_inf, cond = data.operator.factorization
+    matrix, d, lu, norm_inf, cond = data.operator.factorization
     rhs = _rhs(data)
-    x = lu.solve(scale @ rhs)
-    x += lu.solve(scale @ (rhs - matrix @ x))
+    x = lu.solve(d * rhs)
+    x += lu.solve(d * (rhs - matrix @ x))
     if not np.all(np.isfinite(x)):
         raise SolverFailure("solver produced non-finite values", condition_estimate=cond)
 
     residual = np.max(np.abs(matrix @ x - rhs))
-    scale = norm_inf * np.max(np.abs(x)) + np.max(np.abs(rhs))
-    if residual > BACKWARD_ERROR_LIMIT * scale:
+    bound = norm_inf * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    if residual > BACKWARD_ERROR_LIMIT * bound:
         raise SolverFailure(
-            f"normwise backward error {residual / scale:.3e} exceeds "
+            f"normwise backward error {residual / bound:.3e} exceeds "
             f"{BACKWARD_ERROR_LIMIT:.1e}",
             condition_estimate=cond,
         )

@@ -130,10 +130,15 @@ class StripGrid:
 
 @dataclass(frozen=True)
 class StripField:
-    """Scalar field on a closed strip, boundary levels included."""
+    """Scalar field on a closed strip, boundary levels included.
+
+    The spectral x-derivative of an edge trace is taken on first request
+    and kept with the field (see :func:`trace_dx`).
+    """
 
     strip: StripGrid
     values: np.ndarray = field(repr=False)
+    _edge_dx: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -379,9 +384,14 @@ def trace_dy(fld: StripField, edge: str) -> np.ndarray:
 
 
 def trace_dx(fld: StripField, edge: str) -> np.ndarray:
-    """Spectral x-derivative of the edge trace."""
-    tr = PeriodicFn(fld.strip.grid, trace_values(fld, edge))
-    return spectral_derivative(tr, 1).values
+    """Spectral x-derivative of the edge trace, taken once per field and edge
+    (read-only)."""
+    if edge not in fld._edge_dx:
+        tr = PeriodicFn(fld.strip.grid, trace_values(fld, edge))
+        derivative = spectral_derivative(tr, 1).values
+        derivative.flags.writeable = False
+        fld._edge_dx[edge] = derivative
+    return fld._edge_dx[edge]
 
 
 # ---------------------------------------------------------------------------

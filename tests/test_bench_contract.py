@@ -4,7 +4,8 @@ perfbench/spans.py replaces named muskatlab functions with span-recording
 wrappers; renaming one of them would break the traced benchmark without
 failing any other test.  Here the tracer is installed, a small per-mode
 linearization and a short simulation run under it, and every layer they
-pass through must have recorded spans.
+pass through must have recorded spans, with one condition estimate per
+factorization.
 """
 
 import importlib.util
@@ -51,3 +52,7 @@ def test_every_traced_layer_records_spans():
     assert traj.reason == "t_end"
     assert LAYERS <= {span["name"] for span in tracer.spans}
     assert all(span["error"] is None for span in tracer.spans)
+    # the guard is traced only through diffraction.spla: every factorization
+    # is followed by its condition estimate
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("diffraction.condest") == names.count("diffraction.factor") > 0

@@ -50,6 +50,17 @@ def test_solver_failure_exit_2(tmp_path, capsys, command):
         assert err.startswith("error: system too ill-conditioned")
 
 
+@pytest.mark.parametrize("command, out", [(["symbols", "--m-max", "2"], "missing/symbols.csv"),
+                                          (["spectrum", "--modes", "1..2"], "missing/spectrum.csv"),
+                                          (["simulate"], "config.json")])
+def test_unwritable_output_exit_1(tmp_path, capsys, command, out):
+    # symbols and spectrum write into a missing directory; simulate's output
+    # directory is an existing file
+    path = write_config(tmp_path, n_x=16, n_y=8)
+    assert main(command + ["--config", str(path), "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path)

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import muskatlab.diffraction as diffraction
 from muskatlab.diffraction import (
@@ -245,6 +247,39 @@ class TestAssembledStructure:
             assert np.max(np.abs(rows[:, 1:-1] - interior)) <= 1e-13 * np.max(np.abs(interior))
         flux = op.plus_bc.apply(v_plus) - op.minus_bc.apply(v_minus)
         assert np.max(np.abs(minus[:, -1] - flux)) <= 1e-13 * np.max(np.abs(flux))
+
+    @pytest.mark.parametrize("pair, nnz, lu_nnz", [(unit_pair, 5120, 26896),
+                                                   (wavy_pair, 10944, 47698)])
+    def test_factored_matrix_is_the_equilibrated_product(self, monkeypatch, pair, nnz, lu_nnz):
+        # the reference is D A formed as a sparse product, which drops the flat
+        # state's 5824 stored zeros; factoring them would raise its fill to 40217
+        op = pulled_back_operator(pair(make_grid(32)), PAR, 16)
+        factored = []
+        true_splu = diffraction.spla.splu
+
+        def recording_splu(matrix, **kwargs):
+            factored.append(matrix)
+            return true_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(diffraction.spla, "splu", recording_splu)
+        np.random.seed(3)
+        matrix, d, lu, norm_inf, cond = op.factorization
+        magnitude = abs(matrix)
+        scale = sp.diags(1.0 / magnitude.max(axis=1).toarray().ravel())
+        reference = (scale @ matrix).tocsc()
+        (scaled,) = factored
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(scaled, name), getattr(reference, name))
+        assert np.array_equal(d, scale.diagonal())
+        assert scaled.nnz == nnz
+        assert lu.L.nnz + lu.U.nnz == lu_nnz
+
+        inverse = spla.LinearOperator(matrix.shape, matvec=lambda x: lu.solve(scale @ x),
+                                      rmatvec=lambda x: scale @ lu.solve(x, trans="T"))
+        np.random.seed(3)  # the estimator draws its start block from numpy's global stream
+        estimate = float(magnitude.sum(axis=0).max()) * float(spla.onenormest(inverse))
+        assert cond == estimate  # the same draws and the same column sums
+        assert norm_inf == float(magnitude.sum(axis=1).max())
 
 
 class TestTransmissionOperator:

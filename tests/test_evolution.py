@@ -538,6 +538,30 @@ class TestGeometryReuse:
         if not surface_tension:
             assert len(directions) == len(modes)
 
+    @pytest.mark.parametrize("surface_tension, base_calls", [(False, 4), (True, 6)])
+    def test_base_traces_differentiated_once(self, monkeypatch, surface_tension, base_calls):
+        import muskatlab.geometry as geometry
+        import muskatlab.operators as operators
+
+        g = make_grid(16)
+        modes = (1, 2, 3)
+        calls = []
+        true_derivative = geometry.spectral_derivative
+
+        def spectral_derivative(u, order):
+            calls.append(order)
+            return true_derivative(u, order)
+
+        monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
+        monkeypatch.setattr(operators, "spectral_derivative", spectral_derivative)
+        par = FluidParams(gamma_f=0.5, gamma_h=1.0) if surface_tension else PAR
+        linearized_matrix(flat_pair(g), constant_fn(g, 1.0), par, modes, surface_tension, n_y=8)
+        # base_calls for the interfaces' derivatives (and, with surface tension,
+        # the zero direction's), one for each of the three base edge traces the
+        # columns read, and per mode two for its sine and one for the top trace
+        # of each of the two linearized fields in each of its two columns
+        assert len(calls) == base_calls + 3 + 6 * len(modes)
+
 
 class TestFactorizationReuse:
     """simulate factorizes each accepted state once, for its RT margins and
