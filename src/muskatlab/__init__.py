@@ -34,9 +34,7 @@ from .operators import (
     boundary_B_plus,
     coeffs_A_minus,
     coeffs_A_plus,
-    frechet_A,
     frechet_A_along,
-    frechet_B,
     frechet_B_along,
     map_phi_minus,
     map_phi_plus,

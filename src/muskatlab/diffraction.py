@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import InterfacePair, PeriodicFn
+from .geometry import InterfacePair, PeriodicFn, curvature, curvature_frechet
 from .operators import (
     BoundaryOperator,
     CoefficientField,
@@ -317,8 +317,8 @@ def _potential_data(operator: TransmissionOperator, fh: InterfacePair, b: Period
     jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
     top = params.g * params.rho_plus * fh.h
     if surface_tension:
-        jump = jump + params.gamma_f * fh.curvature_f
-        top = top - params.gamma_h * fh.curvature_h
+        jump = jump + params.gamma_f * curvature(fh.f)
+        top = top - params.gamma_h * curvature(fh.h)
     return DiffractionData(
         operator=operator,
         F_plus=StripField(strip_p, np.zeros(strip_p.shape)),
@@ -365,8 +365,8 @@ def solve_linearized(base: InterfacePair, base_solution: DiffractionSolution,
     jump = params.g * (params.rho_plus - params.rho_minus) * delta_f
     top = params.g * params.rho_plus * delta_h
     if with_surface_tension:
-        jump = jump + params.gamma_f * base.curvature_f_frechet(delta_f)
-        top = top - params.gamma_h * base.curvature_h_frechet(delta_h)
+        jump = jump + params.gamma_f * curvature_frechet(base.f, delta_f)
+        top = top - params.gamma_h * curvature_frechet(base.h, delta_h)
 
     sol = solve_general(DiffractionData(
         operator=operator,

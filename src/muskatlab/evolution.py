@@ -148,8 +148,8 @@ def pressures(solution: DiffractionSolution, fh: InterfacePair,
 
 
 def _rt_report(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams) -> RTReport:
-    fp = fh.f_x.values
-    hp = fh.h_x.values
+    fp = fh.f.derivatives[0]
+    hp = fh.h.derivatives[0]
     co_minus = (params.mu_minus / params.k) * boundary_B_minus(fh, params, sol.v_minus).values
     co_plus = (params.mu_plus / params.k) * boundary_B_plus(fh, params, sol.v_plus).values
     co_top = (params.mu_plus / params.k) * boundary_B1(fh, params, sol.v_plus).values
@@ -279,22 +279,18 @@ def simulate(config: SimConfig) -> Trajectory:
             new_state, err = step(state, dt, b, params,
                                   config.surface_tension, n_y=config.n_y)
         except StepRejected:
-            dt *= 0.5
-            rejected_in_a_row += 1
-            if dt < _MIN_DT or rejected_in_a_row > 60:
-                traj.reason = "step_failure"
-                return traj
-            continue
+            shrink = 0.5
         except (SolverFailure, AdmissibilityError):
             traj.reason = "step_failure"
             return traj
-
-        scale = max(np.max(np.abs(new_state.fh.f.values)),
-                    np.max(np.abs(new_state.fh.h.values)), 1.0)
-        tol = config.atol + config.rtol * scale
-        ratio = err / tol
-        if ratio > 1.0:
-            dt *= max(0.2, 0.9 * ratio ** (-0.2))
+        else:
+            scale = max(np.max(np.abs(new_state.fh.f.values)),
+                        np.max(np.abs(new_state.fh.h.values)), 1.0)
+            tol = config.atol + config.rtol * scale
+            ratio = err / tol
+            shrink = max(0.2, 0.9 * ratio ** (-0.2)) if ratio > 1.0 else None
+        if shrink is not None:  # the step is rejected
+            dt *= shrink
             rejected_in_a_row += 1
             if dt < _MIN_DT or rejected_in_a_row > 60:
                 traj.reason = "step_failure"
@@ -342,12 +338,7 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     (len(modes), 2, 2); every mode is validated before any solve.
     """
     grid = fh.grid
-    modes = list(modes)
-    for m in modes:
-        if m <= 0:
-            raise ValueError("mode m must be positive")
-        if m >= grid.n_x // 2:
-            raise ValueError("mode m must be below the Nyquist mode")
+    modes = [_mode_index(m, grid.n_x) for m in modes]
     _assert_x_independent(fh.f, "f")
     _assert_x_independent(fh.h, "h")
     _assert_x_independent(b, "b")
@@ -368,10 +359,22 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     return -2.0 / grid.n_x * out
 
 
+def _mode_index(m, n_x: int) -> int:
+    """m as an int, checked to be a mode strictly between the mean and the
+    Nyquist mode of n_x nodes."""
+    if not float(m).is_integer():
+        raise ValueError(f"mode m must be an integer, got {m!r}")
+    if not 1 <= m < n_x / 2:
+        raise ValueError(f"mode m must satisfy 1 <= m < {n_x // 2} (below the Nyquist mode), "
+                         f"got {m!r}")
+    return int(m)
+
+
 def mode_amplitude(values: np.ndarray, m: int) -> float:
-    """Magnitude of the mode-m Fourier coefficient of sampled values."""
+    """Magnitude of the mode-m Fourier coefficient of sampled values, for
+    1 <= m < n/2 (the mean and the Nyquist mode have no sine/cosine pair)."""
     n = len(values)
-    coeff = np.fft.rfft(values)[m]
+    coeff = np.fft.rfft(values)[_mode_index(m, n)]
     return float(2.0 * np.abs(coeff) / n)
 
 
@@ -384,6 +387,8 @@ def fit_mode_rate(times, amplitudes, efolds: float = 1.0):
     """
     times = np.asarray(times, dtype=float)
     amps = np.asarray(amplitudes, dtype=float)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
     if np.any(amps <= 0):
         raise ValueError("amplitudes must be positive for a log fit")
     logs = np.log(amps)

@@ -3,8 +3,10 @@
 Interfaces live on the unit circle (2*pi-periodic in x) and are sampled on
 uniform grids.  All x-derivatives of interface quantities are spectral
 (exact derivatives of the trigonometric interpolant), which keeps the
-operator and symbol tests sharp.  Curvature and its directional derivative
-are evaluated nodewise from those spectral derivatives.
+operator and symbol tests sharp.  Each :class:`PeriodicFn` takes its first
+and second derivatives once, on first access, and keeps them; every reader
+of an interface's derivatives (the strip operators, curvature and its
+directional derivative, the frozen-point constants) reads that cache.
 """
 
 from __future__ import annotations
@@ -183,28 +185,20 @@ def spectral_diff_matrix(grid: PeriodicGrid) -> np.ndarray:
     return entries[i[:, None] - i + n - 1]
 
 
-def _curvature(zeta_x: PeriodicFn, zeta_xx: PeriodicFn) -> PeriodicFn:
-    return PeriodicFn(zeta_x.grid, zeta_xx.values / (1.0 + zeta_x.values**2) ** 1.5)
-
-
 def curvature(zeta: PeriodicFn) -> PeriodicFn:
     """Curvature of the graph y = zeta(x):  zeta'' / (1 + zeta'^2)^(3/2)."""
-    return _curvature(spectral_derivative(zeta, 1), spectral_derivative(zeta, 2))
-
-
-def _curvature_frechet(zeta_x: PeriodicFn, zeta_xx: PeriodicFn, h: PeriodicFn) -> PeriodicFn:
-    if zeta_x.grid != h.grid:
-        raise ValueError("operands live on different grids")
-    z0p, z0pp = zeta_x.values, zeta_xx.values
-    hp, hpp = h.derivatives
-    s = 1.0 + z0p**2
-    out = hpp / s**1.5 - 3.0 * z0p * z0pp * hp / s**2.5
-    return PeriodicFn(h.grid, out)
+    zeta_x, zeta_xx = zeta.derivatives
+    return PeriodicFn(zeta.grid, zeta_xx / (1.0 + zeta_x**2) ** 1.5)
 
 
 def curvature_frechet(zeta0: PeriodicFn, h: PeriodicFn) -> PeriodicFn:
     """Directional derivative of the curvature at zeta0 in direction h."""
-    return _curvature_frechet(spectral_derivative(zeta0, 1), spectral_derivative(zeta0, 2), h)
+    if zeta0.grid != h.grid:
+        raise ValueError("operands live on different grids")
+    z0p, z0pp = zeta0.derivatives
+    hp, hpp = h.derivatives
+    s = 1.0 + z0p**2
+    return PeriodicFn(h.grid, hpp / s**1.5 - 3.0 * z0p * z0pp * hp / s**2.5)
 
 
 @dataclass(frozen=True)
@@ -230,12 +224,11 @@ def check_admissible(f: PeriodicFn, h: PeriodicFn, d: float) -> AdmissibilityRep
 class InterfacePair:
     """Lower interface f, upper interface h, and bottom boundary height d < 0.
 
-    The pair owns its geometry, derived once on first access and read by
-    every operator built on it: the spectral derivatives f_x, f_xx, h_x,
-    h_xx, the layer gaps gap_minus = f - d and gap_plus = h - f (positive,
-    as d < f < h is checked on construction), the curvatures
-    curvature_f, curvature_h and, from the same derivatives, their Fréchet
-    derivatives along a direction.
+    The ordering d < f < h is checked on construction, so the layer gaps
+    gap_minus = f - d and gap_plus = h - f, derived once on first access,
+    are positive.  The interfaces' spectral derivatives are not the pair's:
+    each is cached on its :class:`PeriodicFn` (``f.derivatives``), so a
+    function shared between pairs is differentiated once.
     """
 
     f: PeriodicFn
@@ -257,41 +250,9 @@ class InterfacePair:
         return self.f.grid
 
     @cached_property
-    def f_x(self) -> PeriodicFn:
-        return spectral_derivative(self.f, 1)
-
-    @cached_property
-    def f_xx(self) -> PeriodicFn:
-        return spectral_derivative(self.f, 2)
-
-    @cached_property
-    def h_x(self) -> PeriodicFn:
-        return spectral_derivative(self.h, 1)
-
-    @cached_property
-    def h_xx(self) -> PeriodicFn:
-        return spectral_derivative(self.h, 2)
-
-    @cached_property
     def gap_minus(self) -> PeriodicFn:
         return PeriodicFn(self.grid, self.f.values - self.d)
 
     @cached_property
     def gap_plus(self) -> PeriodicFn:
         return PeriodicFn(self.grid, self.h.values - self.f.values)
-
-    @cached_property
-    def curvature_f(self) -> PeriodicFn:
-        return _curvature(self.f_x, self.f_xx)
-
-    @cached_property
-    def curvature_h(self) -> PeriodicFn:
-        return _curvature(self.h_x, self.h_xx)
-
-    def curvature_f_frechet(self, direction: PeriodicFn) -> PeriodicFn:
-        """Derivative of curvature_f as f moves in direction."""
-        return _curvature_frechet(self.f_x, self.f_xx, direction)
-
-    def curvature_h_frechet(self, direction: PeriodicFn) -> PeriodicFn:
-        """Derivative of curvature_h as h moves in direction."""
-        return _curvature_frechet(self.h_x, self.h_xx, direction)

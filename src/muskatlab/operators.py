@@ -15,12 +15,13 @@ q_xx = Y_xx, gap = Y_y and gap_x = Y_xy of the height Y: the Laplacian is
 on each strip, a co-normal derivative k/mu ((1 + q^2)/gap dy - q dx) on an
 edge.  The geometry of a direction (delta_f, delta_h) is the same map at
 d = 0, so the exact derivative of every operator along it is the chain rule
-of its formula.  Interface x-derivatives are spectral, taken once per
-function (the base state's by the :class:`InterfacePair`, a direction's by
-its :class:`PeriodicFn`); strip derivatives are second-order differences
-from one table of stencils (centred and periodic in x, one-sided at the
-y-edges), applied to fields and written as the entries of the sparse
-transmission matrix.
+of its formula, computed by :func:`frechet_A_along` and
+:func:`frechet_B_along`.  Interface x-derivatives are spectral, taken once
+per function and cached on its :class:`PeriodicFn` (the base state's
+interfaces and a direction alike); strip derivatives are second-order
+differences from one table of stencils (centred and periodic in x,
+one-sided at the y-edges), applied to fields and written as the entries of
+the sparse transmission matrix.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ __all__ = [
     "boundary_B_plus",
     "coeffs_A_minus",
     "coeffs_A_plus",
-    "frechet_A",
     "frechet_A_along",
-    "frechet_B",
     "frechet_B_along",
     "map_phi_minus",
     "map_phi_plus",
@@ -228,9 +227,8 @@ def _geometry(fh: InterfacePair, side: str, y, delta=None):
     """(q, q_xx, gap, gap_x) of fh's strip map on side, or with delta =
     (delta_f, delta_h) their derivative along delta: arrays over x at an edge
     level y, over the strip at its y-nodes (gap and gap_x as columns)."""
-    if delta is None:
-        f = fh.f.values, fh.f_x.values, fh.f_xx.values
-        h = fh.h.values, fh.h_x.values, fh.h_xx.values
+    if delta is None:  # full arrays even for a flat base, unlike _jet
+        f, h = ((u.values, *u.derivatives) for u in (fh.f, fh.h))
         d = fh.d
     else:
         (f, h), d = (_jet(u, fh.grid) for u in delta), 0.0
@@ -497,13 +495,6 @@ def b_coeffs_plus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, n
 
 # ---------------------------------------------------------------------------
 # Directional derivatives: the chain rule through the layer geometry
-#
-# A named derivative moves one interface: which -> (strip side or co-normal
-# operator, moved interface).
-
-_FRECHET_A = {"minus_f": ("minus", "f"), "plus_f": ("plus", "f"), "plus_h": ("plus", "h")}
-_FRECHET_B = {"B_minus_f": ("B_minus", "f"), "B_plus_f": ("B_plus", "f"),
-              "B_plus_h": ("B_plus", "h"), "B1_f": ("B1", "f"), "B1_h": ("B1", "h")}
 
 
 def frechet_A_along(base: InterfacePair, delta_f: PeriodicFn | None,
@@ -522,37 +513,3 @@ def frechet_B_along(name: str, base: InterfacePair, delta_f: PeriodicFn | None,
     if name not in _CO_NORMAL:
         raise ValueError(f"name must be one of {tuple(_CO_NORMAL)}, got {name!r}")
     return _co_normal(name, base, params, fld, (delta_f, delta_h))
-
-
-def _named(table: dict, which: str, direction: PeriodicFn):
-    """(target, delta_f, delta_h) of the named derivative which."""
-    if which not in table:
-        raise ValueError(f"which must be one of {tuple(table)}, got {which!r}")
-    target, moved = table[which]
-    return (target, direction, None) if moved == "f" else (target, None, direction)
-
-
-def frechet_A(which: str, base: InterfacePair, direction: PeriodicFn,
-              params: FluidParams, strip: StripGrid) -> CoefficientField:
-    """Directional derivative of a pulled-back Laplacian.
-
-    which selects the operator/direction pair: 'minus_f' differentiates the
-    lower-strip operator in f; 'plus_f' and 'plus_h' differentiate the
-    upper-strip operator in f and h.
-    """
-    side, delta_f, delta_h = _named(_FRECHET_A, which, direction)
-    if strip.side != side:
-        raise ValueError(f"{which} needs a {side}-side strip")
-    return frechet_A_along(base, delta_f, delta_h, strip)
-
-
-def frechet_B(which: str, base: InterfacePair, direction: PeriodicFn,
-              params: FluidParams, fld: StripField) -> PeriodicFn:
-    """Directional derivative of a boundary operator, applied to a field.
-
-    which names the operator and the interface it is differentiated in:
-    'B_minus_f' (B(f) of the lower fluid), 'B_plus_f' and 'B_plus_h' (B(f,h)
-    of the upper fluid on Gamma_0), 'B1_f' and 'B1_h' (B1 on Gamma_1).
-    """
-    name, delta_f, delta_h = _named(_FRECHET_B, which, direction)
-    return frechet_B_along(name, base, delta_f, delta_h, params, fld)

@@ -125,6 +125,9 @@ def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,
     base potentials on the shared interface; the *_top pair are the upper
     potential's traces on the top interface.
     """
+    if not np.all(np.isfinite((f_slope, h_slope, gap_minus, gap_plus, dy_v_minus, dy_v_plus,
+                               dx_v_minus, dx_v_plus, dy_v_plus_top, dx_v_plus_top))):
+        raise ValueError("local data must be finite")
     if gap_minus <= 0 or gap_plus <= 0:
         raise ValueError("gaps must be positive")
     km, kp = params.k / params.mu_minus, params.k / params.mu_plus
@@ -176,6 +179,8 @@ def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,
 def frozen_constants(base: InterfacePair, base_solution: DiffractionSolution,
                      params: FluidParams, x: float) -> FrozenPoint:
     """Frozen constants at the point x, interfaces and traces interpolated."""
+    if not np.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     f_val = base.f.at(x)
     h_val = base.h.at(x)
     gap_minus = f_val - base.d
@@ -183,8 +188,8 @@ def frozen_constants(base: InterfacePair, base_solution: DiffractionSolution,
     if gap_minus <= 0 or gap_plus <= 0:
         raise ValueError("interfaces not admissible at the evaluation point")
     return frozen_from_local_data(
-        f_slope=base.f_x.at(x),
-        h_slope=base.h_x.at(x),
+        f_slope=PeriodicFn(base.grid, base.f.derivatives[0]).at(x),
+        h_slope=PeriodicFn(base.grid, base.h.derivatives[0]).at(x),
         gap_minus=gap_minus,
         gap_plus=gap_plus,
         dy_v_minus=base_solution.tr0_dy_vminus.at(x),
@@ -452,8 +457,8 @@ class RegionReport:
     margins: dict
 
 
-def _c2_norm(*derivatives: PeriodicFn) -> float:
-    return float(sum(np.max(np.abs(u.values)) for u in derivatives))
+def _c2_norm(u: PeriodicFn) -> float:
+    return float(sum(np.max(np.abs(a)) for a in (u.values, *u.derivatives)))
 
 
 def _common_margins(base: InterfacePair, sigma: float) -> dict:
@@ -461,8 +466,7 @@ def _common_margins(base: InterfacePair, sigma: float) -> dict:
     inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma
     return {
         "gap": gap - sigma,
-        "norm": inv_sigma - (_c2_norm(base.f, base.f_x, base.f_xx)
-                             + _c2_norm(base.h, base.h_x, base.h_xx)),
+        "norm": inv_sigma - (_c2_norm(base.f) + _c2_norm(base.h)),
     }
 
 

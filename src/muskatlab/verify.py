@@ -133,9 +133,9 @@ def check_frechet_at(seed: int, eps_list) -> CheckResult:
 
     At a fixed wavy pair and in a random direction drawn from seed (the
     boundary operators act on random fields drawn after it), the error of
-    the difference quotient of each operator against frechet_A/frechet_B
-    is taken at every eps in eps_list.  Each consecutive pair gives the
-    convergence slope log2(err_i/err_i+1) / log2(eps_i/eps_i+1), which is 1
+    the difference quotient of each operator, one interface moved, against
+    frechet_A_along/frechet_B_along is taken at every eps in eps_list.  Each
+    consecutive pair gives the convergence slope log2(err_i/err_i+1) / log2(eps_i/eps_i+1), which is 1
     for a correct derivative; every slope must lie within 0.2 of 1.
     """
     grid = make_grid(32)
@@ -149,29 +149,31 @@ def check_frechet_at(seed: int, eps_list) -> CheckResult:
     def coeff_stack(c):
         return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_y])
 
-    cases = []  # (which, operator as a function of the pair, its derivative at fh)
-    for which in ("minus_f", "plus_f", "plus_h"):
-        strip = StripGrid(grid, 16, "minus" if which == "minus_f" else "plus")
-        coeffs = operators.coeffs_A_minus if which == "minus_f" else operators.coeffs_A_plus
-        cases.append((which, lambda pair, c=coeffs, s=strip: coeff_stack(c(pair, s)),
-                      coeff_stack(operators.frechet_A(which, fh, direction, par, strip))))
-    for which, boundary in (("B_minus_f", operators.boundary_B_minus),
-                            ("B_plus_f", operators.boundary_B_plus),
-                            ("B_plus_h", operators.boundary_B_plus),
-                            ("B1_h", operators.boundary_B1),
-                            ("B1_f", operators.boundary_B1)):
-        strip = StripGrid(grid, 16, "minus" if which == "B_minus_f" else "plus")
+    along = {"f": (direction, None), "h": (None, direction)}
+    cases = []  # (operator as a function of the pair, its derivative at fh, moved interface)
+    for coeffs, side, moved in ((operators.coeffs_A_minus, "minus", "f"),
+                                (operators.coeffs_A_plus, "plus", "f"),
+                                (operators.coeffs_A_plus, "plus", "h")):
+        strip = StripGrid(grid, 16, side)
+        cases.append((lambda pair, c=coeffs, s=strip: coeff_stack(c(pair, s)),
+                      coeff_stack(operators.frechet_A_along(fh, *along[moved], strip)), moved))
+    for name, boundary, moved in (("B_minus", operators.boundary_B_minus, "f"),
+                                  ("B_plus", operators.boundary_B_plus, "f"),
+                                  ("B_plus", operators.boundary_B_plus, "h"),
+                                  ("B1", operators.boundary_B1, "h"),
+                                  ("B1", operators.boundary_B1, "f")):
+        strip = StripGrid(grid, 16, "minus" if name == "B_minus" else "plus")
         field = StripField(strip, rng.standard_normal(strip.shape))
-        cases.append((which, lambda pair, b=boundary, fld=field: b(pair, par, fld).values,
-                      operators.frechet_B(which, fh, direction, par, field).values))
+        cases.append((lambda pair, b=boundary, fld=field: b(pair, par, fld).values,
+                      operators.frechet_B_along(name, fh, *along[moved], par, field).values,
+                      moved))
 
     worst = 0.0
-    for which, at, exact in cases:
-        moves_h = which in ("plus_h", "B_plus_h", "B1_h")
+    for at, exact, moved in cases:
         base, errs = at(fh), []
         for e in eps:
-            pair = (InterfacePair(fh.f, fh.h + e * direction, fh.d) if moves_h
-                    else InterfacePair(fh.f + e * direction, fh.h, fh.d))
+            pair = (InterfacePair(fh.f + e * direction, fh.h, fh.d) if moved == "f"
+                    else InterfacePair(fh.f, fh.h + e * direction, fh.d))
             errs.append(np.max(np.abs((at(pair) - base) / e - exact)))
         errs = np.array(errs)
         slopes = np.log2(errs[:-1] / errs[1:]) / np.log2(eps[:-1] / eps[1:])

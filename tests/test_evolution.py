@@ -246,6 +246,29 @@ class TestDealias:
         assert mode_amplitude(out.values, 13) < 1e-14
 
 
+class TestModeAmplitude:
+    def test_amplitudes_up_to_below_nyquist(self):
+        g = make_grid(16)
+        for m in range(1, 8):
+            u = fn(g, lambda x: 0.5 * np.cos(m * x) - 2.0 * np.sin(m * x) + 3.0)
+            assert mode_amplitude(u.values, m) == pytest.approx(np.hypot(0.5, 2.0), abs=1e-13)
+
+    @pytest.mark.parametrize("m", [-1, 0, 8, 9, 1.5, float("nan")])
+    def test_outside_one_to_below_nyquist_rejected(self, m):
+        g = make_grid(16)
+        with pytest.raises(ValueError):
+            mode_amplitude(np.cos(8 * g.nodes) + 1.0, m)
+
+
+class TestFitModeRate:
+    def test_nan_amplitude_rejected(self):
+        t = np.linspace(0.0, 1.0, 11)
+        amps = np.exp(-t)
+        amps[4] = np.nan
+        with pytest.raises(ValueError):
+            fit_mode_rate(t, amps)
+
+
 class TestSimulate:
     def test_flat_equilibrium_trajectory(self):
         cfg = SimConfig(n_x=64, n_y=16, params=PAR, h0=WaveSpec(const=1.0),
@@ -441,6 +464,8 @@ class TestLinearizedMatrix:
             linearized_matrix(fh, b, PAR, [0])
         with pytest.raises(ValueError):
             linearized_matrix(fh, b, PAR, [16])
+        with pytest.raises(ValueError):  # sin(1.5 x) is not periodic on the grid
+            linearized_matrix(fh, b, PAR, [1.5])
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_sign_dichotomy_matches_symbols(self, m):
@@ -508,6 +533,26 @@ class TestGeometryReuse:
         assert any(u is direction for u in differentiated)
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 
+    def test_pair_reads_the_derivatives_cached_on_its_functions(self, monkeypatch):
+        import muskatlab.geometry as geometry
+        import muskatlab.operators as operators
+
+        g = make_grid(16)
+        f = fn(g, lambda x: 0.1 * np.sin(x))
+        f.derivatives  # taken before f becomes part of a pair
+        fh = InterfacePair(f, fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
+        differentiated = []
+        true_derivative = geometry.spectral_derivative
+
+        def spectral_derivative(u, order):
+            differentiated.append(u)
+            return true_derivative(u, order)
+
+        monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
+        monkeypatch.setattr(operators, "spectral_derivative", spectral_derivative)
+        diffraction.pulled_back_operator(fh, PAR, 12)
+        assert not any(u is f for u in differentiated)
+        assert sum(u is fh.h for u in differentiated) == 2
 
     @pytest.mark.parametrize("surface_tension", [False, True])
     def test_linearized_directions_differentiated_once(self, monkeypatch, surface_tension):

@@ -13,8 +13,8 @@ from muskatlab.operators import (
     boundary_B_plus,
     coeffs_A_minus,
     coeffs_A_plus,
-    frechet_A,
-    frechet_B,
+    frechet_A_along,
+    frechet_B_along,
     map_phi_minus,
     map_phi_plus,
     strip_heights,
@@ -303,13 +303,27 @@ def coeff_stack(c):
     return np.stack([c.c_xx, c.c_xy, c.c_yy, c.c_y])
 
 
+def along(moved, direction):
+    """(delta_f, delta_h) that moves the interface moved ('f' or 'h') along direction."""
+    return (direction, None) if moved == "f" else (None, direction)
+
+
+def moved_pair(fh, moved, eps, direction):
+    """fh with the interface moved ('f' or 'h') shifted by eps * direction."""
+    if moved == "f":
+        return pair(fh.f + eps * direction, fh.h, fh.d)
+    return pair(fh.f, fh.h + eps * direction, fh.d)
+
+
+BOUNDARY = {"B_minus": boundary_B_minus, "B_plus": boundary_B_plus, "B1": boundary_B1}
+
+
 class TestFrechetA:
     def test_zero_direction(self):
         g = make_grid(16)
         fh = random_pair(g, np.random.default_rng(1))
-        for which, strip in (("minus_f", minus_strip(g)), ("plus_f", plus_strip(g)),
-                             ("plus_h", plus_strip(g))):
-            out = frechet_A(which, fh, constant_fn(g, 0.0), PAR, strip)
+        for strip, moved in ((minus_strip(g), "f"), (plus_strip(g), "f"), (plus_strip(g), "h")):
+            out = frechet_A_along(fh, *along(moved, constant_fn(g, 0.0)), strip)
             assert np.max(np.abs(coeff_stack(out))) < 1e-14
 
     def test_flat_base_minus_f(self):
@@ -317,7 +331,7 @@ class TestFrechetA:
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
         direction = fn(g, lambda t: np.sin(2 * t))
         strip = minus_strip(g)
-        out = frechet_A("minus_f", fh, direction, PAR, strip)
+        out = frechet_A_along(fh, direction, None, strip)
         y = strip.y_nodes[None, :]
         dp = 2 * np.cos(2 * g.nodes)[:, None]
         dpp = -4 * np.sin(2 * g.nodes)[:, None]
@@ -327,27 +341,23 @@ class TestFrechetA:
         assert np.max(np.abs(out.c_y - (-(1 + y) * dpp))) < 1e-12
         assert np.max(np.abs(out.c_xx)) == 0.0
 
-    @pytest.mark.parametrize("which,side,d", [
-        pytest.param("minus_f", "minus", -1.0, id="minus_f-minus"),
-        pytest.param("plus_f", "plus", -1.0, id="plus_f-plus"),
-        pytest.param("plus_h", "plus", -1.0, id="plus_h-plus"),
+    @pytest.mark.parametrize("coeffs,side,moved,d", [
+        pytest.param(coeffs_A_minus, "minus", "f", -1.0, id="minus_f-minus"),
+        pytest.param(coeffs_A_plus, "plus", "f", -1.0, id="plus_f-plus"),
+        pytest.param(coeffs_A_plus, "plus", "h", -1.0, id="plus_h-plus"),
         # d comes from the pair, not from FluidParams (whose d is -1)
-        pytest.param("minus_f", "minus", -2.0, id="minus_f-minus-deep"),
+        pytest.param(coeffs_A_minus, "minus", "f", -2.0, id="minus_f-minus-deep"),
     ])
-    def test_finite_difference_oracle(self, which, side, d):
+    def test_finite_difference_oracle(self, coeffs, side, moved, d):
         g = make_grid(32)
         rng = np.random.default_rng(29)
         fh = random_pair(g, rng, d=d)
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
         strip = StripGrid(g, 16, side)
-        lin = coeff_stack(frechet_A(which, fh, direction, PAR, strip))
+        lin = coeff_stack(frechet_A_along(fh, *along(moved, direction), strip))
 
         def coeffs_at(eps):
-            if which == "minus_f":
-                return coeff_stack(coeffs_A_minus(pair(fh.f + eps * direction, fh.h, d), strip))
-            if which == "plus_f":
-                return coeff_stack(coeffs_A_plus(pair(fh.f + eps * direction, fh.h, d), strip))
-            return coeff_stack(coeffs_A_plus(pair(fh.f, fh.h + eps * direction, d), strip))
+            return coeff_stack(coeffs(moved_pair(fh, moved, eps, direction), strip))
 
         base = coeffs_at(0.0)
         errs = []
@@ -363,9 +373,9 @@ class TestFrechetA:
         u = PeriodicFn(g, rng.standard_normal(g.n_x))
         v = PeriodicFn(g, rng.standard_normal(g.n_x))
         strip = plus_strip(g)
-        lhs = coeff_stack(frechet_A("plus_f", fh, 1.5 * u - 0.5 * v, PAR, strip))
-        rhs = (1.5 * coeff_stack(frechet_A("plus_f", fh, u, PAR, strip))
-               - 0.5 * coeff_stack(frechet_A("plus_f", fh, v, PAR, strip)))
+        lhs = coeff_stack(frechet_A_along(fh, 1.5 * u - 0.5 * v, None, strip))
+        rhs = (1.5 * coeff_stack(frechet_A_along(fh, u, None, strip))
+               - 0.5 * coeff_stack(frechet_A_along(fh, v, None, strip)))
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -376,7 +386,7 @@ class TestFrechetB:
         fh = random_pair(g, rng)
         strip = minus_strip(g)
         field = StripField(strip, rng.standard_normal(strip.shape))
-        out = frechet_B("B_minus_f", fh, constant_fn(g, 0.0), PAR, field)
+        out = frechet_B_along("B_minus", fh, constant_fn(g, 0.0), None, PAR, field)
         assert np.max(np.abs(out.values)) < 1e-14
 
     def test_plus_h_flat_base(self):
@@ -386,36 +396,30 @@ class TestFrechetB:
         strip = plus_strip(g)
         # field with unit dy at y = 0
         u = np.broadcast_to(strip.y_nodes, strip.shape).copy()
-        out = frechet_B("B_plus_h", fh, direction, PAR, StripField(strip, u))
+        out = frechet_B_along("B_plus", fh, None, direction, PAR, StripField(strip, u))
         target = -(PAR.k / PAR.mu_plus) * direction.values
         assert np.max(np.abs(out.values - target)) < 1e-12
 
-    @pytest.mark.parametrize("which,side,d", [
-        pytest.param("B_minus_f", "minus", -1.0, id="B_minus_f-minus"),
-        pytest.param("B_plus_f", "plus", -1.0, id="B_plus_f-plus"),
-        pytest.param("B_plus_h", "plus", -1.0, id="B_plus_h-plus"),
-        pytest.param("B1_f", "plus", -1.0, id="B1_f-plus"),
-        pytest.param("B1_h", "plus", -1.0, id="B1_h-plus"),
+    @pytest.mark.parametrize("name,side,moved,d", [
+        pytest.param("B_minus", "minus", "f", -1.0, id="B_minus_f-minus"),
+        pytest.param("B_plus", "plus", "f", -1.0, id="B_plus_f-plus"),
+        pytest.param("B_plus", "plus", "h", -1.0, id="B_plus_h-plus"),
+        pytest.param("B1", "plus", "f", -1.0, id="B1_f-plus"),
+        pytest.param("B1", "plus", "h", -1.0, id="B1_h-plus"),
         # d enters only through the lower layer's gap, read from the pair
-        pytest.param("B_minus_f", "minus", -2.0, id="B_minus_f-minus-deep"),
+        pytest.param("B_minus", "minus", "f", -2.0, id="B_minus_f-minus-deep"),
     ])
-    def test_finite_difference_oracle(self, which, side, d):
+    def test_finite_difference_oracle(self, name, side, moved, d):
         g = make_grid(32)
         rng = np.random.default_rng(37)
         fh = random_pair(g, rng, d=d)
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
         strip = StripGrid(g, 16, side)
         field = StripField(strip, rng.standard_normal(strip.shape))
-        lin = frechet_B(which, fh, direction, PAR, field).values
+        lin = frechet_B_along(name, fh, *along(moved, direction), PAR, field).values
 
         def boundary_at(eps):
-            f = fh.f + eps * direction if which in ("B_minus_f", "B_plus_f", "B1_f") else fh.f
-            h = fh.h + eps * direction if which in ("B_plus_h", "B1_h") else fh.h
-            if which == "B_minus_f":
-                return boundary_B_minus(pair(f, h, d), PAR, field).values
-            if which == "B_plus_f" or which == "B_plus_h":
-                return boundary_B_plus(pair(f, h, d), PAR, field).values
-            return boundary_B1(pair(f, h, d), PAR, field).values
+            return BOUNDARY[name](moved_pair(fh, moved, eps, direction), PAR, field).values
 
         base = boundary_at(0.0)
         errs = []

@@ -61,6 +61,21 @@ class TestFrozenConstants:
         assert abs(fp.D_plus - 2.0) < 1e-12
         assert abs(fp.beta2_plus - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("position", range(10))
+    def test_nonfinite_local_data_rejected(self, position):
+        data = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        data[position] = np.nan
+        with pytest.raises(ValueError):
+            frozen_from_local_data(*data, PAR)
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_point_rejected(self, x):
+        g = make_grid(16)
+        fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
+        sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=8)
+        with pytest.raises(ValueError):
+            frozen_constants(fh, sol, PAR, x=x)
+
     def test_invariants_on_random_points(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
