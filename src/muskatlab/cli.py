@@ -97,6 +97,7 @@ def cmd_simulate(args) -> int:
         "rt_margin_h": [r.margin_h for r in traj.rt_reports],
         "rt_satisfied": [r.satisfied for r in traj.rt_reports],
         "snapshots": snapshots,
+        "steps_rejected": traj.steps_rejected,
         "config": config.to_dict(),
     }
     (out_dir / "run.json").write_text(

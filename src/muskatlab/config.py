@@ -104,14 +104,13 @@ class SimConfig:
     atol: float = 1e-9
     dt_init: float = 1e-3
     dt_max: float = 0.1
-    cfl_st: float = 1.0
     surface_tension: bool = False
     stop_on_rt: bool = False
     out_dir: str | None = None
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        for name in ("t_end", "rtol", "atol", "dt_init", "dt_max", "cfl_st"):
+        for name in ("t_end", "rtol", "atol", "dt_init", "dt_max"):
             val = getattr(self, name)
             if not np.isfinite(val) or val <= 0:
                 raise ConfigError(f"{name} must be positive and finite, got {val}")
@@ -131,8 +130,8 @@ class SimConfig:
     @staticmethod
     def from_dict(obj: dict) -> "SimConfig":
         top_keys = {"schema", "n_x", "n_y", "params", "initial", "b", "t_end",
-                    "rtol", "atol", "dt_init", "dt_max", "cfl_st",
-                    "surface_tension", "stop_on_rt", "out_dir", "snapshot_stride"}
+                    "rtol", "atol", "dt_init", "dt_max", "surface_tension",
+                    "stop_on_rt", "out_dir", "snapshot_stride"}
         _reject_unknown(obj, top_keys, "config")
         schema = obj.get("schema")
         if isinstance(schema, bool) or schema != SCHEMA_VERSION:
@@ -159,8 +158,8 @@ class SimConfig:
             t_end=_typed(obj["t_end"], float, "t_end"),
         )
         for key, kind in (("rtol", float), ("atol", float), ("dt_init", float),
-                          ("dt_max", float), ("cfl_st", float), ("surface_tension", bool),
-                          ("stop_on_rt", bool), ("snapshot_stride", int)):
+                          ("dt_max", float), ("surface_tension", bool), ("stop_on_rt", bool),
+                          ("snapshot_stride", int)):
             if key in obj:
                 kwargs[key] = _typed(obj[key], kind, key)
         if obj.get("out_dir") is not None:
@@ -191,7 +190,6 @@ class SimConfig:
             "atol": self.atol,
             "dt_init": self.dt_init,
             "dt_max": self.dt_max,
-            "cfl_st": self.cfl_st,
             "surface_tension": self.surface_tension,
             "stop_on_rt": self.stop_on_rt,
             "out_dir": self.out_dir,

@@ -132,16 +132,14 @@ class TransmissionOperator:
             lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
             raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-        # ||A^-1||_1 = ||(DA)^-1 D||_1 estimated from solves with the factor.  The
-        # estimator's blocks are solved all columns at once, and returned in C order
-        # so that its column sums, and the estimate, are those of column-by-column solves.
+        # ||A^-1||_1 = ||(DA)^-1 D||_1 estimated from solves with the factor.  One
+        # column (t=1) starts from the vector of ones, so the estimate is
+        # deterministic and draws nothing from numpy's global random stream.
         inverse = spla.LinearOperator(
             matrix.shape, dtype=float,
             matvec=lambda x: lu.solve(d * x.ravel()),
-            rmatvec=lambda x: d * lu.solve(x.ravel(), trans="T"),
-            matmat=lambda x: np.ascontiguousarray(lu.solve(d[:, None] * x)),
-            rmatmat=lambda x: np.ascontiguousarray(d[:, None] * lu.solve(x, trans="T")))
-        cond = norm_1 * float(spla.onenormest(inverse))
+            rmatvec=lambda x: d * lu.solve(x.ravel(), trans="T"))
+        cond = norm_1 * float(spla.onenormest(inverse, t=1))
         if cond > CONDITION_LIMIT:
             raise SolverFailure(
                 f"system too ill-conditioned (estimate {cond:.3e} > {CONDITION_LIMIT:.1e}); "

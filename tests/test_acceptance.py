@@ -208,8 +208,7 @@ def test_criterion_8_surface_tension():
         cfg = SimConfig(n_x=32, n_y=24, params=par,
                         h0=WaveSpec(const=1.0, modes=((m, 0.0, 1e-4),)),
                         b=WaveSpec(const=0.0), t_end=t_end, rtol=1e-7, atol=1e-13,
-                        dt_init=t_end / 100, dt_max=t_end / 10, cfl_st=2.0,
-                        surface_tension=True)
+                        dt_init=t_end / 100, dt_max=t_end / 10, surface_tension=True)
         traj = simulate(cfg)
         assert traj.reason == "t_end"
         amps = [mode_amplitude(h, m) for h in traj.h_values]

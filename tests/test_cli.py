@@ -9,6 +9,7 @@ import pytest
 
 from muskatlab.cli import main
 from muskatlab.config import ConfigError, SimConfig
+from muskatlab.evolution import simulate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,6 +73,13 @@ class TestConfig:
         path = write_config(tmp_path, extra_knob=3)
         with pytest.raises(ConfigError, match="extra_knob"):
             SimConfig.from_json(path)
+
+    def test_removed_cfl_st_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, cfl_st=1.0)
+        with pytest.raises(ConfigError, match="cfl_st"):
+            SimConfig.from_dict(json.loads(path.read_text()))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "cfl_st" in capsys.readouterr().err
 
     def test_unknown_param_rejected(self, tmp_path):
         path = write_config(tmp_path, params={"k": 1.0, "viscosity": 2.0})
@@ -170,6 +178,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(out2)]) == 0
         for name in ("run.json", "snap_000000.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_rejected_steps_recorded(self, tmp_path):
+        # a first step far too long for the tolerance is rejected on its error
+        path = write_config(tmp_path, n_x=16, n_y=8, t_end=0.6, dt_init=0.5, dt_max=0.5,
+                            rtol=1e-8, atol=1e-10, initial={
+                                "f": {"const": 0.0, "modes": [[1, 0.05, 0.0]]},
+                                "h": {"const": 1.0, "modes": []}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["reason"] == "t_end"
+        assert meta["steps_rejected"]["error"] > 0
+        assert meta["steps_rejected"] == simulate(SimConfig.from_json(path)).steps_rejected
 
     def test_metadata_round_trips(self, tmp_path):
         path = write_config(tmp_path)

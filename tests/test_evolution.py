@@ -353,7 +353,7 @@ class TestSurfaceTension:
                             h0=WaveSpec(const=1.0, modes=((m, 0.0, 1e-4),)),
                             b=WaveSpec(const=0.0), t_end=t_end, rtol=1e-7,
                             atol=1e-13, dt_init=t_end / 100, dt_max=t_end / 10,
-                            cfl_st=2.0, surface_tension=True)
+                            surface_tension=True)
             traj = simulate(cfg)
             assert traj.reason == "t_end"
             amps = [mode_amplitude(h, m) for h in traj.h_values]
@@ -364,6 +364,49 @@ class TestSurfaceTension:
         slope_48 = np.log2(rates[8] / rates[4]) / np.log2(2.0)
         assert abs(slope_24 - 3.0) < 0.2
         assert abs(slope_48 - 3.0) < 0.2
+
+    def test_error_controller_alone_sets_the_step(self):
+        # no surface-tension step cap: the embedded error estimate finds the
+        # stability limit of the cubic symbol, without chattering
+        par = FluidParams(gamma_f=0.5, gamma_h=1.0)
+
+        def run(**tolerances):
+            return simulate(SimConfig(
+                n_x=32, n_y=16, params=par,
+                f0=WaveSpec(modes=((1, 0.0, 0.02), (3, 0.0, 0.01), (5, 0.0, 0.005))),
+                h0=WaveSpec(const=1.0, modes=((2, 0.0, 0.01),)),
+                b=WaveSpec(const=par.g * par.rho_plus), t_end=0.05, dt_max=0.01,
+                surface_tension=True, **tolerances))
+
+        rtol = 1e-6
+        traj, ref = run(rtol=rtol), run(rtol=1e-10, atol=1e-13)
+        assert traj.reason == ref.reason == "t_end"
+        f, h = traj.f_values[-1], traj.h_values[-1]
+        scale = max(np.max(np.abs(f)), np.max(np.abs(h)), 1.0)
+        error = max(np.max(np.abs(f - ref.f_values[-1])), np.max(np.abs(h - ref.h_values[-1])))
+        assert error <= 10 * rtol * scale
+        accepted = len(traj.times) - 1
+        assert sum(traj.steps_rejected.values()) <= max(3, 0.15 * accepted)
+
+
+class TestRejectionCounts:
+    def test_rejections_counted_by_cause(self, monkeypatch):
+        attempts = []
+        true_step = evolution.step
+
+        def first_stage_rejected(*args, **kwargs):
+            attempts.append(args[1])
+            if len(attempts) == 1:
+                raise StepRejected("stage 1 left the admissible set (forced)")
+            return true_step(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "step", first_stage_rejected)
+        traj = simulate(TestFactorizationReuse.CONFIGS["rejected_step"])
+        assert traj.reason == "t_end"
+        assert attempts[1] == attempts[0] / 2
+        error_rejections = len(attempts) - (len(traj.times) - 1) - 1
+        assert error_rejections > 0
+        assert traj.steps_rejected == {"error": error_rejections, "stage": 1}
 
 
 class TestLinearizedMatrix:
@@ -653,6 +696,7 @@ class TestFactorizationReuse:
         assert accepted > 0
         if name == "rejected_step":
             assert rejected > 0
+        assert traj.steps_rejected == {"error": rejected, "stage": 0}
         assert len(factorizations) == (accepted + 1) + 5 * (accepted + rejected)
         # Without surface tension the monitor's solve is the first stage's.
         extra = accepted if config.surface_tension else 0
