@@ -26,7 +26,7 @@ grid = make_grid(32)
 fh = InterfacePair(from_callable(grid, lambda x: 0.15 * np.sin(x)),
                    from_callable(grid, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
 sol = solve_potentials(fh, constant_fn(grid, 0.4), params, n_y=16)
-fp = frozen_constants(fh, sol, params, x=1.0)
+fp = frozen_constants(sol, x=1.0)
 
 print("frozen point at x = 1.0:")
 print(f"  D_plus={fp.D_plus:.4f} D_minus={fp.D_minus:.4f} "

@@ -50,7 +50,6 @@ from .diffraction import (
     solve_general,
     solve_linearized,
     solve_potentials,
-    solve_potentials_st,
 )
 from .evolution import (
     RTReport,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig
-from .diffraction import SolverFailure, solve_potentials, solve_potentials_st
+from .diffraction import SolverFailure, solve_potentials
 from .evolution import linearized_matrix, rayleigh_taylor, simulate
 from .geometry import make_grid
 from .symbols import (
@@ -126,9 +126,9 @@ def cmd_symbols(args) -> int:
         return EXIT_CONFIG
     config, fh, b = _config_and_state(args)
     params = config.params
-    solver = solve_potentials_st if config.surface_tension else solve_potentials
-    sol = solver(fh, b, params, n_y=config.n_y)
-    fp = frozen_constants(fh, sol, params, args.x)
+    sol = solve_potentials(fh, b, params, n_y=config.n_y,
+                           surface_tension=config.surface_tension)
+    fp = frozen_constants(sol, args.x)
 
     lines = ["family,m,re_formula,im_formula,re_oracle,im_oracle"]
     for m in range(1, args.m_max + 1):

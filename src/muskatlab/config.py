@@ -116,6 +116,11 @@ class SimConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {val}")
         if self.n_x < 8 or self.n_x % 2:
             raise ConfigError(f"n_x must be even and >= 8, got {self.n_x}")
+        for where, spec in (("initial.f", self.f0), ("initial.h", self.h0), ("b", self.b)):
+            for m, _, _ in spec.modes:
+                if 2 * m >= self.n_x:  # sampled on n_x nodes, it would alias to a lower mode
+                    raise ConfigError(f"{where}.modes: mode {m} must lie below the Nyquist "
+                                      f"mode {self.n_x // 2} of n_x = {self.n_x}")
         if self.n_y < 8:
             raise ConfigError(f"n_y must be >= 8, got {self.n_y}")
         if self.snapshot_stride < 1:

@@ -64,7 +64,6 @@ __all__ = [
     "solve_general",
     "solve_linearized",
     "solve_potentials",
-    "solve_potentials_st",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -81,31 +80,32 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TransmissionOperator:
-    """Interior operators of both strips and the two flux operators on Gamma_0.
+    """Interior operators of both strips of n_y layers and the two flux
+    operators on Gamma_0 of the interface state fh, built on construction.
 
-    They depend only on the interface geometry, never on the data, so every
-    problem posed on them is solved with one :attr:`factorization`.
+    They depend only on the state and the fluid, never on the data, so every
+    problem posed on them is solved with one :attr:`factorization`; its
+    solutions read the state and the fluid from here.
     """
 
-    plus_coeffs: CoefficientField
-    minus_coeffs: CoefficientField
-    plus_bc: BoundaryOperator
-    minus_bc: BoundaryOperator
+    fh: InterfacePair
+    params: FluidParams
+    n_y: int
+    plus_coeffs: CoefficientField = field(init=False, repr=False)
+    minus_coeffs: CoefficientField = field(init=False, repr=False)
+    plus_bc: BoundaryOperator = field(init=False, repr=False)
+    minus_bc: BoundaryOperator = field(init=False, repr=False)
 
     def __post_init__(self):
-        sp_, sm = self.strips
-        if sp_.side != "plus" or sm.side != "minus":
-            raise ValueError("coefficient fields must live on a plus and a minus strip")
-        if sp_.grid != sm.grid:
-            raise ValueError("strips must share the periodic grid")
-        if self.plus_bc.strip != sp_ or self.plus_bc.edge != "bottom":
-            raise ValueError("plus boundary operator must act on the plus strip bottom edge")
-        if self.minus_bc.strip != sm or self.minus_bc.edge != "top":
-            raise ValueError("minus boundary operator must act on the minus strip top edge")
-        self.plus_coeffs.assert_elliptic()
-        self.minus_coeffs.assert_elliptic()
-        if not (np.all(self.plus_bc.beta2 > 0) and np.all(self.minus_bc.beta2 > 0)):
-            raise ValueError("beta_2 coefficients on Gamma_0 must be strictly positive")
+        fh, params = self.fh, self.params
+        strip_p, strip_m = (StripGrid(fh.grid, self.n_y, side) for side in ("plus", "minus"))
+        b1p, b2p = b_coeffs_plus(fh, params)
+        b1m, b2m = b_coeffs_minus(fh, params)
+        for name, value in (("plus_coeffs", coeffs_A_plus(fh, strip_p)),
+                            ("minus_coeffs", coeffs_A_minus(fh, strip_m)),
+                            ("plus_bc", BoundaryOperator(strip_p, "bottom", b1p, b2p)),
+                            ("minus_bc", BoundaryOperator(strip_m, "top", b1m, b2m))):
+            object.__setattr__(self, name, value)
 
     @property
     def strips(self) -> tuple[StripGrid, StripGrid]:
@@ -148,6 +148,27 @@ class TransmissionOperator:
             )
         return matrix, d, lu, norm_inf, cond
 
+    def potentials(self, b: PeriodicFn, surface_tension: bool = False) -> DiffractionSolution:
+        """The transformed velocity potentials of the state with bottom
+        pressure b; with surface_tension both interfaces carry Laplace-Young
+        jumps."""
+        fh, params = self.fh, self.params
+        strip_p, strip_m = self.strips
+        jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
+        top = params.g * params.rho_plus * fh.h
+        if surface_tension:
+            jump = jump + params.gamma_f * curvature(fh.f)
+            top = top - params.gamma_h * curvature(fh.h)
+        return solve_general(DiffractionData(
+            operator=self,
+            F_plus=StripField(strip_p, np.zeros(strip_p.shape)),
+            F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
+            phi1=PeriodicFn(fh.grid, np.zeros(fh.grid.n_x)),
+            phi2=jump,
+            phi3=top,
+            phi4=b,
+        ))
+
 
 @dataclass(frozen=True)
 class DiffractionData:
@@ -178,8 +199,8 @@ def _trace(kind, side: str, edge: str) -> property:
 
 @dataclass(frozen=True)
 class DiffractionSolution:
-    """Solved strip fields with the operator they were solved on; their edge
-    traces are computed on access."""
+    """Solved strip fields with the operator they were solved on, which holds
+    their interface state and fluid; their edge traces are computed on access."""
 
     v_plus: StripField
     v_minus: StripField
@@ -294,51 +315,14 @@ def solve_general(data: DiffractionData) -> DiffractionSolution:
 def pulled_back_operator(fh: InterfacePair, params: FluidParams,
                          n_y: int | None = None) -> TransmissionOperator:
     """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers."""
-    n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
-    strip_p, strip_m = StripGrid(fh.grid, n_y, "plus"), StripGrid(fh.grid, n_y, "minus")
-    b1p, b2p = b_coeffs_plus(fh, params)
-    b1m, b2m = b_coeffs_minus(fh, params)
-    return TransmissionOperator(
-        plus_coeffs=coeffs_A_plus(fh, strip_p),
-        minus_coeffs=coeffs_A_minus(fh, strip_m),
-        plus_bc=BoundaryOperator(strip_p, "bottom", b1p, b2p),
-        minus_bc=BoundaryOperator(strip_m, "top", b1m, b2m),
-    )
-
-
-def _potential_data(operator: TransmissionOperator, fh: InterfacePair, b: PeriodicFn,
-                    params: FluidParams, surface_tension: bool = False) -> DiffractionData:
-    """The potential problem at fh with bottom pressure b, posed on fh's operator;
-    with surface_tension both interfaces carry Laplace-Young jumps."""
-    strip_p, strip_m = operator.strips
-    zero = PeriodicFn(fh.grid, np.zeros(fh.grid.n_x))
-    jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
-    top = params.g * params.rho_plus * fh.h
-    if surface_tension:
-        jump = jump + params.gamma_f * curvature(fh.f)
-        top = top - params.gamma_h * curvature(fh.h)
-    return DiffractionData(
-        operator=operator,
-        F_plus=StripField(strip_p, np.zeros(strip_p.shape)),
-        F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
-        phi1=zero,
-        phi2=jump,
-        phi3=top,
-        phi4=b,
-    )
+    return TransmissionOperator(fh, params, max(8, fh.grid.n_x // 2) if n_y is None else int(n_y))
 
 
 def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
-                     n_y: int | None = None) -> DiffractionSolution:
-    """Transformed velocity potentials of the gravity-driven problem."""
-    return solve_general(_potential_data(pulled_back_operator(fh, params, n_y), fh, b, params))
-
-
-def solve_potentials_st(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
-                        n_y: int | None = None) -> DiffractionSolution:
-    """Transformed potentials with Laplace-Young jumps on both interfaces."""
-    return solve_general(_potential_data(pulled_back_operator(fh, params, n_y), fh, b, params,
-                                         surface_tension=True))
+                     n_y: int | None = None, surface_tension: bool = False) -> DiffractionSolution:
+    """Transformed velocity potentials at fh, with Laplace-Young jumps on both
+    interfaces when surface_tension is set."""
+    return pulled_back_operator(fh, params, n_y).potentials(b, surface_tension)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +334,13 @@ def solve_potentials_st(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 # solved with that operator's factorization: no new factorization is made.
 
 
-def solve_linearized(base: InterfacePair, base_solution: DiffractionSolution,
-                     delta_f: PeriodicFn, delta_h: PeriodicFn, params: FluidParams,
+def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
+                     delta_h: PeriodicFn,
                      with_surface_tension: bool = False) -> tuple[StripField, StripField]:
-    """Derivative of the potential pair as the interfaces move along
-    (delta_f, delta_h), solved on the base solution's operator."""
+    """Derivative of the potential pair as the interfaces of the base state
+    move along (delta_f, delta_h), solved on the base solution's operator."""
     operator = base_solution.operator
+    base, params = operator.fh, operator.params
     strip_p, strip_m = operator.strips
     v_plus, v_minus = base_solution.v_plus, base_solution.v_minus
     flux = (frechet_B_along("B_minus", base, delta_f, delta_h, params, v_minus)

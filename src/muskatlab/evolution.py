@@ -23,9 +23,7 @@ from .config import SimConfig
 from .diffraction import (
     DiffractionSolution,
     SolverFailure,
-    _potential_data,
     pulled_back_operator,
-    solve_general,
     solve_linearized,
     solve_potentials,
 )
@@ -118,7 +116,8 @@ class Trajectory:
         self.dt_used.append(float(dt))
 
 
-def _velocities(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams):
+def _velocities(sol: DiffractionSolution):
+    fh, params = sol.operator.fh, sol.operator.params
     df = -boundary_B_minus(fh, params, sol.v_minus)
     dh = -boundary_B1(fh, params, sol.v_plus)
     return df, dh
@@ -133,14 +132,12 @@ def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
         surface_tension: bool = False, n_y: int | None = None):
     """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b."""
     _check_bottom_pressure(b)
-    operator = pulled_back_operator(fh, params, n_y)
-    sol = solve_general(_potential_data(operator, fh, b, params, surface_tension))
-    return _velocities(fh, sol, params)
+    return _velocities(solve_potentials(fh, b, params, n_y, surface_tension))
 
 
-def pressures(solution: DiffractionSolution, fh: InterfacePair,
-              params: FluidParams) -> tuple[StripField, StripField]:
+def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
     """Fluid pressures on the strips: potential minus the hydrostatic part."""
+    fh, params = solution.operator.fh, solution.operator.params
     y_plus = strip_heights(fh, solution.v_plus.strip)
     y_minus = strip_heights(fh, solution.v_minus.strip)
     p_plus = StripField(solution.v_plus.strip,
@@ -150,7 +147,8 @@ def pressures(solution: DiffractionSolution, fh: InterfacePair,
     return p_plus, p_minus
 
 
-def _rt_report(fh: InterfacePair, sol: DiffractionSolution, params: FluidParams) -> RTReport:
+def _rt_report(sol: DiffractionSolution) -> RTReport:
+    fh, params = sol.operator.fh, sol.operator.params
     fp = fh.f.derivatives[0]
     hp = fh.h.derivatives[0]
     co_minus = (params.mu_minus / params.k) * boundary_B_minus(fh, params, sol.v_minus).values
@@ -173,7 +171,7 @@ def rayleigh_taylor(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     at the time of fh; a time-dependent b is evaluated by the caller.
     """
     _check_bottom_pressure(b)
-    return _rt_report(fh, solve_potentials(fh, b, params, n_y=n_y), params)
+    return _rt_report(solve_potentials(fh, b, params, n_y=n_y))
 
 
 def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
@@ -189,33 +187,30 @@ def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     fh = state.fh
-    f0, h0, d = fh.f.values, fh.h.values, fh.d
-    grid = fh.grid
     slope = state.slope or phi(fh, b, params, surface_tension, n_y)
-    ks = [(slope[0].values, slope[1].values)]
+    # f and h stacked as rows, so each stage is one array expression
+    y0 = np.stack([fh.f.values, fh.h.values])
+    ks = [np.stack([u.values for u in slope])]
     for stage in range(1, 6):
-        fv = f0.copy()
-        hv = h0.copy()
+        y = y0
         for j, a in enumerate(_RKF_A[stage]):
-            fv = fv + dt * a * ks[j][0]
-            hv = hv + dt * a * ks[j][1]
-        try:
-            stage_fh = InterfacePair(PeriodicFn(grid, fv), PeriodicFn(grid, hv), d)
-        except ValueError as exc:  # not finite, or not admissible
-            raise StepRejected(f"stage {stage} left the admissible set ({exc})") from exc
-        df, dh = phi(stage_fh, b, params, surface_tension, n_y)
-        ks.append((df.values, dh.values))
+            y = y + dt * a * ks[j]
+        stage_fh = _stacked_pair(y, fh, f"stage {stage}")
+        ks.append(np.stack([u.values for u in phi(stage_fh, b, params, surface_tension, n_y)]))
 
-    f4 = f0 + dt * sum(w * k[0] for w, k in zip(_RKF_B4, ks))
-    h4 = h0 + dt * sum(w * k[1] for w, k in zip(_RKF_B4, ks))
-    err_f = dt * sum((b5 - b4) * k[0] for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
-    err_h = dt * sum((b5 - b4) * k[1] for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
-    err = max(np.max(np.abs(err_f)), np.max(np.abs(err_h)))
+    y4 = y0 + dt * sum(w * k for w, k in zip(_RKF_B4, ks))
+    err = dt * sum((b5 - b4) * k for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
+    new_fh = _stacked_pair(y4, fh, "step result")
+    return SimState(t=state.t + dt, fh=new_fh), float(np.max(np.abs(err)))
+
+
+def _stacked_pair(y: np.ndarray, like: InterfacePair, what: str) -> InterfacePair:
+    """The pair with rows (f, h) of y on like's grid and bottom; StepRejected
+    when it is not finite or not admissible."""
     try:
-        new_fh = InterfacePair(PeriodicFn(grid, f4), PeriodicFn(grid, h4), d)
-    except ValueError as exc:  # not finite, or not admissible
-        raise StepRejected(f"step result left the admissible set ({exc})") from exc
-    return SimState(t=state.t + dt, fh=new_fh), float(err)
+        return InterfacePair(PeriodicFn(like.grid, y[0]), PeriodicFn(like.grid, y[1]), like.d)
+    except ValueError as exc:
+        raise StepRejected(f"{what} left the admissible set ({exc})") from exc
 
 
 def dealias(u: PeriodicFn) -> PeriodicFn:
@@ -246,18 +241,16 @@ def simulate(config: SimConfig) -> Trajectory:
         """Record an accepted state; return it with its slope, or None at the end."""
         operator = pulled_back_operator(fh, params, config.n_y)
         try:
-            gravity_sol = solve_general(_potential_data(operator, fh, b, params))
-            report = _rt_report(fh, gravity_sol, params)
+            gravity_sol = operator.potentials(b)
+            report = _rt_report(gravity_sol)
             traj.record(t, fh, report, dt_used)
             if stop_on_rt and not report.satisfied:
                 traj.reason = "rt_violated"
             elif t >= config.t_end * (1.0 - 1e-12):
                 traj.reason = "t_end"
             else:
-                sol = gravity_sol
-                if config.surface_tension:
-                    sol = solve_general(_potential_data(operator, fh, b, params, True))
-                return SimState(t=t, fh=fh, slope=_velocities(fh, sol, params))
+                sol = operator.potentials(b, True) if config.surface_tension else gravity_sol
+                return SimState(t=t, fh=fh, slope=_velocities(sol))
         except SolverFailure:
             traj.reason = "step_failure"
         return None
@@ -338,14 +331,13 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     _assert_x_independent(fh.h, "h")
     _assert_x_independent(b, "b")
 
-    operator = pulled_back_operator(fh, params, n_y)
-    base = solve_general(_potential_data(operator, fh, b, params, surface_tension))
+    base = solve_potentials(fh, b, params, n_y, surface_tension)
     zero = PeriodicFn(grid, np.zeros(grid.n_x))
     out = np.empty((len(modes), 2, 2))
     for i, m in enumerate(modes):
         sine = PeriodicFn(grid, np.sin(m * grid.nodes))
         for j, delta in enumerate(((sine, zero), (zero, sine))):
-            w_plus, w_minus = solve_linearized(fh, base, *delta, params, surface_tension)
+            w_plus, w_minus = solve_linearized(base, *delta, surface_tension)
             lower = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
                      + boundary_B_minus(fh, params, w_minus))
             upper = (frechet_B_along("B1", fh, *delta, params, base.v_plus)

@@ -65,8 +65,8 @@ class FluidParams:
     """Physical constants of the two-layer porous-medium flow.
 
     d is the bottom height of the :class:`InterfacePair` built from a
-    config; the operators read d from the pair they are given, never from
-    here.
+    config; the operators read d from the pair they are given, and a
+    transmission operator from the pair it was built on, never from here.
     """
 
     k: float = 1.0

@@ -176,11 +176,12 @@ def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,
     )
 
 
-def frozen_constants(base: InterfacePair, base_solution: DiffractionSolution,
-                     params: FluidParams, x: float) -> FrozenPoint:
-    """Frozen constants at the point x, interfaces and traces interpolated."""
+def frozen_constants(base_solution: DiffractionSolution, x: float) -> FrozenPoint:
+    """Frozen constants at the point x of the solution's state, interfaces and
+    traces interpolated."""
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
+    base = base_solution.operator.fh
     f_val = base.f.at(x)
     h_val = base.h.at(x)
     gap_minus = f_val - base.d
@@ -198,7 +199,7 @@ def frozen_constants(base: InterfacePair, base_solution: DiffractionSolution,
         dx_v_plus=base_solution.tr0_dx_vplus.at(x),
         dy_v_plus_top=base_solution.tr1_dy_vplus.at(x),
         dx_v_plus_top=base_solution.tr1_dx_vplus.at(x),
-        params=params,
+        params=base_solution.operator.params,
     )
 
 
@@ -470,8 +471,7 @@ def _common_margins(base: InterfacePair, sigma: float) -> dict:
     }
 
 
-def region_check_S(base: InterfacePair, base_solution: DiffractionSolution,
-                   params: FluidParams, sigma: float,
+def region_check_S(base_solution: DiffractionSolution, sigma: float,
                    pairing: str = "printed") -> RegionReport:
     """Slack of the lower-interface parabolicity region at level sigma.
 
@@ -484,6 +484,7 @@ def region_check_S(base: InterfacePair, base_solution: DiffractionSolution,
         raise ValueError("sigma must be nonnegative")
     if pairing not in ("printed", "delta_a"):
         raise ValueError("pairing must be 'printed' or 'delta_a'")
+    base, params = base_solution.operator.fh, base_solution.operator.params
     margins = _common_margins(base, sigma)
     dy_m = base_solution.tr0_dy_vminus.values
     dy_p = base_solution.tr0_dy_vplus.values
@@ -499,11 +500,11 @@ def region_check_S(base: InterfacePair, base_solution: DiffractionSolution,
     return RegionReport(ok=worst > 0, worst_margin=float(worst), margins=margins)
 
 
-def region_check_R(base: InterfacePair, base_solution: DiffractionSolution,
-                   params: FluidParams, sigma: float) -> RegionReport:
+def region_check_R(base_solution: DiffractionSolution, sigma: float) -> RegionReport:
     """Slack of the upper-interface parabolicity region at level sigma."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    base, params = base_solution.operator.fh, base_solution.operator.params
     margins = _common_margins(base, sigma)
     dy_top = base_solution.tr1_dy_vplus.values
     gap_plus = base.gap_plus.values

@@ -136,6 +136,19 @@ class TestConfig:
         f = cfg.f0.build(grid)
         assert np.max(np.abs(f.values - 0.5 * np.sin(2 * grid.nodes))) < 1e-14
 
+    @pytest.mark.parametrize("where, m", [("initial.f", 8), ("initial.h", 13), ("b", 9)])
+    def test_mode_at_or_above_nyquist_rejected(self, tmp_path, capsys, where, m):
+        # on 16 nodes mode 8 samples to zero and mode 13 to minus mode 3
+        overrides = {"initial": {"f": {"const": 0.0}, "h": {"const": 1.0}}, "b": {"const": 1.0}}
+        spec = overrides["b"] if where == "b" else overrides["initial"][where[-1]]
+        spec["modes"] = [[m, 0.0, 0.1]]
+        path = write_config(tmp_path, n_x=16, n_y=8, **overrides)
+        with pytest.raises(ConfigError, match=rf"{where}\.modes: mode {m} must lie below"):
+            SimConfig.from_json(path)
+        assert main(["rtcheck", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {where}.modes")
+        SimConfig.from_json(write_config(tmp_path, n_x=2 * m + 2, n_y=8, **overrides))
+
 
 class TestSimulateCommand:
     def test_flat_equilibrium_run(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from muskatlab.diffraction import (
     solve_general,
     solve_linearized,
     solve_potentials,
-    solve_potentials_st,
 )
 from muskatlab.geometry import (
     InterfacePair,
@@ -322,7 +322,7 @@ class TestTransmissionOperator:
         fh = wavy_pair(g)
         b = constant_fn(g, 0.4)
         plain = solve_potentials(fh, b, par, n_y=12)
-        st = solve_potentials_st(fh, b, par, n_y=12)
+        st = solve_potentials(fh, b, par, n_y=12, surface_tension=True)
 
         factorizations = []
         true_splu = diffraction.spla.splu
@@ -333,9 +333,8 @@ class TestTransmissionOperator:
 
         monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
         op = pulled_back_operator(fh, par, 12)
-        pose = diffraction._potential_data
-        shared_plain = solve_general(pose(op, fh, b, par))
-        shared_st = solve_general(pose(op, fh, b, par, surface_tension=True))
+        shared_plain = op.potentials(b)
+        shared_st = op.potentials(b, surface_tension=True)
         assert len(factorizations) == 1
         assert np.array_equal(shared_plain.v_plus.values, plain.v_plus.values)
         assert np.array_equal(shared_st.v_minus.values, st.v_minus.values)
@@ -451,7 +450,7 @@ class TestSolvePotentialsST:
         fh = wavy_pair(g)
         b = constant_fn(g, 0.4)
         plain = solve_potentials(fh, b, PAR, n_y=12)
-        st = solve_potentials_st(fh, b, PAR, n_y=12)
+        st = solve_potentials(fh, b, PAR, n_y=12, surface_tension=True)
         assert np.max(np.abs(plain.v_plus.values - st.v_plus.values)) < 1e-12
 
     def test_flat_interfaces_reduce(self):
@@ -460,7 +459,7 @@ class TestSolvePotentialsST:
         fh = unit_pair(g)
         b = constant_fn(g, 0.4)
         plain = solve_potentials(fh, b, par, n_y=12)
-        st = solve_potentials_st(fh, b, par, n_y=12)
+        st = solve_potentials(fh, b, par, n_y=12, surface_tension=True)
         assert np.max(np.abs(plain.v_plus.values - st.v_plus.values)) < 1e-11
 
     def test_small_amplitude_perturbation_matches_linearization(self):
@@ -471,9 +470,9 @@ class TestSolvePotentialsST:
         eps = 1e-4
         direction = fn(g, np.sin)
         pert = InterfacePair(base.f + eps * direction, base.h, -1.0)
-        base_sol = solve_potentials_st(base, b, par, n_y=16)
-        pert_sol = solve_potentials_st(pert, b, par, n_y=16)
-        w_plus, w_minus = solve_linearized(base, base_sol, direction, constant_fn(g, 0.0), par,
+        base_sol = solve_potentials(base, b, par, n_y=16, surface_tension=True)
+        pert_sol = solve_potentials(pert, b, par, n_y=16, surface_tension=True)
+        w_plus, w_minus = solve_linearized(base_sol, direction, constant_fn(g, 0.0),
                                            with_surface_tension=True)
         resid = np.max(np.abs(pert_sol.v_plus.values - base_sol.v_plus.values
                               - eps * w_plus.values))
@@ -487,10 +486,10 @@ class TestLinearizedSolves:
         g = make_grid(16)
         par = FluidParams(gamma_f=0.2, gamma_h=0.1) if with_st else PAR
         fh = wavy_pair(g)
-        solver = solve_potentials_st if with_st else solve_potentials
+        solver = partial(solve_potentials, surface_tension=with_st)
         base_sol = solver(fh, constant_fn(g, 0.5), par, n_y=12)
         zero = constant_fn(g, 0.0)
-        wp, wm = solve_linearized(fh, base_sol, zero, zero, par, with_st)
+        wp, wm = solve_linearized(base_sol, zero, zero, with_st)
         assert np.max(np.abs(wp.values)) < 1e-10
         assert np.max(np.abs(wm.values)) < 1e-10
 
@@ -500,7 +499,7 @@ class TestLinearizedSolves:
         grho = PAR.g * PAR.rho_plus
         base_sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
         direction = fn(g, np.sin)
-        wp, wm = solve_linearized(fh, base_sol, direction, constant_fn(g, 0.0), PAR)
+        wp, wm = solve_linearized(base_sol, direction, constant_fn(g, 0.0))
         # interface jump imposed, outer data zero
         jump = wp.values[:, 0] - wm.values[:, -1]
         target = PAR.g * (PAR.rho_plus - PAR.rho_minus) * direction.values
@@ -517,11 +516,11 @@ class TestLinearizedSolves:
         fh = wavy_pair(g)
         b = fn(g, lambda x: 0.5 + 0.2 * np.cos(x))
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
-        solver = solve_potentials_st if with_st else solve_potentials
+        solver = partial(solve_potentials, surface_tension=with_st)
         base_sol = solver(fh, b, par, n_y=16)
         zero = constant_fn(g, 0.0)
         delta = (direction, zero) if which == "f" else (zero, direction)
-        wp, wm = solve_linearized(fh, base_sol, *delta, par, with_st)
+        wp, wm = solve_linearized(base_sol, *delta, with_st)
 
         def perturbed(eps):
             if which == "f":
@@ -547,7 +546,7 @@ class TestLinearizedSolves:
         grho = PAR.g * PAR.rho_plus
         base_sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
         direction = fn(g, np.cos)
-        wp, wm = solve_linearized(fh, base_sol, constant_fn(g, 0.0), direction, PAR)
+        wp, wm = solve_linearized(base_sol, constant_fn(g, 0.0), direction)
         assert np.max(np.abs(wp.values[:, -1] - grho * direction.values)) < 1e-11
         assert np.max(np.abs(wm.values[:, 0])) < 1e-12
 

@@ -21,6 +21,7 @@ from muskatlab.evolution import (
 )
 from muskatlab.geometry import InterfacePair, PeriodicFn, constant_fn, from_callable, make_grid
 from muskatlab.operators import FluidParams, strip_heights
+from muskatlab.symbols import frozen_constants
 
 PAR = FluidParams()
 
@@ -95,7 +96,7 @@ class TestPressures:
         par = FluidParams(g=0.0)
         fh = flat_pair(g)
         sol = solve_potentials(fh, constant_fn(g, 0.5), par, n_y=12)
-        p_plus, p_minus = pressures(sol, fh, par)
+        p_plus, p_minus = pressures(sol)
         assert np.array_equal(p_plus.values, sol.v_plus.values)
         assert np.array_equal(p_minus.values, sol.v_minus.values)
 
@@ -104,10 +105,27 @@ class TestPressures:
         fh = flat_pair(g)
         grho = PAR.g * PAR.rho_plus
         sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
-        p_plus, _ = pressures(sol, fh, PAR)
+        p_plus, _ = pressures(sol)
         y_phys = strip_heights(fh, sol.v_plus.strip)
         assert np.max(np.abs(p_plus.values - grho * (1.0 - y_phys))) < 1e-10
         assert np.min(p_plus.values) > -1e-10
+
+    def test_readers_use_the_solutions_own_state(self):
+        # the pair's bottom (d = -2) and the fluid differ from FluidParams'
+        # defaults, so a reader falling back on either gives other numbers
+        g = make_grid(16)
+        par = FluidParams(g=3.0, rho_plus=0.5)
+        fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
+                           fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -2.0)
+        sol = solve_potentials(fh, constant_fn(g, 0.5), par, n_y=12)
+        p_plus, p_minus = pressures(sol)
+        y_plus = strip_heights(fh, sol.v_plus.strip)
+        y_minus = strip_heights(fh, sol.v_minus.strip)
+        assert np.array_equal(p_plus.values, sol.v_plus.values - par.g * par.rho_plus * y_plus)
+        assert np.array_equal(p_minus.values,
+                              sol.v_minus.values - par.g * par.rho_minus * y_minus)
+        x = 0.7
+        assert frozen_constants(sol, x).gap_minus == fh.f.at(x) + 2.0
 
 
 class TestRayleighTaylor:
@@ -489,8 +507,8 @@ class TestLinearizedMatrix:
         assert len(factorizations) == 2
         direction = fn(g, np.sin)
         zero = constant_fn(g, 0.0)
-        diffraction.solve_linearized(fh, base, direction, zero, PAR)
-        diffraction.solve_linearized(fh, base, zero, direction, PAR)
+        diffraction.solve_linearized(base, direction, zero)
+        diffraction.solve_linearized(base, zero, direction)
         assert len(factorizations) == 2
 
     def test_nonflat_base_rejected(self):
@@ -560,7 +578,8 @@ class TestGeometryReuse:
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
                            fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
         par = FluidParams(gamma_f=0.5, gamma_h=1.0)
-        base = diffraction.solve_potentials_st(fh, constant_fn(g, 0.5), par, n_y=12)
+        base = diffraction.solve_potentials(fh, constant_fn(g, 0.5), par, n_y=12,
+                                            surface_tension=True)
         direction = fn(g, lambda x: np.cos(2 * x))
         differentiated = []
         true_derivative = geometry.spectral_derivative
@@ -571,8 +590,8 @@ class TestGeometryReuse:
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
         zero = constant_fn(g, 0.0)
-        diffraction.solve_linearized(fh, base, direction, zero, par, with_surface_tension=True)
-        diffraction.solve_linearized(fh, base, zero, direction, par, with_surface_tension=True)
+        diffraction.solve_linearized(base, direction, zero, with_surface_tension=True)
+        diffraction.solve_linearized(base, zero, direction, with_surface_tension=True)
         assert any(u is direction for u in differentiated)
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 

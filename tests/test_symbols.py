@@ -31,7 +31,7 @@ class TestFrozenConstants:
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
         sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=16)
-        fp = frozen_constants(fh, sol, PAR, x=0.7)
+        fp = frozen_constants(sol, x=0.7)
         assert abs(fp.a_plus) < 1e-12 and abs(fp.a_minus) < 1e-12
         assert abs(fp.b_plus - 1) < 1e-12 and abs(fp.b_minus - 1) < 1e-12
         assert abs(fp.D_plus - 1) < 1e-12 and abs(fp.D_minus - 1) < 1e-12
@@ -48,7 +48,7 @@ class TestFrozenConstants:
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
         grho = PAR.g * PAR.rho_plus
         sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=16)
-        fp = frozen_constants(fh, sol, PAR, x=2.0)
+        fp = frozen_constants(sol, x=2.0)
         for val in (fp.A_plus, fp.A_minus, fp.B, fp.V, fp.Delta_A):
             assert abs(val) < 1e-10
         assert abs(fp.Delta_rho - 1.0) < 1e-14
@@ -57,7 +57,7 @@ class TestFrozenConstants:
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 2.0), -1.0)
         sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=16)
-        fp = frozen_constants(fh, sol, PAR, x=0.0)
+        fp = frozen_constants(sol, x=0.0)
         assert abs(fp.D_plus - 2.0) < 1e-12
         assert abs(fp.beta2_plus - 0.5) < 1e-12
 
@@ -74,7 +74,7 @@ class TestFrozenConstants:
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
         sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=8)
         with pytest.raises(ValueError):
-            frozen_constants(fh, sol, PAR, x=x)
+            frozen_constants(sol, x=x)
 
     def test_invariants_on_random_points(self):
         rng = np.random.default_rng(61)
@@ -304,31 +304,31 @@ class TestRegionChecks:
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, h_val), -1.0)
         sol = solve_potentials(fh, constant_fn(g, b_val), params, n_y=16)
-        return fh, sol
+        return sol
 
     def test_flat_rt_satisfied_in_both_regions(self):
-        fh, sol = self._flat_state(0.0)
-        rep_s = region_check_S(fh, sol, PAR, sigma=0.1)
-        rep_r = region_check_R(fh, sol, PAR, sigma=0.1)
+        sol = self._flat_state(0.0)
+        rep_s = region_check_S(sol, sigma=0.1)
+        rep_r = region_check_R(sol, sigma=0.1)
         assert rep_s.ok and rep_r.ok
         assert rep_s.worst_margin > 0 and rep_r.worst_margin > 0
 
     def test_large_sigma_fails(self):
-        fh, sol = self._flat_state(0.0)
-        rep = region_check_S(fh, sol, PAR, sigma=1.5)
+        sol = self._flat_state(0.0)
+        rep = region_check_S(sol, sigma=1.5)
         assert not rep.ok
         assert rep.worst_margin < 0
 
     def test_sigma_zero_ok(self):
-        fh, sol = self._flat_state(0.0)
-        assert region_check_S(fh, sol, PAR, sigma=0.0).ok
-        assert region_check_R(fh, sol, PAR, sigma=0.0).ok
+        sol = self._flat_state(0.0)
+        assert region_check_S(sol, sigma=0.0).ok
+        assert region_check_R(sol, sigma=0.0).ok
 
     def test_both_pairings_reported(self):
         # unequal gaps distinguish the two readings of the trace condition
-        fh, sol = self._flat_state(0.0, h_val=2.0)
-        rep = region_check_S(fh, sol, PAR, sigma=0.0)
+        sol = self._flat_state(0.0, h_val=2.0)
+        rep = region_check_S(sol, sigma=0.0)
         assert "jump_printed" in rep.margins and "jump_delta_a" in rep.margins
         assert abs(rep.margins["jump_printed"] - rep.margins["jump_delta_a"]) > 0.1
-        alt = region_check_S(fh, sol, PAR, sigma=0.0, pairing="delta_a")
+        alt = region_check_S(sol, sigma=0.0, pairing="delta_a")
         assert alt.margins == rep.margins
