@@ -98,6 +98,7 @@ def cmd_simulate(args) -> int:
         "rt_satisfied": [r.satisfied for r in traj.rt_reports],
         "snapshots": snapshots,
         "steps_rejected": traj.steps_rejected,
+        "failure": traj.failure,
         "config": config.to_dict(),
     }
     (out_dir / "run.json").write_text(

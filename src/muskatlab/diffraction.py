@@ -12,7 +12,10 @@ and so roughly halves the fill of SuperLU's default COLAMD ordering with
 partial pivoting; the guards (condition estimate, backward error) still
 measure the unscaled matrix.  The matrix depends only on the geometry, so one
 :class:`TransmissionOperator` factor serves every problem on it, the
-linearized problems around a solved state included.
+linearized problems around a solved state included.  An operator built with
+a ``base``, the operator of a nearby state on the same strips, first solves
+by iterative refinement on the base's factor and factors itself only when
+that refinement fails.
 
 The matrix is written from the operators' own stencils: its interior rows
 are :func:`muskatlab.operators.operator_entries`, the terms of
@@ -25,7 +28,7 @@ conditions are recoverable to solver precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +71,12 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 BACKWARD_ERROR_LIMIT = 1e-12
+# Refinement on a base operator's factor falls back to a factorization of the
+# operator's own matrix when a residual exceeds this ratio times the one
+# before it, is not finite, or has not reached machine precision after this
+# many corrections.
+REFINE_CONTRACTION_LIMIT = 0.5
+REFINE_MAX_ITERATIONS = 30
 
 
 class SolverFailure(RuntimeError):
@@ -85,12 +94,16 @@ class TransmissionOperator:
 
     They depend only on the state and the fluid, never on the data, so every
     problem posed on them is solved with one :attr:`factorization`; its
-    solutions read the state and the fluid from here.
+    solutions read the state and the fluid from here.  With a base, the
+    operator of a nearby state on the same strips, problems are solved on the
+    base's factorization until one needs this operator's own (see
+    :func:`solve_general`).
     """
 
     fh: InterfacePair
     params: FluidParams
     n_y: int
+    base: TransmissionOperator | None = field(default=None, repr=False)
     plus_coeffs: CoefficientField = field(init=False, repr=False)
     minus_coeffs: CoefficientField = field(init=False, repr=False)
     plus_bc: BoundaryOperator = field(init=False, repr=False)
@@ -106,15 +119,22 @@ class TransmissionOperator:
                             ("plus_bc", BoundaryOperator(strip_p, "bottom", b1p, b2p)),
                             ("minus_bc", BoundaryOperator(strip_m, "top", b1m, b2m))):
             object.__setattr__(self, name, value)
+        if self.base is not None and self.base.strips != self.strips:
+            raise ValueError("a base operator must have the same strips")
 
     @property
     def strips(self) -> tuple[StripGrid, StripGrid]:
         return self.plus_coeffs.strip, self.minus_coeffs.strip
 
     @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        """The assembled transmission matrix (see :func:`_assemble`)."""
+        return _assemble(self)
+
+    @cached_property
     def factorization(self) -> tuple:
-        """(matrix, row scale d, sparse LU of diag(d) @ matrix, max-norm of the
-        matrix, 1-norm condition estimate of the matrix).
+        """(row scale d, sparse LU of diag(d) @ A, max-norm and 1-norm of A,
+        1-norm condition estimate of A) of the matrix A = :attr:`matrix`.
 
         d = 1 / max_j |a_ij| equilibrates the rows and is kept as a vector;
         the LU of D A = diag(d) A is ordered by minimum degree on
@@ -126,8 +146,7 @@ class TransmissionOperator:
         Raises :class:`SolverFailure` when the factorization breaks down or
         the condition estimate exceeds 1e12; a failure is not cached.
         """
-        matrix = _assemble(self)
-        d, scaled, norm_1, norm_inf = _equilibrate(matrix)
+        d, scaled, norm_1, norm_inf = _equilibrate(self.matrix)
         try:
             lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
@@ -136,7 +155,7 @@ class TransmissionOperator:
         # column (t=1) starts from the vector of ones, so the estimate is
         # deterministic and draws nothing from numpy's global random stream.
         inverse = spla.LinearOperator(
-            matrix.shape, dtype=float,
+            scaled.shape, dtype=float,
             matvec=lambda x: lu.solve(d * x.ravel()),
             rmatvec=lambda x: d * lu.solve(x.ravel(), trans="T"))
         cond = norm_1 * float(spla.onenormest(inverse, t=1))
@@ -146,12 +165,12 @@ class TransmissionOperator:
                 "geometry is close to losing admissibility",
                 condition_estimate=cond,
             )
-        return matrix, d, lu, norm_inf, cond
+        return d, lu, norm_inf, norm_1, cond
 
     def potentials(self, b: PeriodicFn, surface_tension: bool = False) -> DiffractionSolution:
         """The transformed velocity potentials of the state with bottom
         pressure b; with surface_tension both interfaces carry Laplace-Young
-        jumps."""
+        jumps, and the solution records it."""
         fh, params = self.fh, self.params
         strip_p, strip_m = self.strips
         jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
@@ -159,7 +178,7 @@ class TransmissionOperator:
         if surface_tension:
             jump = jump + params.gamma_f * curvature(fh.f)
             top = top - params.gamma_h * curvature(fh.h)
-        return solve_general(DiffractionData(
+        solution = solve_general(DiffractionData(
             operator=self,
             F_plus=StripField(strip_p, np.zeros(strip_p.shape)),
             F_minus=StripField(strip_m, np.zeros(strip_m.shape)),
@@ -168,6 +187,7 @@ class TransmissionOperator:
             phi3=top,
             phi4=b,
         ))
+        return replace(solution, surface_tension=surface_tension)
 
 
 @dataclass(frozen=True)
@@ -200,11 +220,16 @@ def _trace(kind, side: str, edge: str) -> property:
 @dataclass(frozen=True)
 class DiffractionSolution:
     """Solved strip fields with the operator they were solved on, which holds
-    their interface state and fluid; their edge traces are computed on access."""
+    their interface state and fluid, and the 1-norm condition estimate of the
+    matrix they were solved with; their edge traces are computed on access.
+    surface_tension records whether a potential problem carried Laplace-Young
+    jumps."""
 
     v_plus: StripField
     v_minus: StripField
     operator: TransmissionOperator = field(repr=False)
+    condition_estimate: float
+    surface_tension: bool = False
 
     tr0_vplus = _trace(trace_values, "v_plus", "bottom")
     tr0_vminus = _trace(trace_values, "v_minus", "top")
@@ -244,18 +269,26 @@ def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(n_total, n_total))
 
 
+def _norms(matrix: sp.csc_matrix) -> tuple[float, float]:
+    """(||A||_1, ||A||_inf) of a square CSC matrix A from its arrays (||A||_1
+    takes A to have no empty column, as a nonsingular A has)."""
+    magnitude = np.abs(matrix.data)
+    norm_1 = float(np.add.reduceat(magnitude, matrix.indptr[:-1]).max())
+    norm_inf = float(np.bincount(matrix.indices, weights=magnitude,
+                                 minlength=matrix.shape[0]).max())
+    return norm_1, norm_inf
+
+
 def _equilibrate(matrix: sp.csc_matrix) -> tuple:
     """(d, D A, ||A||_1, ||A||_inf) of a square CSC matrix A, with d = 1 /
     max_j |a_ij| and D A = diag(d) A on A's pattern less its zero entries,
-    all from A's arrays (||A||_1 takes A to have no empty column, as a
-    nonsingular A has).  The temporaries are freed on return, before the
+    all from A's arrays.  The temporaries are freed on return, before the
     factorization allocates its L and U."""
     n = matrix.shape[0]
     rows, magnitude = matrix.indices, np.abs(matrix.data)
     row_max = np.zeros(n)
     np.maximum.at(row_max, rows, magnitude)
-    norm_1 = float(np.add.reduceat(magnitude, matrix.indptr[:-1]).max())
-    norm_inf = float(np.bincount(rows, weights=magnitude, minlength=n).max())
+    norm_1, norm_inf = _norms(matrix)
     d = 1.0 / row_max
     scaled = matrix.data * d[rows]
     kept = scaled != 0.0
@@ -276,23 +309,78 @@ def _rhs(data: DiffractionData) -> np.ndarray:
     return np.concatenate([plus.ravel(), minus.ravel()])
 
 
+def _refined(operator: TransmissionOperator, rhs: np.ndarray) -> tuple | None:
+    """(x, ||A||_inf, condition estimate) for A x = rhs, A the operator's
+    matrix, by iterative refinement on its base's factor; None when the
+    refinement does not converge, the estimate exceeds CONDITION_LIMIT or the
+    base cannot be factored.
+
+    x = LU0^-1 D0 rhs is corrected by LU0^-1 D0 (rhs - A x) until the normwise
+    backward error of x is at most machine epsilon.  r, the largest ratio of
+    successive residual max-norms, measures how far A0^-1 is from A^-1; the
+    refinement gives up when r exceeds REFINE_CONTRACTION_LIMIT, a residual is
+    not finite, or REFINE_MAX_ITERATIONS corrections did not converge.  The
+    condition estimate is the base's, scaled by ||A||_1 / ||A0||_1 and by
+    1 / (1 - r).
+    """
+    try:
+        d, lu, _, base_norm_1, base_cond = operator.base.factorization
+    except SolverFailure:
+        return None
+    matrix = operator.matrix
+    norm_1, norm_inf = _norms(matrix)
+    x = lu.solve(d * rhs)
+    rhs_norm = np.max(np.abs(rhs))
+    contraction, previous = 0.0, None
+    for iteration in range(REFINE_MAX_ITERATIONS + 1):
+        residual = rhs - matrix @ x
+        size = np.max(np.abs(residual))
+        if not np.isfinite(size):
+            return None
+        if size <= np.finfo(float).eps * (norm_inf * np.max(np.abs(x)) + rhs_norm):
+            break
+        if previous is not None:
+            contraction = max(contraction, size / previous)
+            if contraction > REFINE_CONTRACTION_LIMIT:
+                return None
+        if iteration == REFINE_MAX_ITERATIONS:
+            return None
+        x += lu.solve(d * residual)
+        previous = size
+    cond = base_cond * norm_1 / base_norm_1 / (1.0 - contraction)
+    if cond > CONDITION_LIMIT:
+        return None
+    return x, norm_inf, cond
+
+
 def solve_general(data: DiffractionData) -> DiffractionSolution:
     """Solve the general transmission problem with its operator's factorization.
 
     One step of iterative refinement follows the triangular solves; the
     right-hand side and the refinement residual are row-scaled like the
-    factored matrix.  Raises :class:`SolverFailure` when the factorization
-    fails (see :attr:`TransmissionOperator.factorization`) or the normwise
-    backward error |Ax - b| / (|A| |x| + |b|) in max norms exceeds 1e-12.
+    factored matrix.  An operator with a base that has not factored itself
+    first refines on the base's factor (see :func:`_refined`) and factors
+    itself when that fails, so its own factorization and condition estimate
+    decide every problem the refinement cannot.  Raises :class:`SolverFailure`
+    when the factorization fails (see
+    :attr:`TransmissionOperator.factorization`) or the normwise backward
+    error |Ax - b| / (|A| |x| + |b|) in max norms exceeds 1e-12.
     """
-    matrix, d, lu, norm_inf, cond = data.operator.factorization
+    operator = data.operator
     rhs = _rhs(data)
-    x = lu.solve(d * rhs)
-    x += lu.solve(d * (rhs - matrix @ x))
+    refined = None
+    if operator.base is not None and "factorization" not in vars(operator):  # not yet factored
+        refined = _refined(operator, rhs)
+    if refined is not None:
+        x, norm_inf, cond = refined
+    else:
+        d, lu, norm_inf, _, cond = operator.factorization
+        x = lu.solve(d * rhs)
+        x += lu.solve(d * (rhs - operator.matrix @ x))
     if not np.all(np.isfinite(x)):
         raise SolverFailure("solver produced non-finite values", condition_estimate=cond)
 
-    residual = np.max(np.abs(matrix @ x - rhs))
+    residual = np.max(np.abs(operator.matrix @ x - rhs))
     bound = norm_inf * np.max(np.abs(x)) + np.max(np.abs(rhs))
     if residual > BACKWARD_ERROR_LIMIT * bound:
         raise SolverFailure(
@@ -301,21 +389,23 @@ def solve_general(data: DiffractionData) -> DiffractionSolution:
             condition_estimate=cond,
         )
 
-    strip_p, strip_m = data.operator.strips
+    strip_p, strip_m = operator.strips
     x_plus, x_minus = np.split(x, [np.prod(strip_p.shape)])
     return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
                                StripField(strip_m, x_minus.reshape(strip_m.shape)),
-                               data.operator)
+                               operator, cond)
 
 
 # ---------------------------------------------------------------------------
 # The potential problems
 
 
-def pulled_back_operator(fh: InterfacePair, params: FluidParams,
-                         n_y: int | None = None) -> TransmissionOperator:
-    """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers."""
-    return TransmissionOperator(fh, params, max(8, fh.grid.n_x // 2) if n_y is None else int(n_y))
+def pulled_back_operator(fh: InterfacePair, params: FluidParams, n_y: int | None = None,
+                         base: TransmissionOperator | None = None) -> TransmissionOperator:
+    """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers,
+    solving on base's factorization while it can (see :class:`TransmissionOperator`)."""
+    n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
+    return TransmissionOperator(fh, params, n_y, base)
 
 
 def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
@@ -328,17 +418,18 @@ def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 # ---------------------------------------------------------------------------
 # Linearized problems around a base state
 #
-# base_solution is the potential pair solved at base (with or without
-# surface tension, as with_surface_tension says).  The linearized problem has
-# the base state's matrix, so it is posed on base_solution.operator and
-# solved with that operator's factorization: no new factorization is made.
+# base_solution is the potential pair solved at base, with or without surface
+# tension as it records.  The linearized problem has the base state's matrix,
+# so it is posed on base_solution.operator and solved with that operator's
+# factorization: no new factorization is made.
 
 
 def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
-                     delta_h: PeriodicFn,
-                     with_surface_tension: bool = False) -> tuple[StripField, StripField]:
+                     delta_h: PeriodicFn) -> tuple[StripField, StripField]:
     """Derivative of the potential pair as the interfaces of the base state
-    move along (delta_f, delta_h), solved on the base solution's operator."""
+    move along (delta_f, delta_h), solved on the base solution's operator;
+    the Laplace-Young jumps are differentiated when the base solution
+    carried them."""
     operator = base_solution.operator
     base, params = operator.fh, operator.params
     strip_p, strip_m = operator.strips
@@ -347,7 +438,7 @@ def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
             - frechet_B_along("B_plus", base, delta_f, delta_h, params, v_plus))
     jump = params.g * (params.rho_plus - params.rho_minus) * delta_f
     top = params.g * params.rho_plus * delta_h
-    if with_surface_tension:
+    if base_solution.surface_tension:
         jump = jump + params.gamma_f * curvature_frechet(base.f, delta_f)
         top = top - params.gamma_h * curvature_frechet(base.h, delta_h)
 

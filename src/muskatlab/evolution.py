@@ -1,11 +1,15 @@
 """Interface evolution: the nonlinear velocity operator and time stepping.
 
 Both interfaces move with the co-normal traces of the transformed velocity
-potentials; one full transmission solve per evaluation.  Time stepping is
+potentials; one transmission solve per evaluation.  Time stepping is
 explicit adaptive Runge-Kutta-Fehlberg 4(5) with step rejection and a
 2/3-rule de-aliasing of the interfaces after every accepted step.  The
 embedded error estimate alone sets the step, so with surface tension it
 finds the stability limit of the cubic surface-tension symbol by itself.
+Each step factors its starting state once; its later stages, whose matrices
+differ from that state's by O(dt), are solved by iterative refinement on
+that factor and factor themselves only when the refinement does not
+contract.
 
 The Rayleigh-Taylor monitor evaluates the jumps of the normal pressure
 derivatives from the transformed traces, normalized to physical normal
@@ -23,6 +27,7 @@ from .config import SimConfig
 from .diffraction import (
     DiffractionSolution,
     SolverFailure,
+    TransmissionOperator,
     pulled_back_operator,
     solve_linearized,
     solve_potentials,
@@ -80,6 +85,8 @@ class SimState:
     t: float
     fh: InterfacePair
     slope: tuple[PeriodicFn, PeriodicFn] | None = None  # phi(fh), step's first stage
+    # fh's transmission operator, factored: the base of the step's later stages
+    operator: TransmissionOperator | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,9 @@ class Trajectory:
     # rejected step attempts by cause: error ratio above 1, or a stage that
     # was not finite or left the admissible set (StepRejected)
     steps_rejected: dict = field(default_factory=lambda: {"error": 0, "stage": 0})
+    # why a run stopped short of t_end: kind, message, t and dt where it failed
+    # and the solver's condition estimate when it has one; None otherwise
+    failure: dict | None = None
 
     def record(self, t, fh, report, dt):
         if self.times and t <= self.times[-1]:
@@ -129,10 +139,17 @@ def _check_bottom_pressure(b):
 
 
 def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
-        surface_tension: bool = False, n_y: int | None = None):
-    """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b."""
+        surface_tension: bool = False, n_y: int | None = None,
+        base: TransmissionOperator | None = None):
+    """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b.
+
+    base, the operator of a nearby state on the same strips, lets the solve
+    refine on base's factorization instead of factoring fh's matrix (see
+    :func:`muskatlab.diffraction.solve_general`).
+    """
     _check_bottom_pressure(b)
-    return _velocities(solve_potentials(fh, b, params, n_y, surface_tension))
+    operator = pulled_back_operator(fh, params, n_y, base=base)
+    return _velocities(operator.potentials(b, surface_tension))
 
 
 def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
@@ -180,14 +197,17 @@ def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
 
     Returns (new_state, error_estimate); the estimate is the sup-norm of the
     embedded fourth/fifth-order difference.  The first stage is the state's
-    slope, solved for here when the state carries none.  Raises
+    slope, and the later stages are solved on the state's operator as their
+    base; both are built here when the state carries none.  Raises
     StepRejected when an intermediate stage or the result is not finite or
     leaves the admissible set.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
+    _check_bottom_pressure(b)
     fh = state.fh
-    slope = state.slope or phi(fh, b, params, surface_tension, n_y)
+    base = state.operator or pulled_back_operator(fh, params, n_y)
+    slope = state.slope or _velocities(base.potentials(b, surface_tension))
     # f and h stacked as rows, so each stage is one array expression
     y0 = np.stack([fh.f.values, fh.h.values])
     ks = [np.stack([u.values for u in slope])]
@@ -196,7 +216,8 @@ def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
         for j, a in enumerate(_RKF_A[stage]):
             y = y + dt * a * ks[j]
         stage_fh = _stacked_pair(y, fh, f"stage {stage}")
-        ks.append(np.stack([u.values for u in phi(stage_fh, b, params, surface_tension, n_y)]))
+        velocities = phi(stage_fh, b, params, surface_tension, n_y, base=base)
+        ks.append(np.stack([u.values for u in velocities]))
 
     y4 = y0 + dt * sum(w * k for w, k in zip(_RKF_B4, ks))
     err = dt * sum((b5 - b4) * k for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
@@ -227,15 +248,23 @@ def simulate(config: SimConfig) -> Trajectory:
 
     Terminates with reason 't_end', 'admissibility_lost', 'rt_violated'
     (when stop_on_rt is set on a run without surface tension), or
-    'step_failure'; failures are recorded, never raised past the trajectory.
-    An accepted state's RT margins and first stage share one factorization
-    (and, without surface tension, one solve), released before the step's
-    later stages factorize theirs.
+    'step_failure'; failures are recorded in the trajectory's failure, never
+    raised past it.  An accepted state's RT margins and first stage share one
+    factorization (and, without surface tension, one solve), which the
+    state's step then refines its later stages on.  The previous state's
+    factorization is released before the next accepted state's is made.
     """
     fh, b = config.initial_state()
     params = config.params
     stop_on_rt = config.stop_on_rt and not config.surface_tension
     traj = Trajectory()
+
+    def fail(reason: str, kind: str, message: str, t: float, dt: float,
+             condition_estimate: float | None = None) -> Trajectory:
+        traj.reason = reason
+        traj.failure = {"kind": kind, "message": message, "t": float(t), "dt": float(dt),
+                        "condition_estimate": condition_estimate}
+        return traj
 
     def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
         """Record an accepted state; return it with its slope, or None at the end."""
@@ -250,9 +279,9 @@ def simulate(config: SimConfig) -> Trajectory:
                 traj.reason = "t_end"
             else:
                 sol = operator.potentials(b, True) if config.surface_tension else gravity_sol
-                return SimState(t=t, fh=fh, slope=_velocities(sol))
-        except SolverFailure:
-            traj.reason = "step_failure"
+                return SimState(t=t, fh=fh, slope=_velocities(sol), operator=operator)
+        except SolverFailure as exc:
+            fail("step_failure", "solver_failure", str(exc), t, dt_used, exc.condition_estimate)
         return None
 
     state = accept(0.0, fh, 0.0)
@@ -267,9 +296,11 @@ def simulate(config: SimConfig) -> Trajectory:
                                   config.surface_tension, n_y=config.n_y)
         except StepRejected:
             cause, shrink = "stage", 0.5
-        except (SolverFailure, AdmissibilityError):
-            traj.reason = "step_failure"
-            return traj
+        except SolverFailure as exc:
+            return fail("step_failure", "solver_failure", str(exc), state.t, dt,
+                        exc.condition_estimate)
+        except AdmissibilityError as exc:
+            return fail("step_failure", "admissibility", str(exc), state.t, dt)
         else:
             scale = max(np.max(np.abs(new_state.fh.f.values)),
                         np.max(np.abs(new_state.fh.h.values)), 1.0)
@@ -280,26 +311,28 @@ def simulate(config: SimConfig) -> Trajectory:
             traj.steps_rejected[cause] += 1
             dt *= shrink
             rejected_in_a_row += 1
-            if dt < _MIN_DT or rejected_in_a_row > 60:
-                traj.reason = "step_failure"
-                return traj
+            if rejected_in_a_row > 60:
+                return fail("step_failure", "rejections",
+                            f"{rejected_in_a_row} step attempts rejected in a row", state.t, dt)
+            if dt < _MIN_DT:
+                return fail("step_failure", "min_dt", f"step size {dt:.3e} below {_MIN_DT:.0e}",
+                            state.t, dt)
             continue
         rejected_in_a_row = 0
 
         try:
             dealiased = InterfacePair(dealias(new_state.fh.f), dealias(new_state.fh.h),
                                       new_state.fh.d)
-        except AdmissibilityError:
-            traj.reason = "admissibility_lost"
-            return traj
+        except AdmissibilityError as exc:
+            return fail("admissibility_lost", "admissibility", str(exc), new_state.t, dt)
+        state = None  # the old state's factorization is freed before accept makes the next
         state = accept(new_state.t, dealiased, dt)
         if state is None:
             return traj
 
         growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** (-0.2))
         dt = min(dt * max(0.2, growth), config.dt_max)
-    traj.reason = "step_failure"
-    return traj
+    return fail("step_failure", "max_steps", f"{_MAX_STEPS} step attempts made", state.t, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +370,7 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     for i, m in enumerate(modes):
         sine = PeriodicFn(grid, np.sin(m * grid.nodes))
         for j, delta in enumerate(((sine, zero), (zero, sine))):
-            w_plus, w_minus = solve_linearized(base, *delta, surface_tension)
+            w_plus, w_minus = solve_linearized(base, *delta)
             lower = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
                      + boundary_B_minus(fh, params, w_minus))
             upper = (frechet_B_along("B1", fh, *delta, params, base.v_plus)

@@ -157,6 +157,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         meta = json.loads((out / "run.json").read_text())
         assert meta["reason"] == "t_end"
+        assert meta["failure"] is None
         assert meta["schema"] == 1
         first = (out / meta["snapshots"][0]["file"]).read_text().splitlines()
         assert first[0] == "x,f,h"
@@ -204,6 +205,25 @@ class TestSimulateCommand:
         assert meta["reason"] == "t_end"
         assert meta["steps_rejected"]["error"] > 0
         assert meta["steps_rejected"] == simulate(SimConfig.from_json(path)).steps_rejected
+
+    def test_failure_recorded(self, tmp_path):
+        # viscous fingering runs into the condition guard at t = 0.3536
+        path = write_config(tmp_path, n_x=16, n_y=8, t_end=0.6, dt_init=1e-3, dt_max=0.5,
+                            params={"k": 1.0, "mu_minus": 1.0, "mu_plus": 1.0,
+                                    "rho_minus": 1.0, "rho_plus": 3.0, "g": 5.0,
+                                    "gamma_f": 0.0, "gamma_h": 0.0, "d": -1.0},
+                            b={"const": 15.0}, initial={
+                                "f": {"const": 0.0, "modes": [[2, 0.0, 0.05]]},
+                                "h": {"const": 1.0, "modes": []}})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(path), "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", str(path), "--out", str(out2)]) == 0
+        assert (out1 / "run.json").read_bytes() == (out2 / "run.json").read_bytes()
+        meta = json.loads((out1 / "run.json").read_text())
+        assert meta["reason"] == "step_failure"
+        assert meta["failure"] == simulate(SimConfig.from_json(path)).failure
+        assert meta["failure"]["kind"] == "solver_failure"
+        assert meta["failure"]["condition_estimate"] > 1e12
 
     def test_metadata_round_trips(self, tmp_path):
         path = write_config(tmp_path)

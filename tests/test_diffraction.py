@@ -190,7 +190,7 @@ class TestFactorization:
                             phi4=PeriodicFn(g, rng.standard_normal(g.n_x)))
         sol = solve_general(data)
         x = np.concatenate([sol.v_plus.values.ravel(), sol.v_minus.values.ravel()])
-        dense = data.operator.factorization[0].toarray()
+        dense = data.operator.matrix.toarray()
         reference = np.linalg.solve(dense, diffraction._rhs(data))
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
         exact = np.linalg.cond(dense, 1)
@@ -199,7 +199,7 @@ class TestFactorization:
 
     def test_fill(self):
         g = make_grid(32)
-        lu = pulled_back_operator(wavy_pair(g), PAR, 16).factorization[2]
+        lu = pulled_back_operator(wavy_pair(g), PAR, 16).factorization[1]
         assert lu.L.nnz + lu.U.nnz <= 60_000
 
     def test_factored_operator_freed_without_cycle_collector(self):
@@ -224,7 +224,8 @@ class TestConditionEstimate:
 
     @pytest.mark.parametrize("pair, n_x, n_y", STATES, ids=IDS)
     def test_estimate_within_a_factor_three_of_the_inverse_norm(self, pair, n_x, n_y):
-        matrix, *_, cond = pulled_back_operator(pair(make_grid(n_x)), PAR, n_y).factorization
+        op = pulled_back_operator(pair(make_grid(n_x)), PAR, n_y)
+        matrix, cond = op.matrix, op.factorization[-1]
         estimate = cond / float(abs(matrix).sum(axis=0).max())
         exact = np.max(np.sum(np.abs(np.linalg.inv(matrix.toarray())), axis=0))
         assert exact / 3 <= estimate <= exact * (1 + 1e-12)
@@ -297,7 +298,8 @@ class TestAssembledStructure:
             return true_splu(matrix, **kwargs)
 
         monkeypatch.setattr(diffraction.spla, "splu", recording_splu)
-        matrix, d, lu, norm_inf, cond = op.factorization
+        d, lu, norm_inf, norm_1, cond = op.factorization
+        matrix = op.matrix
         magnitude = abs(matrix)
         scale = sp.diags(1.0 / magnitude.max(axis=1).toarray().ravel())
         reference = (scale @ matrix).tocsc()
@@ -313,6 +315,7 @@ class TestAssembledStructure:
         estimate = float(magnitude.sum(axis=0).max()) * float(spla.onenormest(inverse, t=1))
         assert cond == estimate  # the same start vector and the same column sums
         assert norm_inf == float(magnitude.sum(axis=1).max())
+        assert norm_1 == float(magnitude.sum(axis=0).max())
 
 
 class TestTransmissionOperator:
@@ -348,6 +351,109 @@ class TestTransmissionOperator:
             DiffractionData(op, StripField(other, np.zeros(other.shape)),
                             StripField(op.strips[1], np.zeros(op.strips[1].shape)),
                             zero, zero, zero, zero)
+
+
+class TestRefinementOnABase:
+    """An operator with a base solves by iterative refinement on the base's
+    factorization and factors its own matrix only when that fails."""
+
+    @staticmethod
+    def counting_splu(monkeypatch) -> list:
+        calls = []
+        true_splu = diffraction.spla.splu
+
+        def counting(matrix, **kwargs):
+            calls.append(matrix.shape)
+            return true_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(diffraction.spla, "splu", counting)
+        return calls
+
+    @staticmethod
+    def stage_pair(grid, step):
+        # a wavy state moved by O(step), as an RK stage moves its step's start
+        base = wavy_pair(grid)
+        return InterfacePair(base.f + step * fn(grid, lambda x: np.cos(3 * x)),
+                             base.h + step * fn(grid, lambda x: np.sin(2 * x)), base.d)
+
+    @pytest.mark.parametrize("n_x, n_y", [(16, 8), (32, 16)])
+    @pytest.mark.parametrize("step", [1e-3, 3e-2])
+    def test_refined_stage_matches_its_direct_solve(self, n_x, n_y, step, monkeypatch):
+        g = make_grid(n_x)
+        b = constant_fn(g, 0.5)
+        base = pulled_back_operator(wavy_pair(g), PAR, n_y)
+        base.potentials(b)
+        stage_fh = self.stage_pair(g, step)
+        calls = self.counting_splu(monkeypatch)
+        refined = pulled_back_operator(stage_fh, PAR, n_y, base=base).potentials(b)
+        assert calls == []
+        direct = pulled_back_operator(stage_fh, PAR, n_y).potentials(b)
+        scale = max(np.max(np.abs(direct.v_plus.values)), np.max(np.abs(direct.v_minus.values)))
+        for got, want in ((refined.v_plus, direct.v_plus), (refined.v_minus, direct.v_minus)):
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+        assert direct.condition_estimate / 2 <= refined.condition_estimate
+        assert refined.condition_estimate <= 2 * direct.condition_estimate
+
+    def test_far_base_falls_back_to_a_factorization(self, monkeypatch):
+        g = make_grid(16)
+        b = constant_fn(g, 0.5)
+        far = InterfacePair(fn(g, lambda x: 0.02 * np.sin(x)), constant_fn(g, 1.0), -1.0)
+        stage_fh = InterfacePair(fn(g, lambda x: 0.4 * np.sin(x)), constant_fn(g, 1.0), -1.0)
+        base = pulled_back_operator(far, PAR, 8)
+        base.potentials(b)
+        calls = self.counting_splu(monkeypatch)
+        op = pulled_back_operator(stage_fh, PAR, 8, base=base)
+        fallback = op.potentials(b)
+        op.potentials(b, surface_tension=True)  # later problems use its own factor
+        assert len(calls) == 1
+        direct = pulled_back_operator(stage_fh, PAR, 8).potentials(b)
+        assert np.array_equal(fallback.v_plus.values, direct.v_plus.values)
+        assert fallback.condition_estimate == direct.condition_estimate
+
+    def test_estimate_over_the_limit_lets_the_stage_factorization_decide(self, monkeypatch):
+        # the refined estimate of this stage is 1.10 times its factorization's:
+        # with the limit between the two, the stage factors and then passes
+        g = make_grid(16)
+        b = constant_fn(g, 0.5)
+        base = pulled_back_operator(wavy_pair(g), PAR, 8)
+        base.potentials(b)
+        stage_fh = self.stage_pair(g, 3e-2)
+        refined = pulled_back_operator(stage_fh, PAR, 8, base=base).potentials(b)
+        own = pulled_back_operator(stage_fh, PAR, 8).potentials(b)
+        assert own.condition_estimate < refined.condition_estimate
+        limit = (own.condition_estimate + refined.condition_estimate) / 2
+        monkeypatch.setattr(diffraction, "CONDITION_LIMIT", limit)
+        calls = self.counting_splu(monkeypatch)
+        decided = pulled_back_operator(stage_fh, PAR, 8, base=base).potentials(b)
+        assert len(calls) == 1
+        assert decided.condition_estimate == own.condition_estimate
+
+    def test_nearly_touching_stage_still_fails_the_condition_guard(self, monkeypatch):
+        g = make_grid(16)
+        base = pulled_back_operator(InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-3),
+                                                  -1.0), PAR, 12)
+        base.potentials(constant_fn(g, 1.0))
+        touching = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0)
+        calls = self.counting_splu(monkeypatch)
+        with pytest.raises(SolverFailure, match="ill-conditioned") as err:
+            pulled_back_operator(touching, PAR, 12, base=base).potentials(constant_fn(g, 1.0))
+        assert err.value.condition_estimate > 1e12
+        assert len(calls) == 1
+
+    def test_stage_of_an_unfactorable_base_factors_itself(self):
+        g = make_grid(16)
+        touching = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0)
+        base = pulled_back_operator(touching, PAR, 12)
+        b = constant_fn(g, 0.5)
+        stage = pulled_back_operator(wavy_pair(g), PAR, 12, base=base).potentials(b)
+        direct = pulled_back_operator(wavy_pair(g), PAR, 12).potentials(b)
+        assert np.array_equal(stage.v_plus.values, direct.v_plus.values)
+
+    def test_base_must_share_the_strips(self):
+        g = make_grid(16)
+        base = pulled_back_operator(wavy_pair(g), PAR, 12)
+        with pytest.raises(ValueError, match="same strips"):
+            pulled_back_operator(wavy_pair(g), PAR, 10, base=base)
 
 
 class TestSolvePotentials:
@@ -445,6 +551,13 @@ class TestSolvePotentials:
 
 
 class TestSolvePotentialsST:
+    def test_solution_records_surface_tension(self):
+        g = make_grid(16)
+        par = FluidParams(gamma_f=0.5, gamma_h=1.0)
+        op = pulled_back_operator(wavy_pair(g), par, 12)
+        assert op.potentials(constant_fn(g, 0.4), surface_tension=True).surface_tension
+        assert not op.potentials(constant_fn(g, 0.4)).surface_tension
+
     def test_zero_gamma_reduces(self):
         g = make_grid(16)
         fh = wavy_pair(g)
@@ -472,8 +585,7 @@ class TestSolvePotentialsST:
         pert = InterfacePair(base.f + eps * direction, base.h, -1.0)
         base_sol = solve_potentials(base, b, par, n_y=16, surface_tension=True)
         pert_sol = solve_potentials(pert, b, par, n_y=16, surface_tension=True)
-        w_plus, w_minus = solve_linearized(base_sol, direction, constant_fn(g, 0.0),
-                                           with_surface_tension=True)
+        w_plus, w_minus = solve_linearized(base_sol, direction, constant_fn(g, 0.0))
         resid = np.max(np.abs(pert_sol.v_plus.values - base_sol.v_plus.values
                               - eps * w_plus.values))
         scale = eps * max(1.0, np.max(np.abs(w_plus.values)))
@@ -489,7 +601,7 @@ class TestLinearizedSolves:
         solver = partial(solve_potentials, surface_tension=with_st)
         base_sol = solver(fh, constant_fn(g, 0.5), par, n_y=12)
         zero = constant_fn(g, 0.0)
-        wp, wm = solve_linearized(base_sol, zero, zero, with_st)
+        wp, wm = solve_linearized(base_sol, zero, zero)
         assert np.max(np.abs(wp.values)) < 1e-10
         assert np.max(np.abs(wm.values)) < 1e-10
 
@@ -520,7 +632,7 @@ class TestLinearizedSolves:
         base_sol = solver(fh, b, par, n_y=16)
         zero = constant_fn(g, 0.0)
         delta = (direction, zero) if which == "f" else (zero, direction)
-        wp, wm = solve_linearized(base_sol, *delta, with_st)
+        wp, wm = solve_linearized(base_sol, *delta)
 
         def perturbed(eps):
             if which == "f":

@@ -1,3 +1,6 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -337,15 +340,26 @@ class TestSimulate:
         rate, _ = fit_mode_rate(traj.times, amps, efolds=0.25)
         assert rate > 0
 
+    FINGERING = SimConfig(n_x=16, n_y=8, params=FluidParams(rho_minus=1.0, rho_plus=3.0, g=5.0),
+                          f0=WaveSpec(modes=((2, 0.0, 0.05),)), b=WaveSpec(const=15.0),
+                          t_end=0.35, dt_max=0.5)
 
     def test_fingering_not_stopped_by_backward_stable_solve(self):
         # near t = 0.337 the solves are backward stable (backward error ~1e-16)
         # but their residual exceeds 1e-10 of max(|b|, |x|): ||A|| ~ 1e6 here
-        par = FluidParams(rho_minus=1.0, rho_plus=3.0, g=5.0)
-        cfg = SimConfig(n_x=16, n_y=8, params=par, f0=WaveSpec(modes=((2, 0.0, 0.05),)),
-                        b=WaveSpec(const=15.0), t_end=0.35, dt_max=0.5)
-        traj = simulate(cfg)
+        traj = simulate(self.FINGERING)
         assert traj.reason == "t_end"
+        assert traj.failure is None
+
+    def test_fingering_stop_names_the_condition_guard(self):
+        traj = simulate(replace(self.FINGERING, t_end=0.6))
+        assert traj.reason == "step_failure"
+        failure = traj.failure
+        assert failure["kind"] == "solver_failure"
+        assert failure["message"].startswith("system too ill-conditioned (estimate 2.070e+14")
+        assert failure["condition_estimate"] == pytest.approx(2.07e14, rel=1e-3)
+        assert failure["t"] == traj.times[-1] == pytest.approx(0.35358, abs=1e-5)
+        assert 0.0 < failure["dt"] <= 0.6 - failure["t"]
 
 
 class TestSurfaceTension:
@@ -425,6 +439,18 @@ class TestRejectionCounts:
         error_rejections = len(attempts) - (len(traj.times) - 1) - 1
         assert error_rejections > 0
         assert traj.steps_rejected == {"error": error_rejections, "stage": 1}
+
+    def test_step_size_collapse_recorded(self, monkeypatch):
+        def always_rejected(*args, **kwargs):
+            raise StepRejected("stage 1 left the admissible set (forced)")
+
+        monkeypatch.setattr(evolution, "step", always_rejected)
+        traj = simulate(TestFactorizationReuse.CONFIGS["rejected_step"])
+        assert traj.reason == "step_failure"
+        # dt_init = 0.5 halves 39 times before it drops below 1e-12
+        assert traj.steps_rejected == {"error": 0, "stage": 39}
+        assert traj.failure == {"kind": "min_dt", "message": "step size 9.095e-13 below 1e-12",
+                                "t": 0.0, "dt": 0.5 ** 40, "condition_estimate": None}
 
 
 class TestLinearizedMatrix:
@@ -590,8 +616,8 @@ class TestGeometryReuse:
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
         zero = constant_fn(g, 0.0)
-        diffraction.solve_linearized(base, direction, zero, with_surface_tension=True)
-        diffraction.solve_linearized(base, zero, direction, with_surface_tension=True)
+        diffraction.solve_linearized(base, direction, zero)
+        diffraction.solve_linearized(base, zero, direction)
         assert any(u is direction for u in differentiated)
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 
@@ -672,8 +698,9 @@ class TestGeometryReuse:
 
 class TestFactorizationReuse:
     """simulate factorizes each accepted state once, for its RT margins and
-    the first stage of the step from it; every step attempt factorizes its
-    five later stages.  Each factorization serves one solve, except that a
+    the first stage of the step from it; every step attempt solves its five
+    later stages by refinement on that factorization.  Each stage is one
+    solve, and so is each state's first stage, except that a
     surface-tension state solves its first stage apart from the monitor."""
 
     CONFIGS = {
@@ -687,8 +714,8 @@ class TestFactorizationReuse:
                                    t_end=0.6, dt_init=0.5, dt_max=0.5, rtol=1e-8, atol=1e-10),
     }
 
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_factorizations_per_step(self, name, monkeypatch):
+    def counted_run(self, name, monkeypatch):
+        """(trajectory, factorizations, solves, accepted, rejected) of a config."""
         factorizations, solves, attempts = [], [], []
         true_splu, true_rhs, true_step = diffraction.spla.splu, diffraction._rhs, evolution.step
 
@@ -707,8 +734,7 @@ class TestFactorizationReuse:
         monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
         monkeypatch.setattr(diffraction, "_rhs", counting_rhs)
         monkeypatch.setattr(evolution, "step", counting_step)
-        config = self.CONFIGS[name]
-        traj = simulate(config)
+        traj = simulate(self.CONFIGS[name])
         assert traj.reason == "t_end"
         accepted = len(traj.times) - 1
         rejected = len(attempts) - accepted
@@ -716,10 +742,58 @@ class TestFactorizationReuse:
         if name == "rejected_step":
             assert rejected > 0
         assert traj.steps_rejected == {"error": rejected, "stage": 0}
-        assert len(factorizations) == (accepted + 1) + 5 * (accepted + rejected)
         # Without surface tension the monitor's solve is the first stage's.
-        extra = accepted if config.surface_tension else 0
-        assert len(solves) == len(factorizations) + extra
+        extra = accepted if self.CONFIGS[name].surface_tension else 0
+        assert len(solves) == (accepted + 1) + 5 * (accepted + rejected) + extra
+        return traj, factorizations, solves, accepted, rejected
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_factorizations_per_step(self, name, monkeypatch):
+        _, factorizations, _, accepted, _ = self.counted_run(name, monkeypatch)
+        assert len(factorizations) == accepted + 1  # no stage falls back
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_stage_factors_without_refinement(self, name, monkeypatch):
+        refined = simulate(self.CONFIGS[name])
+        monkeypatch.setattr(diffraction, "REFINE_MAX_ITERATIONS", 0)
+        traj, factorizations, _, accepted, rejected = self.counted_run(name, monkeypatch)
+        assert len(factorizations) == (accepted + 1) + 5 * (accepted + rejected)
+        assert traj.steps_rejected == refined.steps_rejected
+        for direct, refinement in ((traj.f_values, refined.f_values),
+                                   (traj.h_values, refined.h_values)):
+            assert np.max(np.abs(np.subtract(direct, refinement))) <= 1e-10
+        # the controller's ratio**(-1/5) carries the rounding-level change of
+        # the error estimate into dt: 3.2e-10 on rejected_step (rtol 1e-8),
+        # while its states agree to 6.5e-12
+        assert np.max(np.abs(np.subtract(traj.times, refined.times))) <= 1e-9
+
+    @pytest.mark.parametrize("max_iterations", [diffraction.REFINE_MAX_ITERATIONS, 0])
+    def test_one_factorization_alive_besides_the_base(self, max_iterations, monkeypatch):
+        # A factorization is made only while the other live factored operators
+        # are bases of an operator falling back to its own: simulate must drop
+        # an accepted state before factoring the next, or two LUs coexist.
+        operators, live_at_factorization = [], []
+        true_post_init, true_splu = (diffraction.TransmissionOperator.__post_init__,
+                                     diffraction.spla.splu)
+
+        def tracked_post_init(self):
+            true_post_init(self)
+            operators.append(weakref.ref(self))
+
+        def checking_splu(matrix, **kwargs):
+            live = [op for op in (ref() for ref in operators) if op is not None]
+            factored = {id(op) for op in live if "factorization" in vars(op)}
+            bases = {id(op.base) for op in live
+                     if op.base is not None and "factorization" not in vars(op)}
+            live_at_factorization.append(len(factored))
+            assert factored <= bases
+            return true_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(diffraction.TransmissionOperator, "__post_init__", tracked_post_init)
+        monkeypatch.setattr(diffraction.spla, "splu", checking_splu)
+        monkeypatch.setattr(diffraction, "REFINE_MAX_ITERATIONS", max_iterations)
+        assert simulate(self.CONFIGS["rejected_step"]).reason == "t_end"
+        assert max(live_at_factorization) == (1 if max_iterations == 0 else 0)
 
     def test_step_reuses_a_given_slope(self, monkeypatch):
         g = make_grid(16)
