@@ -74,10 +74,6 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out if args.out else (config.out_dir or "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(config)
-    if not traj.times:
-        print("error: simulation failed before the first step", file=sys.stderr)
-        return EXIT_SOLVER
-
     grid = make_grid(config.n_x)
     snapshots = []
     stride = config.snapshot_stride
@@ -99,10 +95,14 @@ def cmd_simulate(args) -> int:
         "snapshots": snapshots,
         "steps_rejected": traj.steps_rejected,
         "failure": traj.failure,
+        "solver": traj.solver,
         "config": config.to_dict(),
     }
     (out_dir / "run.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    if not traj.times:
+        print("error: simulation failed before the first step", file=sys.stderr)
+        return EXIT_SOLVER
     print(f"wrote {len(snapshots)} snapshots to {out_dir} (reason: {traj.reason})")
     return EXIT_OK
 

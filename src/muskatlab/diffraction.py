@@ -13,9 +13,10 @@ partial pivoting; the guards (condition estimate, backward error) still
 measure the unscaled matrix.  The matrix depends only on the geometry, so one
 :class:`TransmissionOperator` factor serves every problem on it, the
 linearized problems around a solved state included.  An operator built with
-a ``base``, the operator of a nearby state on the same strips, first solves
-by iterative refinement on the base's factor and factors itself only when
-that refinement fails.
+a ``base``, the factored operator of a nearby state on the same strips,
+solves by iterative refinement on the base's factor, from a predicted
+solution when the caller has one, and factors itself only when that
+refinement fails.  Every solution records how it was solved.
 
 The matrix is written from the operators' own stencils: its interior rows
 are :func:`muskatlab.operators.operator_entries`, the terms of
@@ -60,6 +61,7 @@ __all__ = [
     "ComplementingReport",
     "DiffractionData",
     "DiffractionSolution",
+    "SolveRecord",
     "SolverFailure",
     "TransmissionOperator",
     "check_complementing",
@@ -77,6 +79,10 @@ BACKWARD_ERROR_LIMIT = 1e-12
 # many corrections.
 REFINE_CONTRACTION_LIMIT = 0.5
 REFINE_MAX_ITERATIONS = 30
+# simulate (muskatlab.evolution) refines its next accepted state on the base
+# of the step before when every stage of that step refined on the base within
+# this many corrections, and factors the state otherwise.
+REFACTOR_AFTER = 6
 
 
 class SolverFailure(RuntimeError):
@@ -95,9 +101,9 @@ class TransmissionOperator:
     They depend only on the state and the fluid, never on the data, so every
     problem posed on them is solved with one :attr:`factorization`; its
     solutions read the state and the fluid from here.  With a base, the
-    operator of a nearby state on the same strips, problems are solved on the
-    base's factorization until one needs this operator's own (see
-    :func:`solve_general`).
+    factored operator of a nearby state on the same strips, problems are
+    solved on the base's factorization until one needs this operator's own
+    (see :func:`solve_general`); the operator then drops its base.
     """
 
     fh: InterfacePair
@@ -144,7 +150,9 @@ class TransmissionOperator:
         (its vanishing mixed-derivative terms); they are dropped from D A
         before the ordering, which would otherwise fill in around them.
         Raises :class:`SolverFailure` when the factorization breaks down or
-        the condition estimate exceeds 1e12; a failure is not cached.
+        the condition estimate exceeds 1e12; a failure is not cached.  A
+        factored operator lets go of its base, whose factor it no longer
+        needs.
         """
         d, scaled, norm_1, norm_inf = _equilibrate(self.matrix)
         try:
@@ -165,12 +173,16 @@ class TransmissionOperator:
                 "geometry is close to losing admissibility",
                 condition_estimate=cond,
             )
+        object.__setattr__(self, "base", None)
         return d, lu, norm_inf, norm_1, cond
 
-    def potentials(self, b: PeriodicFn, surface_tension: bool = False) -> DiffractionSolution:
+    def potentials(self, b: PeriodicFn, surface_tension: bool = False,
+                   start: np.ndarray | None = None) -> DiffractionSolution:
         """The transformed velocity potentials of the state with bottom
         pressure b; with surface_tension both interfaces carry Laplace-Young
-        jumps, and the solution records it."""
+        jumps, and the solution records it.  start, a predicted solution in
+        the node ordering of :func:`_assemble`, starts a refinement on the
+        base (see :func:`solve_general`)."""
         fh, params = self.fh, self.params
         strip_p, strip_m = self.strips
         jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
@@ -186,7 +198,7 @@ class TransmissionOperator:
             phi2=jump,
             phi3=top,
             phi4=b,
-        ))
+        ), start)
         return replace(solution, surface_tension=surface_tension)
 
 
@@ -217,18 +229,41 @@ def _trace(kind, side: str, edge: str) -> property:
         doc=f"{kind.__name__} of {side} on its {edge} edge (assembly stencils)")
 
 
+FALLBACK_CAUSES = ("contraction", "non_finite", "iterations", "condition")
+
+
+@dataclass(frozen=True)
+class SolveRecord:
+    """How a solution was solved.
+
+    method is 'factored' when the solve factored its operator, 'direct' when
+    it used the operator's existing factorization and 'refined' when it
+    refined on the base's.  corrections counts the triangular solves on the
+    data, abandoned refinement included: each is one x <- x + LU^-1 D (b - Ax)
+    from the start, or from zero, so a solve on the operator's own factor
+    makes two.  contraction is the refinement's r, and fallback the cause,
+    one of FALLBACK_CAUSES, for which a refinement on the base gave up.
+    """
+
+    method: str
+    corrections: int
+    contraction: float = 0.0
+    fallback: str | None = None
+
+
 @dataclass(frozen=True)
 class DiffractionSolution:
     """Solved strip fields with the operator they were solved on, which holds
-    their interface state and fluid, and the 1-norm condition estimate of the
-    matrix they were solved with; their edge traces are computed on access.
-    surface_tension records whether a potential problem carried Laplace-Young
-    jumps."""
+    their interface state and fluid, the 1-norm condition estimate of the
+    matrix they were solved with, and the record of how they were solved;
+    their edge traces are computed on access.  surface_tension records
+    whether a potential problem carried Laplace-Young jumps."""
 
     v_plus: StripField
     v_minus: StripField
     operator: TransmissionOperator = field(repr=False)
     condition_estimate: float
+    record: SolveRecord
     surface_tension: bool = False
 
     tr0_vplus = _trace(trace_values, "v_plus", "bottom")
@@ -309,74 +344,88 @@ def _rhs(data: DiffractionData) -> np.ndarray:
     return np.concatenate([plus.ravel(), minus.ravel()])
 
 
-def _refined(operator: TransmissionOperator, rhs: np.ndarray) -> tuple | None:
-    """(x, ||A||_inf, condition estimate) for A x = rhs, A the operator's
-    matrix, by iterative refinement on its base's factor; None when the
-    refinement does not converge, the estimate exceeds CONDITION_LIMIT or the
-    base cannot be factored.
+def _refined(operator: TransmissionOperator, rhs: np.ndarray,
+             start: np.ndarray | None = None) -> tuple:
+    """(x, ||A||_inf, condition estimate, record) for A x = rhs, A the
+    operator's matrix, by iterative refinement on its base's factor; x is None
+    when the refinement falls back, and the record then names the cause.
 
-    x = LU0^-1 D0 rhs is corrected by LU0^-1 D0 (rhs - A x) until the normwise
-    backward error of x is at most machine epsilon.  r, the largest ratio of
-    successive residual max-norms, measures how far A0^-1 is from A^-1; the
-    refinement gives up when r exceeds REFINE_CONTRACTION_LIMIT, a residual is
-    not finite, or REFINE_MAX_ITERATIONS corrections did not converge.  The
-    condition estimate is the base's, scaled by ||A||_1 / ||A0||_1 and by
-    1 / (1 - r).
+    Each correction x <- x + LU0^-1 D0 (rhs - A x) is one triangular solve.
+    They go from the start, or from zero when there is none, until the
+    normwise backward error of x is at most machine epsilon.  r, the largest
+    ratio of successive residual max-norms from the first correction's on,
+    measures how far A0^-1 is from A^-1.  The ratio the first correction
+    makes is not counted: it measures the start, not the factor.  (A
+    predicted start's residual sits mostly in the Dirichlet rows, whose
+    entries are about n_y^2 smaller than the interior rows' that its first
+    correction moves it to.)  The refinement falls back when r exceeds
+    REFINE_CONTRACTION_LIMIT ('contraction'), a residual is not finite
+    ('non_finite'), REFINE_MAX_ITERATIONS corrections after the first did
+    not converge ('iterations'), or the condition estimate, the base's
+    scaled by ||A||_1 / ||A0||_1 and by 1 / (1 - r), exceeds CONDITION_LIMIT
+    ('condition').  A base that cannot be factored is not refined on: x is
+    None and the record names no cause.
     """
     try:
         d, lu, _, base_norm_1, base_cond = operator.base.factorization
     except SolverFailure:
-        return None
+        return None, None, None, SolveRecord("refined", 0)
     matrix = operator.matrix
     norm_1, norm_inf = _norms(matrix)
-    x = lu.solve(d * rhs)
+    x = np.zeros_like(rhs) if start is None else start.copy()
     rhs_norm = np.max(np.abs(rhs))
-    contraction, previous = 0.0, None
-    for iteration in range(REFINE_MAX_ITERATIONS + 1):
+    contraction, previous, cause = 0.0, None, None
+    for corrections in range(REFINE_MAX_ITERATIONS + 2):
         residual = rhs - matrix @ x
         size = np.max(np.abs(residual))
         if not np.isfinite(size):
-            return None
+            cause = "non_finite"
+            break
         if size <= np.finfo(float).eps * (norm_inf * np.max(np.abs(x)) + rhs_norm):
             break
-        if previous is not None:
+        if corrections >= 2:
             contraction = max(contraction, size / previous)
             if contraction > REFINE_CONTRACTION_LIMIT:
-                return None
-        if iteration == REFINE_MAX_ITERATIONS:
-            return None
+                cause = "contraction"
+                break
+        if corrections == REFINE_MAX_ITERATIONS + 1:
+            cause = "iterations"
+            break
         x += lu.solve(d * residual)
         previous = size
     cond = base_cond * norm_1 / base_norm_1 / (1.0 - contraction)
-    if cond > CONDITION_LIMIT:
-        return None
-    return x, norm_inf, cond
+    if cause is None and cond > CONDITION_LIMIT:
+        cause = "condition"
+    record = SolveRecord("refined", corrections, float(contraction), cause)
+    return (None, None, None, record) if cause else (x, norm_inf, cond, record)
 
 
-def solve_general(data: DiffractionData) -> DiffractionSolution:
+def solve_general(data: DiffractionData, start: np.ndarray | None = None) -> DiffractionSolution:
     """Solve the general transmission problem with its operator's factorization.
 
     One step of iterative refinement follows the triangular solves; the
     right-hand side and the refinement residual are row-scaled like the
-    factored matrix.  An operator with a base that has not factored itself
-    first refines on the base's factor (see :func:`_refined`) and factors
+    factored matrix.  An operator with a base first refines on the base's
+    factor (see :func:`_refined`), from start when one is given, and factors
     itself when that fails, so its own factorization and condition estimate
-    decide every problem the refinement cannot.  Raises :class:`SolverFailure`
-    when the factorization fails (see
+    decide every problem the refinement cannot; a solve on the operator's
+    own factorization ignores start.  The solution's record says how it was
+    solved.  Raises :class:`SolverFailure` when the factorization fails (see
     :attr:`TransmissionOperator.factorization`) or the normwise backward
     error |Ax - b| / (|A| |x| + |b|) in max norms exceeds 1e-12.
     """
     operator = data.operator
     rhs = _rhs(data)
-    refined = None
-    if operator.base is not None and "factorization" not in vars(operator):  # not yet factored
-        refined = _refined(operator, rhs)
-    if refined is not None:
-        x, norm_inf, cond = refined
-    else:
+    x, record = None, None
+    if operator.base is not None:
+        x, norm_inf, cond, record = _refined(operator, rhs, start)
+    if x is None:
+        method = "direct" if "factorization" in vars(operator) else "factored"
         d, lu, norm_inf, _, cond = operator.factorization
         x = lu.solve(d * rhs)
         x += lu.solve(d * (rhs - operator.matrix @ x))
+        tried = record or SolveRecord(method, 0)
+        record = replace(tried, method=method, corrections=tried.corrections + 2)
     if not np.all(np.isfinite(x)):
         raise SolverFailure("solver produced non-finite values", condition_estimate=cond)
 
@@ -393,7 +442,7 @@ def solve_general(data: DiffractionData) -> DiffractionSolution:
     x_plus, x_minus = np.split(x, [np.prod(strip_p.shape)])
     return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
                                StripField(strip_m, x_minus.reshape(strip_m.shape)),
-                               operator, cond)
+                               operator, cond, record)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@ explicit adaptive Runge-Kutta-Fehlberg 4(5) with step rejection and a
 2/3-rule de-aliasing of the interfaces after every accepted step.  The
 embedded error estimate alone sets the step, so with surface tension it
 finds the stability limit of the cubic surface-tension symbol by itself.
-Each step factors its starting state once; its later stages, whose matrices
-differ from that state's by O(dt), are solved by iterative refinement on
-that factor and factor themselves only when the refinement does not
-contract.
+The stages of a step, whose matrices differ from its starting state's by
+O(dt), are solved by iterative refinement on one base factorization and
+factor themselves only when the refinement fails.  Every refined solve starts
+from a solution predicted from earlier solutions of the same problem.  A run
+keeps its base factorization for the next accepted state while the stages
+refined on it stay cheap, so a state is factored only at t = 0, after a
+step whose stages needed more than diffraction.REFACTOR_AFTER corrections,
+or when its own refinement falls back.
 
 The Rayleigh-Taylor monitor evaluates the jumps of the normal pressure
 derivatives from the transformed traces, normalized to physical normal
@@ -23,9 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diffraction
 from .config import SimConfig
 from .diffraction import (
+    FALLBACK_CAUSES,
     DiffractionSolution,
+    SolveRecord,
     SolverFailure,
     TransmissionOperator,
     pulled_back_operator,
@@ -71,6 +78,8 @@ _RKF_A = (
 )
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+# the stage nodes, by which a stage's start is extrapolated
+_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 
 _MAX_STEPS = 200_000
 _MIN_DT = 1e-12
@@ -85,7 +94,8 @@ class SimState:
     t: float
     fh: InterfacePair
     slope: tuple[PeriodicFn, PeriodicFn] | None = None  # phi(fh), step's first stage
-    # fh's transmission operator, factored: the base of the step's later stages
+    # the factored operator the step's later stages refine on: fh's own, or
+    # that of an earlier state kept as base, when the state carries its slope
     operator: TransmissionOperator | None = field(default=None, repr=False)
 
 
@@ -115,6 +125,12 @@ class Trajectory:
     # why a run stopped short of t_end: kind, message, t and dt where it failed
     # and the solver's condition estimate when it has one; None otherwise
     failure: dict | None = None
+    # how the run's transmission problems were solved, from their records:
+    # solves, factorizations, refined solves, all corrections and the most in
+    # one solve, and refinements that fell back by cause
+    solver: dict = field(default_factory=lambda: {
+        "solves": 0, "factorizations": 0, "refined": 0, "corrections": 0,
+        "max_corrections": 0, "fallbacks": dict.fromkeys(FALLBACK_CAUSES, 0)})
 
     def record(self, t, fh, report, dt):
         if self.times and t <= self.times[-1]:
@@ -124,6 +140,62 @@ class Trajectory:
         self.h_values.append(fh.h.values.copy())
         self.rt_reports.append(report)
         self.dt_used.append(float(dt))
+
+    def count_solve(self, record: SolveRecord):
+        counts = self.solver
+        counts["solves"] += 1
+        counts["factorizations"] += record.method == "factored"
+        counts["refined"] += record.method == "refined"
+        counts["corrections"] += record.corrections
+        counts["max_corrections"] = max(counts["max_corrections"], record.corrections)
+        if record.fallback is not None:
+            counts["fallbacks"][record.fallback] += 1
+
+
+class _Predictor:
+    """Predicted starts for the refined solves of one run, which it counts.
+
+    A start is a solution of the run's step problem: the potentials with
+    surface tension when the run has it, the gravity-only ones otherwise.
+    One buffer, allocated once and overwritten in place, holds three: row 0
+    is x0, the solution at the step's start state; row 1 the latest stage's,
+    which after an accepted attempt is its c = 1 stage's; row 2 the start of
+    the current stage.  Stage 1 starts from x0 and stage s >= 2 from
+    x0 + (c_s / c_{s-1}) (x_{s-1} - x0); the step problem of an accepted
+    state (stage 0) starts from the accepted attempt's c = 1 stage.
+    slowest is the most corrections a stage of the latest attempt needed,
+    infinite when one was not refined.
+    """
+
+    def __init__(self, unknowns: int, count_solve):
+        self.rows = np.zeros((3, unknowns))
+        self.count_solve = count_solve
+        self.slowest = 0.0
+
+    def start(self, stage: int) -> np.ndarray:
+        x0, latest, start = self.rows
+        if stage == 0:  # zeros before the first step, ignored by the initial state's own factor
+            return latest
+        if stage == 1:
+            return x0
+        np.subtract(latest, x0, out=start)
+        start *= _RKF_C[stage] / _RKF_C[stage - 1]
+        start += x0
+        return start
+
+    def solved(self, solution: DiffractionSolution, stage: int | None = None):
+        """Count a solution; keep it when it is the given stage of the step problem."""
+        record = solution.record
+        self.count_solve(record)
+        if stage is None:
+            return
+        if stage >= 1:
+            cost = record.corrections if record.method == "refined" else np.inf
+            self.slowest = cost if stage == 1 else max(self.slowest, cost)
+        if stage <= 4:
+            row, n_plus = self.rows[min(stage, 1)], solution.v_plus.values.size
+            row[:n_plus] = solution.v_plus.values.ravel()
+            row[n_plus:] = solution.v_minus.values.ravel()
 
 
 def _velocities(sol: DiffractionSolution):
@@ -140,16 +212,23 @@ def _check_bottom_pressure(b):
 
 def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
         surface_tension: bool = False, n_y: int | None = None,
-        base: TransmissionOperator | None = None):
+        base: TransmissionOperator | None = None, predictor: _Predictor | None = None,
+        stage: int | None = None):
     """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b.
 
-    base, the operator of a nearby state on the same strips, lets the solve
-    refine on base's factorization instead of factoring fh's matrix (see
-    :func:`muskatlab.diffraction.solve_general`).
+    base, the factored operator of a nearby state on the same strips, lets
+    the solve refine on base's factorization instead of factoring fh's
+    matrix (see :func:`muskatlab.diffraction.solve_general`).  A run's
+    predictor gives the solve of the given stage its start and keeps its
+    solution.
     """
     _check_bottom_pressure(b)
     operator = pulled_back_operator(fh, params, n_y, base=base)
-    return _velocities(operator.potentials(b, surface_tension))
+    if predictor is None:
+        return _velocities(operator.potentials(b, surface_tension))
+    solution = operator.potentials(b, surface_tension, predictor.start(stage))
+    predictor.solved(solution, stage)
+    return _velocities(solution)
 
 
 def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
@@ -192,15 +271,17 @@ def rayleigh_taylor(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 
 
 def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
-         surface_tension: bool = False, n_y: int | None = None):
+         surface_tension: bool = False, n_y: int | None = None,
+         predictor: _Predictor | None = None):
     """One explicit RKF45 step of the interface evolution.
 
     Returns (new_state, error_estimate); the estimate is the sup-norm of the
     embedded fourth/fifth-order difference.  The first stage is the state's
     slope, and the later stages are solved on the state's operator as their
-    base; both are built here when the state carries none.  Raises
-    StepRejected when an intermediate stage or the result is not finite or
-    leaves the admissible set.
+    base; both are built here when the state carries none.  A run's
+    predictor, whose x0 is the state's slope solution, starts the stages'
+    refinements.  Raises StepRejected when an intermediate stage or the
+    result is not finite or leaves the admissible set.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -216,7 +297,8 @@ def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
         for j, a in enumerate(_RKF_A[stage]):
             y = y + dt * a * ks[j]
         stage_fh = _stacked_pair(y, fh, f"stage {stage}")
-        velocities = phi(stage_fh, b, params, surface_tension, n_y, base=base)
+        velocities = phi(stage_fh, b, params, surface_tension, n_y, base=base,
+                         predictor=predictor, stage=stage)
         ks.append(np.stack([u.values for u in velocities]))
 
     y4 = y0 + dt * sum(w * k for w, k in zip(_RKF_B4, ks))
@@ -249,10 +331,17 @@ def simulate(config: SimConfig) -> Trajectory:
     Terminates with reason 't_end', 'admissibility_lost', 'rt_violated'
     (when stop_on_rt is set on a run without surface tension), or
     'step_failure'; failures are recorded in the trajectory's failure, never
-    raised past it.  An accepted state's RT margins and first stage share one
-    factorization (and, without surface tension, one solve), which the
-    state's step then refines its later stages on.  The previous state's
-    factorization is released before the next accepted state's is made.
+    raised past it, and the trajectory counts how its solves were solved.
+    An accepted state's RT margins and first stage share one operator (and,
+    without surface tension, one solve), and the state's step refines its
+    later stages on the factored operator the state carries.  The initial
+    state is factored.  A later accepted state is refined on the base of the
+    step before, from that step's c = 1 stage, when every stage of the step
+    refined on the base within diffraction.REFACTOR_AFTER corrections, and
+    then carries the base's condition estimate scaled by the refinement;
+    otherwise the old base is released and the state factors itself.  Every
+    refinement starts from a predicted solution (see :class:`_Predictor`),
+    whose buffer lives as long as this call.
     """
     fh, b = config.initial_state()
     params = config.params
@@ -266,11 +355,16 @@ def simulate(config: SimConfig) -> Trajectory:
                         "condition_estimate": condition_estimate}
         return traj
 
-    def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
-        """Record an accepted state; return it with its slope, or None at the end."""
-        operator = pulled_back_operator(fh, params, config.n_y)
+    def accept(t: float, fh: InterfacePair, dt_used: float,
+               base: TransmissionOperator | None = None) -> SimState | None:
+        """Record an accepted state, refined on base when given one; return it
+        with its slope and the factored operator its step refines on, or None
+        at the end."""
+        operator = pulled_back_operator(fh, params, config.n_y, base=base)
+        start = predictor.start(0)
         try:
-            gravity_sol = operator.potentials(b)
+            gravity_sol = operator.potentials(b, start=None if config.surface_tension else start)
+            predictor.solved(gravity_sol, None if config.surface_tension else 0)
             report = _rt_report(gravity_sol)
             traj.record(t, fh, report, dt_used)
             if stop_on_rt and not report.satisfied:
@@ -278,12 +372,19 @@ def simulate(config: SimConfig) -> Trajectory:
             elif t >= config.t_end * (1.0 - 1e-12):
                 traj.reason = "t_end"
             else:
-                sol = operator.potentials(b, True) if config.surface_tension else gravity_sol
-                return SimState(t=t, fh=fh, slope=_velocities(sol), operator=operator)
+                sol = gravity_sol
+                if config.surface_tension:
+                    sol = operator.potentials(b, True, start)
+                    predictor.solved(sol, 0)
+                return SimState(t=t, fh=fh, slope=_velocities(sol),
+                                operator=operator.base or operator)
         except SolverFailure as exc:
             fail("step_failure", "solver_failure", str(exc), t, dt_used, exc.condition_estimate)
         return None
 
+    # the predictions' buffer, of both strips' n_x (n_y + 1) nodes, is made
+    # before the first factorization
+    predictor = _Predictor(2 * fh.grid.n_x * (config.n_y + 1), traj.count_solve)
     state = accept(0.0, fh, 0.0)
     if state is None:
         return traj
@@ -292,8 +393,8 @@ def simulate(config: SimConfig) -> Trajectory:
     for _ in range(_MAX_STEPS):
         dt = min(dt, config.t_end - state.t)
         try:
-            new_state, err = step(state, dt, b, params,
-                                  config.surface_tension, n_y=config.n_y)
+            new_state, err = step(state, dt, b, params, config.surface_tension,
+                                  n_y=config.n_y, predictor=predictor)
         except StepRejected:
             cause, shrink = "stage", 0.5
         except SolverFailure as exc:
@@ -325,8 +426,10 @@ def simulate(config: SimConfig) -> Trajectory:
                                       new_state.fh.d)
         except AdmissibilityError as exc:
             return fail("admissibility_lost", "admissibility", str(exc), new_state.t, dt)
-        state = None  # the old state's factorization is freed before accept makes the next
-        state = accept(new_state.t, dealiased, dt)
+        base = state.operator if predictor.slowest <= diffraction.REFACTOR_AFTER else None
+        state = None  # a base that is not kept is freed before accept factors the new state
+        # and one that the new state falls back from is freed with accept's return
+        state, base = accept(new_state.t, dealiased, dt, base), None
         if state is None:
             return traj
 

@@ -51,6 +51,24 @@ def test_solver_failure_exit_2(tmp_path, capsys, command):
         assert err.startswith("error: system too ill-conditioned")
 
 
+def test_failure_at_the_first_state_writes_run_json(tmp_path, capsys):
+    # the nearly touching config of test_solver_failure_exit_2 fails at t = 0
+    path = write_config(tmp_path, n_x=16, n_y=8,
+                        initial={"f": {"const": 0.0, "modes": []},
+                                 "h": {"const": 1e-9, "modes": []}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: simulation failed before the first step\n")
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["reason"] == "step_failure"
+    assert meta["times"] == [] and meta["snapshots"] == []
+    assert meta["failure"] == simulate(SimConfig.from_json(path)).failure
+    assert meta["failure"]["kind"] == "solver_failure"
+    assert meta["failure"]["t"] == 0.0
+    assert meta["failure"]["condition_estimate"] > 1e12
+    assert meta["solver"]["solves"] == 0
+
+
 @pytest.mark.parametrize("command, out", [(["symbols", "--m-max", "2"], "missing/symbols.csv"),
                                           (["spectrum", "--modes", "1..2"], "missing/spectrum.csv"),
                                           (["simulate"], "config.json")])
@@ -224,6 +242,59 @@ class TestSimulateCommand:
         assert meta["failure"] == simulate(SimConfig.from_json(path)).failure
         assert meta["failure"]["kind"] == "solver_failure"
         assert meta["failure"]["condition_estimate"] > 1e12
+
+    def test_solver_counts_recorded(self, tmp_path):
+        path = write_config(tmp_path, n_x=16, n_y=8, surface_tension=True, t_end=0.01,
+                            dt_init=1e-3, params={
+                                "k": 1.0, "mu_minus": 1.0, "mu_plus": 1.0, "rho_minus": 2.0,
+                                "rho_plus": 1.0, "g": 1.0, "gamma_f": 0.5, "gamma_h": 1.0,
+                                "d": -1.0})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        solver = json.loads((out / "run.json").read_text())["solver"]
+        assert solver == simulate(SimConfig.from_json(path)).solver
+        assert solver["factorizations"] == 1
+        assert solver["solves"] == solver["refined"] + 2  # the initial state's two
+        assert set(solver["fallbacks"]) == {"contraction", "non_finite", "iterations",
+                                            "condition"}
+
+    def test_runs_leave_nothing_behind(self, tmp_path):
+        # a surface-tension run repeated, and after a run on another grid,
+        # gives bit-identical trajectories and files: no prediction or base
+        # outlives its run
+        capillary = {"n_x": 32, "n_y": 16, "surface_tension": True, "t_end": 0.01,
+                     "dt_init": 1e-3, "snapshot_stride": 1,
+                     "params": {"k": 1.0, "mu_minus": 1.0, "mu_plus": 1.0, "rho_minus": 2.0,
+                                "rho_plus": 1.0, "g": 1.0, "gamma_f": 0.5, "gamma_h": 1.0,
+                                "d": -1.0},
+                     "initial": {"f": {"const": 0.0, "modes": [[1, 0.03, 0.0], [3, 0.0, 0.01]]},
+                                 "h": {"const": 1.0, "modes": [[2, 0.01, 0.0]]}}}
+        (tmp_path / "st").mkdir()
+        path = write_config(tmp_path / "st", **capillary)
+        other = write_config(tmp_path, n_x=16, n_y=8, initial={
+            "f": {"const": 0.0, "modes": [[1, 0.05, 0.0]]}, "h": {"const": 1.0, "modes": []}})
+        config = SimConfig.from_json(path)
+        runs, outs = [], []
+        for i, between in enumerate((None, None, other)):
+            if between is not None:
+                assert main(["simulate", "--config", str(between),
+                             "--out", str(tmp_path / "other")]) == 0
+            runs.append(simulate(config))
+            outs.append(tmp_path / f"run{i}")
+            assert main(["simulate", "--config", str(path), "--out", str(outs[-1])]) == 0
+        first = runs[0]
+        assert len(first.times) > 3
+        for run in runs[1:]:
+            assert run.times == first.times and run.dt_used == first.dt_used
+            assert np.array_equal(run.f_values, first.f_values)
+            assert np.array_equal(run.h_values, first.h_values)
+            assert run.solver == first.solver
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "run.json" in names and len(names) == len(first.times) + 1
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
     def test_metadata_round_trips(self, tmp_path):
         path = write_config(tmp_path)

@@ -456,6 +456,106 @@ class TestRefinementOnABase:
             pulled_back_operator(wavy_pair(g), PAR, 10, base=base)
 
 
+def vector(solution):
+    """A solution's unknowns in the node ordering of the assembled system."""
+    return np.concatenate([solution.v_plus.values.ravel(), solution.v_minus.values.ravel()])
+
+
+class TestPredictedStarts:
+    """A refinement on a base may start from a predicted solution; every
+    solution records how it was solved, and its corrections are the
+    triangular solves it made."""
+
+    ST = FluidParams(gamma_f=0.5, gamma_h=1.0)
+    DT = 0.2  # a step that moves the wavy state by a few percent of its amplitude
+
+    @staticmethod
+    def moved(grid, c):
+        # the wavy state after the fraction c of a step along a fixed direction
+        base = wavy_pair(grid)
+        return InterfacePair(base.f + c * fn(grid, lambda x: 0.1 * np.cos(3 * x)),
+                             base.h + c * fn(grid, lambda x: 0.1 * np.sin(2 * x)), base.d)
+
+    def stage(self, grid, base, c):
+        return pulled_back_operator(self.moved(grid, c * self.DT), self.ST, 16, base=base)
+
+    @pytest.mark.parametrize("surface_tension", [False, True])
+    def test_predicted_start_matches_the_direct_solve(self, surface_tension, solve_counts):
+        g = make_grid(32)
+        b = constant_fn(g, 0.5)
+        base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
+        x0 = vector(base.potentials(b, surface_tension))
+        x1 = vector(self.stage(g, base, 1 / 4).potentials(b, surface_tension, x0))
+        start = x0 + (3 / 8) / (1 / 4) * (x1 - x0)  # the Fehlberg stage at c = 3/8
+        solves = solve_counts["solves"]
+        predicted = self.stage(g, base, 3 / 8).potentials(b, surface_tension, start)
+        assert solve_counts["solves"] - solves == predicted.record.corrections
+        cold = self.stage(g, base, 3 / 8).potentials(b, surface_tension)
+        assert predicted.record.method == cold.record.method == "refined"
+        assert predicted.record.fallback is None
+        assert 0 < predicted.record.corrections <= cold.record.corrections
+        assert solve_counts["splu"] == 1
+        direct = pulled_back_operator(self.moved(g, 3 / 8 * self.DT), self.ST, 16).potentials(
+            b, surface_tension)
+        want = vector(direct)
+        assert np.max(np.abs(vector(predicted) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_start_is_the_cold_refinement(self, solve_counts):
+        g = make_grid(32)
+        b = constant_fn(g, 0.5)
+        base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
+        base.potentials(b)
+        cold = self.stage(g, base, 1.0).potentials(b)
+        zero = self.stage(g, base, 1.0).potentials(b, start=np.zeros(len(vector(cold))))
+        assert np.array_equal(vector(zero), vector(cold))
+        assert zero.record == cold.record
+        assert zero.condition_estimate == cold.condition_estimate
+
+    def test_far_start_reaches_epsilon_or_falls_back_once(self, solve_counts):
+        g = make_grid(32)
+        b = constant_fn(g, 0.5)
+        base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
+        base.potentials(b)
+        far = vector(solve_potentials(pinched_pair(g), constant_fn(g, 3.0), self.ST, 16))
+        solves, splus = solve_counts["solves"], solve_counts["splu"]
+        solution = self.stage(g, base, 1.0).potentials(b, start=far)
+        record = solution.record
+        assert solve_counts["solves"] - solves == record.corrections
+        if record.method == "refined":
+            assert solve_counts["splu"] == splus
+        else:
+            assert (record.method, solve_counts["splu"]) == ("factored", splus + 1)
+            assert record.fallback in diffraction.FALLBACK_CAUSES
+        direct = pulled_back_operator(self.moved(g, self.DT), self.ST, 16).potentials(b)
+        want = vector(direct)
+        assert np.max(np.abs(vector(solution) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_records_name_the_method_and_the_fallback(self, solve_counts):
+        g = make_grid(16)
+        b = constant_fn(g, 0.5)
+        op = pulled_back_operator(wavy_pair(g), PAR, 8)
+        first = op.potentials(b)
+        garbage = np.full(len(vector(first)), np.nan)
+        second = op.potentials(b, start=garbage)  # the own factor ignores a start
+        assert first.record == diffraction.SolveRecord("factored", 2)
+        assert second.record == diffraction.SolveRecord("direct", 2)
+        assert np.array_equal(vector(first), vector(second))
+        assert solve_counts["solves"] == 4
+        far = InterfacePair(fn(g, lambda x: 0.4 * np.sin(x)), constant_fn(g, 1.0), -1.0)
+        stage = pulled_back_operator(far, PAR, 8, base=op)
+        fallback = stage.potentials(b)
+        assert fallback.record.method == "factored"
+        assert fallback.record.fallback == "contraction"
+        assert fallback.record.contraction > diffraction.REFINE_CONTRACTION_LIMIT
+        assert solve_counts["solves"] == 4 + fallback.record.corrections
+        assert stage.base is None  # a factored operator drops its base
+        nan_start = pulled_back_operator(wavy_pair(g), PAR, 8, base=op).potentials(
+            b, start=garbage)
+        assert nan_start.record.fallback == "non_finite"
+        assert np.array_equal(vector(nan_start), vector(first))
+        assert solve_counts["splu"] == 3
+
+
 class TestSolvePotentials:
     def test_flat_matches_two_layer(self):
         g = make_grid(16)

@@ -697,11 +697,12 @@ class TestGeometryReuse:
 
 
 class TestFactorizationReuse:
-    """simulate factorizes each accepted state once, for its RT margins and
-    the first stage of the step from it; every step attempt solves its five
-    later stages by refinement on that factorization.  Each stage is one
-    solve, and so is each state's first stage, except that a
-    surface-tension state solves its first stage apart from the monitor."""
+    """simulate factors its initial state and refines every later solve on
+    that factorization while the stages refined on it stay cheap: on these
+    configs no stage needs more than REFACTOR_AFTER corrections, so each run
+    makes one factorization.  Each stage is one solve, and so is each
+    state's first stage, except that a surface-tension state solves its first
+    stage apart from the monitor."""
 
     CONFIGS = {
         "gravity": SimConfig(n_x=16, n_y=8, params=PAR, f0=WaveSpec(modes=((1, 0.05, 0.0),)),
@@ -713,15 +714,15 @@ class TestFactorizationReuse:
                                    f0=WaveSpec(modes=((1, 0.05, 0.0),)), b=WaveSpec(const=1.0),
                                    t_end=0.6, dt_init=0.5, dt_max=0.5, rtol=1e-8, atol=1e-10),
     }
+    # triangular solves of each run, condition estimates excluded: the cost
+    # of its refinements, pinned so that a change to it shows
+    TRIANGULAR_SOLVES = {"gravity": 109, "surface_tension": 63, "rejected_step": 190}
 
-    def counted_run(self, name, monkeypatch):
-        """(trajectory, factorizations, solves, accepted, rejected) of a config."""
-        factorizations, solves, attempts = [], [], []
-        true_splu, true_rhs, true_step = diffraction.spla.splu, diffraction._rhs, evolution.step
-
-        def counting_splu(matrix, **kwargs):
-            factorizations.append(matrix.shape)
-            return true_splu(matrix, **kwargs)
+    def counted_run(self, name, monkeypatch, solve_counts):
+        """(trajectory, solves, accepted, rejected) of a config, with
+        solve_counts holding the run's factorizations and triangular solves."""
+        solves, attempts = [], []
+        true_rhs, true_step = diffraction._rhs, evolution.step
 
         def counting_rhs(data):
             solves.append(data.operator)
@@ -731,9 +732,9 @@ class TestFactorizationReuse:
             attempts.append(args[1])
             return true_step(*args, **kwargs)
 
-        monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
         monkeypatch.setattr(diffraction, "_rhs", counting_rhs)
         monkeypatch.setattr(evolution, "step", counting_step)
+        solve_counts.update(splu=0, solves=0)
         traj = simulate(self.CONFIGS[name])
         assert traj.reason == "t_end"
         accepted = len(traj.times) - 1
@@ -745,19 +746,27 @@ class TestFactorizationReuse:
         # Without surface tension the monitor's solve is the first stage's.
         extra = accepted if self.CONFIGS[name].surface_tension else 0
         assert len(solves) == (accepted + 1) + 5 * (accepted + rejected) + extra
-        return traj, factorizations, solves, accepted, rejected
+        # the run's own count of how it solved is what was counted
+        assert traj.solver["solves"] == len(solves)
+        assert traj.solver["factorizations"] == solve_counts["splu"]
+        assert traj.solver["corrections"] == solve_counts["solves"]
+        return traj, solves, accepted, rejected
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_factorizations_per_step(self, name, monkeypatch):
-        _, factorizations, _, accepted, _ = self.counted_run(name, monkeypatch)
-        assert len(factorizations) == accepted + 1  # no stage falls back
+    def test_factorizations_per_step(self, name, monkeypatch, solve_counts):
+        traj, solves, _, _ = self.counted_run(name, monkeypatch, solve_counts)
+        assert solve_counts["splu"] == 1  # the initial state's, every later solve's base
+        # the initial state's solves are on its own factor, and no refinement falls back
+        assert traj.solver["refined"] == len(solves) - (1 + self.CONFIGS[name].surface_tension)
+        assert not any(traj.solver["fallbacks"].values())
+        assert solve_counts["solves"] == self.TRIANGULAR_SOLVES[name]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_every_stage_factors_without_refinement(self, name, monkeypatch):
+    def test_every_stage_factors_without_refinement(self, name, monkeypatch, solve_counts):
         refined = simulate(self.CONFIGS[name])
         monkeypatch.setattr(diffraction, "REFINE_MAX_ITERATIONS", 0)
-        traj, factorizations, _, accepted, rejected = self.counted_run(name, monkeypatch)
-        assert len(factorizations) == (accepted + 1) + 5 * (accepted + rejected)
+        traj, _, accepted, rejected = self.counted_run(name, monkeypatch, solve_counts)
+        assert solve_counts["splu"] == (accepted + 1) + 5 * (accepted + rejected)
         assert traj.steps_rejected == refined.steps_rejected
         for direct, refinement in ((traj.f_values, refined.f_values),
                                    (traj.h_values, refined.h_values)):
@@ -767,11 +776,28 @@ class TestFactorizationReuse:
         # while its states agree to 6.5e-12
         assert np.max(np.abs(np.subtract(traj.times, refined.times))) <= 1e-9
 
-    @pytest.mark.parametrize("max_iterations", [diffraction.REFINE_MAX_ITERATIONS, 0])
-    def test_one_factorization_alive_besides_the_base(self, max_iterations, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_state_factors_without_a_kept_base(self, name, monkeypatch, solve_counts):
+        kept = simulate(self.CONFIGS[name])
+        monkeypatch.setattr(diffraction, "REFACTOR_AFTER", -1)
+        traj, _, accepted, _ = self.counted_run(name, monkeypatch, solve_counts)
+        assert solve_counts["splu"] == accepted + 1  # each step's stages refine on its state
+        assert traj.steps_rejected == kept.steps_rejected
+        for own, base in ((traj.times, kept.times), (traj.f_values, kept.f_values),
+                          (traj.h_values, kept.h_values)):
+            assert np.max(np.abs(np.subtract(own, base))) <= 1e-10
+
+    @pytest.mark.parametrize("max_iterations, refactor_after", [
+        pytest.param(diffraction.REFINE_MAX_ITERATIONS, diffraction.REFACTOR_AFTER,
+                     id=str(diffraction.REFINE_MAX_ITERATIONS)),
+        pytest.param(0, diffraction.REFACTOR_AFTER, id="0"),
+        pytest.param(diffraction.REFINE_MAX_ITERATIONS, -1, id="no_kept_base")])
+    def test_one_factorization_alive_besides_the_base(self, max_iterations, refactor_after,
+                                                      monkeypatch):
         # A factorization is made only while the other live factored operators
         # are bases of an operator falling back to its own: simulate must drop
-        # an accepted state before factoring the next, or two LUs coexist.
+        # a base it does not keep before factoring the next state, or two LUs
+        # coexist.
         operators, live_at_factorization = [], []
         true_post_init, true_splu = (diffraction.TransmissionOperator.__post_init__,
                                      diffraction.spla.splu)
@@ -792,8 +818,10 @@ class TestFactorizationReuse:
         monkeypatch.setattr(diffraction.TransmissionOperator, "__post_init__", tracked_post_init)
         monkeypatch.setattr(diffraction.spla, "splu", checking_splu)
         monkeypatch.setattr(diffraction, "REFINE_MAX_ITERATIONS", max_iterations)
+        monkeypatch.setattr(diffraction, "REFACTOR_AFTER", refactor_after)
         assert simulate(self.CONFIGS["rejected_step"]).reason == "t_end"
         assert max(live_at_factorization) == (1 if max_iterations == 0 else 0)
+        assert len(live_at_factorization) > (refactor_after < 0)
 
     def test_step_reuses_a_given_slope(self, monkeypatch):
         g = make_grid(16)
