@@ -5,7 +5,7 @@ interface conditions on the shared edge y = 0 (a value jump and a flux
 balance) and Dirichlet data on the outer edges y = 1 and y = -1.  Both
 strips' nodes, including all edge layers, are unknowns; the interface
 conditions close the square system, which is factorized sparsely and solved
-with one step of iterative refinement.  The factor is a sparse LU of the
+by iterative refinement.  The factor is a sparse LU of the
 row-equilibrated matrix, ordered by minimum degree on A^T + A and pivoted by
 threshold, which keeps the pivots on the diagonal where they are large enough
 and so roughly halves the fill of SuperLU's default COLAMD ordering with
@@ -73,10 +73,10 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 BACKWARD_ERROR_LIMIT = 1e-12
-# Refinement on a base operator's factor falls back to a factorization of the
-# operator's own matrix when a residual exceeds this ratio times the one
-# before it, is not finite, or has not reached machine precision after this
-# many corrections.
+# A refinement stops short, and on a base operator's factor falls back to a
+# factorization of the operator's own matrix, when a residual exceeds this
+# ratio times the one before it, is not finite, or has not reached machine
+# precision after this many corrections.
 REFINE_CONTRACTION_LIMIT = 0.5
 REFINE_MAX_ITERATIONS = 30
 # simulate (muskatlab.evolution) refines its next accepted state on the base
@@ -239,10 +239,10 @@ class SolveRecord:
     method is 'factored' when the solve factored its operator, 'direct' when
     it used the operator's existing factorization and 'refined' when it
     refined on the base's.  corrections counts the triangular solves on the
-    data, abandoned refinement included: each is one x <- x + LU^-1 D (b - Ax)
-    from the start, or from zero, so a solve on the operator's own factor
-    makes two.  contraction is the refinement's r, and fallback the cause,
-    one of FALLBACK_CAUSES, for which a refinement on the base gave up.
+    data, abandoned refinement included, each one step of :func:`_refine`, so
+    a solve on the operator's own factor makes at least two.  contraction is
+    the refinement's r, and fallback the cause, one of FALLBACK_CAUSES, for
+    which a refinement on the base gave up.
     """
 
     method: str
@@ -344,93 +344,89 @@ def _rhs(data: DiffractionData) -> np.ndarray:
     return np.concatenate([plus.ravel(), minus.ravel()])
 
 
-def _refined(operator: TransmissionOperator, rhs: np.ndarray,
-             start: np.ndarray | None = None) -> tuple:
-    """(x, ||A||_inf, condition estimate, record) for A x = rhs, A the
-    operator's matrix, by iterative refinement on its base's factor; x is None
-    when the refinement falls back, and the record then names the cause.
+def _refine(matrix: sp.csc_matrix, factor: tuple, rhs: np.ndarray, norm_inf: float,
+            start: np.ndarray | None = None, own: bool = False) -> tuple:
+    """(x, |b - A x|, |A| |x| + |b|, corrections, r, cause) for A x = b, A =
+    matrix and b = rhs, in max norms (norm_inf = ||A||_inf), by iterative
+    refinement on factor = (d, LU), of A's own D A or of a base's.
 
-    Each correction x <- x + LU0^-1 D0 (rhs - A x) is one triangular solve.
-    They go from the start, or from zero when there is none, until the
-    normwise backward error of x is at most machine epsilon.  r, the largest
-    ratio of successive residual max-norms from the first correction's on,
-    measures how far A0^-1 is from A^-1.  The ratio the first correction
-    makes is not counted: it measures the start, not the factor.  (A
-    predicted start's residual sits mostly in the Dirichlet rows, whose
-    entries are about n_y^2 smaller than the interior rows' that its first
-    correction moves it to.)  The refinement falls back when r exceeds
-    REFINE_CONTRACTION_LIMIT ('contraction'), a residual is not finite
-    ('non_finite'), REFINE_MAX_ITERATIONS corrections after the first did
-    not converge ('iterations'), or the condition estimate, the base's
-    scaled by ||A||_1 / ||A0||_1 and by 1 / (1 - r), exceeds CONDITION_LIMIT
-    ('condition').  A base that cannot be factored is not refined on: x is
-    None and the record names no cause.
+    Each correction x <- x + LU^-1 D (b - A x) is one triangular solve, from
+    start or from zero (whose residual is b), until the normwise backward
+    error of x is at most machine epsilon; the residual and bound returned
+    are those of the x returned.  r, the largest ratio of successive residual
+    norms, measures how far the factored inverse is from A^-1; the first
+    correction's ratio is not counted, for it measures the start (a predicted
+    start's residual sits mostly in the Dirichlet rows, whose entries are
+    about n_y^2 smaller than the interior rows' that the correction moves it
+    to).  The loop stops short when r exceeds REFINE_CONTRACTION_LIMIT
+    ('contraction'), a residual is not finite ('non_finite') or
+    REFINE_MAX_ITERATIONS corrections after the first did not converge
+    ('iterations').  On A's own factor (own) neither the zero start nor the
+    first iterate, the plain factored solve, is judged.
     """
-    try:
-        d, lu, _, base_norm_1, base_cond = operator.base.factorization
-    except SolverFailure:
-        return None, None, None, SolveRecord("refined", 0)
-    matrix = operator.matrix
-    norm_1, norm_inf = _norms(matrix)
+    d, lu = factor
     x = np.zeros_like(rhs) if start is None else start.copy()
+    residual = rhs if start is None else rhs - matrix @ x
     rhs_norm = np.max(np.abs(rhs))
-    contraction, previous, cause = 0.0, None, None
-    for corrections in range(REFINE_MAX_ITERATIONS + 2):
-        residual = rhs - matrix @ x
+    corrections, contraction, previous, cause = 0, 0.0, None, None
+    while True:
         size = np.max(np.abs(residual))
-        if not np.isfinite(size):
-            cause = "non_finite"
-            break
-        if size <= np.finfo(float).eps * (norm_inf * np.max(np.abs(x)) + rhs_norm):
-            break
-        if corrections >= 2:
-            contraction = max(contraction, size / previous)
-            if contraction > REFINE_CONTRACTION_LIMIT:
-                cause = "contraction"
+        bound = norm_inf * np.max(np.abs(x)) + rhs_norm
+        if not own or corrections >= 2:
+            if not np.isfinite(size):
+                cause = "non_finite"
                 break
-        if corrections == REFINE_MAX_ITERATIONS + 1:
-            cause = "iterations"
-            break
+            if size <= np.finfo(float).eps * bound:
+                break
+            if corrections >= 2:
+                contraction = max(contraction, size / previous)
+                if contraction > REFINE_CONTRACTION_LIMIT:
+                    cause = "contraction"
+                    break
+            if corrections > REFINE_MAX_ITERATIONS:
+                cause = "iterations"
+                break
         x += lu.solve(d * residual)
-        previous = size
-    cond = base_cond * norm_1 / base_norm_1 / (1.0 - contraction)
-    if cause is None and cond > CONDITION_LIMIT:
-        cause = "condition"
-    record = SolveRecord("refined", corrections, float(contraction), cause)
-    return (None, None, None, record) if cause else (x, norm_inf, cond, record)
+        residual = rhs - matrix @ x
+        corrections, previous = corrections + 1, size
+    return x, size, bound, corrections, float(contraction), cause
 
 
 def solve_general(data: DiffractionData, start: np.ndarray | None = None) -> DiffractionSolution:
-    """Solve the general transmission problem with its operator's factorization.
-
-    One step of iterative refinement follows the triangular solves; the
-    right-hand side and the refinement residual are row-scaled like the
-    factored matrix.  An operator with a base first refines on the base's
-    factor (see :func:`_refined`), from start when one is given, and factors
-    itself when that fails, so its own factorization and condition estimate
-    decide every problem the refinement cannot; a solve on the operator's
-    own factorization ignores start.  The solution's record says how it was
-    solved.  Raises :class:`SolverFailure` when the factorization fails (see
-    :attr:`TransmissionOperator.factorization`) or the normwise backward
-    error |Ax - b| / (|A| |x| + |b|) in max norms exceeds 1e-12.
+    """Solve the general transmission problem by iterative refinement (see
+    :func:`_refine`) on its operator's base's factor, from start when one is
+    given, or on the operator's own factor, which ignores start.  A
+    refinement on the base falls back to the operator's own factorization when
+    it stops short, when its condition estimate, the base's scaled by
+    ||A||_1 / ||A0||_1 and by 1 / (1 - r), exceeds CONDITION_LIMIT
+    ('condition'), or when the base cannot be factored (no cause).  The
+    solution's record says how it was solved.  Raises :class:`SolverFailure`
+    when the factorization fails (see :attr:`TransmissionOperator.factorization`)
+    or the normwise backward error the loop measured exceeds 1e-12.
     """
     operator = data.operator
-    rhs = _rhs(data)
-    x, record = None, None
+    matrix, rhs = operator.matrix, _rhs(data)
+    method, corrections, contraction, cause = None, 0, 0.0, None
     if operator.base is not None:
-        x, norm_inf, cond, record = _refined(operator, rhs, start)
-    if x is None:
+        try:
+            d, lu, _, base_norm_1, base_cond = operator.base.factorization
+        except SolverFailure:
+            pass
+        else:
+            norm_1, norm_inf = _norms(matrix)
+            x, residual, bound, corrections, contraction, cause = _refine(
+                matrix, (d, lu), rhs, norm_inf, start)
+            cond = base_cond * norm_1 / base_norm_1 / (1.0 - contraction)
+            if cause is None and cond > CONDITION_LIMIT:
+                cause = "condition"
+            method = None if cause else "refined"
+    if method is None:
         method = "direct" if "factorization" in vars(operator) else "factored"
         d, lu, norm_inf, _, cond = operator.factorization
-        x = lu.solve(d * rhs)
-        x += lu.solve(d * (rhs - operator.matrix @ x))
-        tried = record or SolveRecord(method, 0)
-        record = replace(tried, method=method, corrections=tried.corrections + 2)
+        x, residual, bound, more, *_ = _refine(matrix, (d, lu), rhs, norm_inf, own=True)
+        corrections += more
     if not np.all(np.isfinite(x)):
         raise SolverFailure("solver produced non-finite values", condition_estimate=cond)
-
-    residual = np.max(np.abs(operator.matrix @ x - rhs))
-    bound = norm_inf * np.max(np.abs(x)) + np.max(np.abs(rhs))
     if residual > BACKWARD_ERROR_LIMIT * bound:
         raise SolverFailure(
             f"normwise backward error {residual / bound:.3e} exceeds "
@@ -440,6 +436,7 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None) -> Dif
 
     strip_p, strip_m = operator.strips
     x_plus, x_minus = np.split(x, [np.prod(strip_p.shape)])
+    record = SolveRecord(method, corrections, contraction, cause)
     return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
                                StripField(strip_m, x_minus.reshape(strip_m.shape)),
                                operator, cond, record)

@@ -170,6 +170,20 @@ class TestSolveGeneral:
             solve_general(data())
         assert err.value.condition_estimate < 1e12
 
+    def test_backward_error_guard_judges_every_path(self, monkeypatch, solve_counts):
+        # with no backward error allowed, the guard rejects the last residual
+        # of a factored solve, of a direct one and of one refined on a base
+        g = make_grid(16)
+        b = constant_fn(g, 0.5)
+        op = pulled_back_operator(wavy_pair(g), PAR, 8)
+        near = wavy_pair(g)
+        near = InterfacePair(near.f + fn(g, lambda x: 1e-3 * np.cos(3 * x)), near.h, near.d)
+        monkeypatch.setattr(diffraction, "BACKWARD_ERROR_LIMIT", 0.0)
+        for operator in (op, op, pulled_back_operator(near, PAR, 8, base=op)):
+            with pytest.raises(SolverFailure, match="backward error"):
+                operator.potentials(b)
+        assert solve_counts["splu"] == 1  # the direct and the refined solve factored nothing
+
 
 class TestFactorization:
     """The equilibrated, minimum-degree, threshold-pivoted LU against dense references."""
@@ -227,7 +241,11 @@ class TestConditionEstimate:
         op = pulled_back_operator(pair(make_grid(n_x)), PAR, n_y)
         matrix, cond = op.matrix, op.factorization[-1]
         estimate = cond / float(abs(matrix).sum(axis=0).max())
-        exact = np.max(np.sum(np.abs(np.linalg.inv(matrix.toarray())), axis=0))
+        dense = matrix.toarray()
+        inverse = np.linalg.inv(dense)
+        # one refinement step: the inverse alone is accurate to about kappa * eps
+        inverse += inverse @ (np.eye(len(dense)) - dense @ inverse)
+        exact = np.max(np.sum(np.abs(inverse), axis=0))
         assert exact / 3 <= estimate <= exact * (1 + 1e-12)
 
     @pytest.mark.parametrize("pair, n_x, n_y", STATES, ids=IDS)

@@ -717,6 +717,10 @@ class TestFactorizationReuse:
     # triangular solves of each run, condition estimates excluded: the cost
     # of its refinements, pinned so that a change to it shows
     TRIANGULAR_SOLVES = {"gravity": 109, "surface_tension": 63, "rejected_step": 190}
+    # residual products A x of each run: one per correction, and one for each
+    # refinement's start unless it is cold (a zero start's residual is b);
+    # the backward-error guard reads the last residual instead of forming one
+    RESIDUAL_PRODUCTS = {"gravity": 133, "surface_tension": 80, "rejected_step": 225}
 
     def counted_run(self, name, monkeypatch, solve_counts):
         """(trajectory, solves, accepted, rejected) of a config, with
@@ -734,7 +738,7 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(diffraction, "_rhs", counting_rhs)
         monkeypatch.setattr(evolution, "step", counting_step)
-        solve_counts.update(splu=0, solves=0)
+        solve_counts.update(splu=0, solves=0, products=0)
         traj = simulate(self.CONFIGS[name])
         assert traj.reason == "t_end"
         accepted = len(traj.times) - 1
@@ -760,6 +764,7 @@ class TestFactorizationReuse:
         assert traj.solver["refined"] == len(solves) - (1 + self.CONFIGS[name].surface_tension)
         assert not any(traj.solver["fallbacks"].values())
         assert solve_counts["solves"] == self.TRIANGULAR_SOLVES[name]
+        assert solve_counts["products"] == self.RESIDUAL_PRODUCTS[name]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_every_stage_factors_without_refinement(self, name, monkeypatch, solve_counts):
