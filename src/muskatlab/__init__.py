@@ -36,8 +36,6 @@ from .operators import (
     coeffs_A_plus,
     frechet_A_along,
     frechet_B_along,
-    map_phi_minus,
-    map_phi_plus,
 )
 from .diffraction import (
     BoundaryOperator,

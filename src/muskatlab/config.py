@@ -15,6 +15,8 @@ import numpy as np
 from .geometry import InterfacePair, PeriodicFn, PeriodicGrid, make_grid
 from .operators import FluidParams
 
+__all__ = ["ConfigError", "SimConfig", "WaveSpec"]
+
 SCHEMA_VERSION = 1
 
 _PARAM_KEYS = ("k", "mu_minus", "mu_plus", "rho_minus", "rho_plus", "g",

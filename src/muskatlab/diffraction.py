@@ -12,11 +12,11 @@ and so roughly halves the fill of SuperLU's default COLAMD ordering with
 partial pivoting; the guards (condition estimate, backward error) still
 measure the unscaled matrix.  The matrix depends only on the geometry, so one
 :class:`TransmissionOperator` factor serves every problem on it, the
-linearized problems around a solved state included.  An operator built with
-a ``base``, the factored operator of a nearby state on the same strips,
-solves by iterative refinement on the base's factor, from a predicted
-solution when the caller has one, and factors itself only when that
-refinement fails.  Every solution records how it was solved.
+linearized problems around a solved state included.  A solve given a
+``base``, the factored operator of a nearby state on the same strips, is
+iterative refinement on the base's factor, from a predicted solution when the
+caller has one, until the operator factors itself, which it does only when
+that refinement fails.  Every solution records how it was solved.
 
 The matrix is written from the operators' own stencils: its interior rows
 are :func:`muskatlab.operators.operator_entries`, the terms of
@@ -79,10 +79,6 @@ BACKWARD_ERROR_LIMIT = 1e-12
 # precision after this many corrections.
 REFINE_CONTRACTION_LIMIT = 0.5
 REFINE_MAX_ITERATIONS = 30
-# simulate (muskatlab.evolution) refines its next accepted state on the base
-# of the step before when every stage of that step refined on the base within
-# this many corrections, and factors the state otherwise.
-REFACTOR_AFTER = 6
 
 
 class SolverFailure(RuntimeError):
@@ -99,17 +95,15 @@ class TransmissionOperator:
     operators on Gamma_0 of the interface state fh, built on construction.
 
     They depend only on the state and the fluid, never on the data, so every
-    problem posed on them is solved with one :attr:`factorization`; its
-    solutions read the state and the fluid from here.  With a base, the
-    factored operator of a nearby state on the same strips, problems are
-    solved on the base's factorization until one needs this operator's own
-    (see :func:`solve_general`); the operator then drops its base.
+    problem posed on them is solved with one :attr:`factorization`, or on
+    a given base's until this operator needs its own (see
+    :func:`solve_general`); its solutions read the state and the fluid from
+    here.
     """
 
     fh: InterfacePair
     params: FluidParams
     n_y: int
-    base: TransmissionOperator | None = field(default=None, repr=False)
     plus_coeffs: CoefficientField = field(init=False, repr=False)
     minus_coeffs: CoefficientField = field(init=False, repr=False)
     plus_bc: BoundaryOperator = field(init=False, repr=False)
@@ -125,8 +119,6 @@ class TransmissionOperator:
                             ("plus_bc", BoundaryOperator(strip_p, "bottom", b1p, b2p)),
                             ("minus_bc", BoundaryOperator(strip_m, "top", b1m, b2m))):
             object.__setattr__(self, name, value)
-        if self.base is not None and self.base.strips != self.strips:
-            raise ValueError("a base operator must have the same strips")
 
     @property
     def strips(self) -> tuple[StripGrid, StripGrid]:
@@ -150,9 +142,7 @@ class TransmissionOperator:
         (its vanishing mixed-derivative terms); they are dropped from D A
         before the ordering, which would otherwise fill in around them.
         Raises :class:`SolverFailure` when the factorization breaks down or
-        the condition estimate exceeds 1e12; a failure is not cached.  A
-        factored operator lets go of its base, whose factor it no longer
-        needs.
+        the condition estimate exceeds 1e12; a failure is not cached.
         """
         d, scaled, norm_1, norm_inf = _equilibrate(self.matrix)
         try:
@@ -173,16 +163,16 @@ class TransmissionOperator:
                 "geometry is close to losing admissibility",
                 condition_estimate=cond,
             )
-        object.__setattr__(self, "base", None)
         return d, lu, norm_inf, norm_1, cond
 
     def potentials(self, b: PeriodicFn, surface_tension: bool = False,
-                   start: np.ndarray | None = None) -> DiffractionSolution:
+                   start: np.ndarray | None = None,
+                   base: TransmissionOperator | None = None) -> DiffractionSolution:
         """The transformed velocity potentials of the state with bottom
         pressure b; with surface_tension both interfaces carry Laplace-Young
-        jumps, and the solution records it.  start, a predicted solution in
-        the node ordering of :func:`_assemble`, starts a refinement on the
-        base (see :func:`solve_general`)."""
+        jumps, and the solution records it.  base, a factored operator on the
+        same strips, and start, a predicted solution in the node ordering of
+        :func:`_assemble`, are those of :func:`solve_general`."""
         fh, params = self.fh, self.params
         strip_p, strip_m = self.strips
         jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
@@ -198,7 +188,7 @@ class TransmissionOperator:
             phi2=jump,
             phi3=top,
             phi4=b,
-        ), start)
+        ), start, base)
         return replace(solution, surface_tension=surface_tension)
 
 
@@ -392,24 +382,30 @@ def _refine(matrix: sp.csc_matrix, factor: tuple, rhs: np.ndarray, norm_inf: flo
     return x, size, bound, corrections, float(contraction), cause
 
 
-def solve_general(data: DiffractionData, start: np.ndarray | None = None) -> DiffractionSolution:
+def solve_general(data: DiffractionData, start: np.ndarray | None = None,
+                  base: TransmissionOperator | None = None) -> DiffractionSolution:
     """Solve the general transmission problem by iterative refinement (see
-    :func:`_refine`) on its operator's base's factor, from start when one is
-    given, or on the operator's own factor, which ignores start.  A
-    refinement on the base falls back to the operator's own factorization when
-    it stops short, when its condition estimate, the base's scaled by
-    ||A||_1 / ||A0||_1 and by 1 / (1 - r), exceeds CONDITION_LIMIT
-    ('condition'), or when the base cannot be factored (no cause).  The
-    solution's record says how it was solved.  Raises :class:`SolverFailure`
-    when the factorization fails (see :attr:`TransmissionOperator.factorization`)
-    or the normwise backward error the loop measured exceeds 1e-12.
+    :func:`_refine`) on the factor of base, a factored operator on the same
+    strips, from start when one is given, while the problem's operator has
+    not factored itself, or else on the operator's own factor, which ignores
+    start.  A refinement on the base falls back to the operator's own
+    factorization when it stops short, when its condition estimate, the
+    base's scaled by ||A||_1 / ||A0||_1 and by 1 / (1 - r), exceeds
+    CONDITION_LIMIT ('condition'), or when the base cannot be factored (no
+    cause).  The solution's record says how it was solved.  Raises
+    :class:`SolverFailure` when the factorization fails (see
+    :attr:`TransmissionOperator.factorization`) or the normwise backward
+    error the loop measured exceeds 1e-12, and ValueError when base has
+    other strips.
     """
     operator = data.operator
+    if base is not None and base.strips != operator.strips:
+        raise ValueError("a base operator must have the same strips")
     matrix, rhs = operator.matrix, _rhs(data)
     method, corrections, contraction, cause = None, 0, 0.0, None
-    if operator.base is not None:
+    if base is not None and "factorization" not in vars(operator):
         try:
-            d, lu, _, base_norm_1, base_cond = operator.base.factorization
+            d, lu, _, base_norm_1, base_cond = base.factorization
         except SolverFailure:
             pass
         else:
@@ -446,12 +442,11 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None) -> Dif
 # The potential problems
 
 
-def pulled_back_operator(fh: InterfacePair, params: FluidParams, n_y: int | None = None,
-                         base: TransmissionOperator | None = None) -> TransmissionOperator:
-    """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers,
-    solving on base's factorization while it can (see :class:`TransmissionOperator`)."""
+def pulled_back_operator(fh: InterfacePair, params: FluidParams,
+                         n_y: int | None = None) -> TransmissionOperator:
+    """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers."""
     n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
-    return TransmissionOperator(fh, params, n_y, base)
+    return TransmissionOperator(fh, params, n_y)
 
 
 def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
@@ -467,7 +462,8 @@ def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 # base_solution is the potential pair solved at base, with or without surface
 # tension as it records.  The linearized problem has the base state's matrix,
 # so it is posed on base_solution.operator and solved with that operator's
-# factorization: no new factorization is made.
+# factorization: no new factorization is made, unless base_solution was refined
+# on another operator's factor, and then its operator is factored when solved on.
 
 
 def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,

@@ -7,13 +7,14 @@ explicit adaptive Runge-Kutta-Fehlberg 4(5) with step rejection and a
 embedded error estimate alone sets the step, so with surface tension it
 finds the stability limit of the cubic surface-tension symbol by itself.
 The stages of a step, whose matrices differ from its starting state's by
-O(dt), are solved by iterative refinement on one base factorization and
-factor themselves only when the refinement fails.  Every refined solve starts
-from a solution predicted from earlier solutions of the same problem.  A run
-keeps its base factorization for the next accepted state while the stages
-refined on it stay cheap, so a state is factored only at t = 0, after a
-step whose stages needed more than diffraction.REFACTOR_AFTER corrections,
-or when its own refinement falls back.
+O(dt), are solved by iterative refinement on the run's base factorization
+and factor themselves only when the refinement fails.  Every refined solve
+starts from a solution predicted from earlier solutions of the same problem.
+A run keeps its base factorization for the next accepted state while the
+stages refined on it stay cheap, so a state is factored only at t = 0, after
+a step whose stages needed more than REFACTOR_AFTER corrections, or when its
+own refinement falls back.  A step taken outside a run is the reference
+RKF45 path, on which every solve factors its own matrix.
 
 The Rayleigh-Taylor monitor evaluates the jumps of the normal pressure
 derivatives from the transformed traces, normalized to physical normal
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diffraction
 from .config import SimConfig
 from .diffraction import (
     FALLBACK_CAUSES,
@@ -83,6 +83,10 @@ _RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 
 _MAX_STEPS = 200_000
 _MIN_DT = 1e-12
+# simulate refines its next accepted state on the base of the step before
+# when every stage of that step refined on the base within this many
+# corrections, and factors the state otherwise.
+REFACTOR_AFTER = 6
 
 
 class StepRejected(RuntimeError):
@@ -94,9 +98,6 @@ class SimState:
     t: float
     fh: InterfacePair
     slope: tuple[PeriodicFn, PeriodicFn] | None = None  # phi(fh), step's first stage
-    # the factored operator the step's later stages refine on: fh's own, or
-    # that of an earlier state kept as base, when the state carries its slope
-    operator: TransmissionOperator | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,9 @@ class Trajectory:
             counts["fallbacks"][record.fallback] += 1
 
 
-class _Predictor:
-    """Predicted starts for the refined solves of one run, which it counts.
+class _RunSolver:
+    """The transmission solves of one run: each refines on the run's base,
+    a factored operator or None, from a predicted start, and is counted.
 
     A start is a solution of the run's step problem: the potentials with
     surface tension when the run has it, the gravity-only ones otherwise.
@@ -171,6 +173,7 @@ class _Predictor:
         self.rows = np.zeros((3, unknowns))
         self.count_solve = count_solve
         self.slowest = 0.0
+        self.base: TransmissionOperator | None = None
 
     def start(self, stage: int) -> np.ndarray:
         x0, latest, start = self.rows
@@ -183,12 +186,17 @@ class _Predictor:
         start += x0
         return start
 
-    def solved(self, solution: DiffractionSolution, stage: int | None = None):
-        """Count a solution; keep it when it is the given stage of the step problem."""
+    def solve(self, operator: TransmissionOperator, b: PeriodicFn, surface_tension: bool,
+              stage: int | None = None) -> DiffractionSolution:
+        """The potentials on operator, refined on the base from the given
+        stage's start; the solution is counted, and kept when it is that
+        stage of the step problem."""
+        start = None if stage is None else self.start(stage)
+        solution = operator.potentials(b, surface_tension, start, self.base)
         record = solution.record
         self.count_solve(record)
         if stage is None:
-            return
+            return solution
         if stage >= 1:
             cost = record.corrections if record.method == "refined" else np.inf
             self.slowest = cost if stage == 1 else max(self.slowest, cost)
@@ -196,6 +204,7 @@ class _Predictor:
             row, n_plus = self.rows[min(stage, 1)], solution.v_plus.values.size
             row[:n_plus] = solution.v_plus.values.ravel()
             row[n_plus:] = solution.v_minus.values.ravel()
+        return solution
 
 
 def _velocities(sol: DiffractionSolution):
@@ -212,23 +221,17 @@ def _check_bottom_pressure(b):
 
 def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
         surface_tension: bool = False, n_y: int | None = None,
-        base: TransmissionOperator | None = None, predictor: _Predictor | None = None,
-        stage: int | None = None):
+        run: _RunSolver | None = None, stage: int | None = None):
     """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b.
 
-    base, the factored operator of a nearby state on the same strips, lets
-    the solve refine on base's factorization instead of factoring fh's
-    matrix (see :func:`muskatlab.diffraction.solve_general`).  A run's
-    predictor gives the solve of the given stage its start and keeps its
-    solution.
+    Without a run the solve factors fh's matrix; a run solves the given
+    stage on its base (see :meth:`_RunSolver.solve`).
     """
     _check_bottom_pressure(b)
-    operator = pulled_back_operator(fh, params, n_y, base=base)
-    if predictor is None:
+    operator = pulled_back_operator(fh, params, n_y)
+    if run is None:
         return _velocities(operator.potentials(b, surface_tension))
-    solution = operator.potentials(b, surface_tension, predictor.start(stage))
-    predictor.solved(solution, stage)
-    return _velocities(solution)
+    return _velocities(run.solve(operator, b, surface_tension, stage))
 
 
 def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
@@ -272,23 +275,22 @@ def rayleigh_taylor(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 
 def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
          surface_tension: bool = False, n_y: int | None = None,
-         predictor: _Predictor | None = None):
+         run: _RunSolver | None = None):
     """One explicit RKF45 step of the interface evolution.
 
     Returns (new_state, error_estimate); the estimate is the sup-norm of the
     embedded fourth/fifth-order difference.  The first stage is the state's
-    slope, and the later stages are solved on the state's operator as their
-    base; both are built here when the state carries none.  A run's
-    predictor, whose x0 is the state's slope solution, starts the stages'
-    refinements.  Raises StepRejected when an intermediate stage or the
-    result is not finite or leaves the admissible set.
+    slope, solved here when the state carries none.  A run, whose x0 is the
+    state's slope solution, solves the later stages on its base; without one
+    each stage factors its own matrix.  Raises StepRejected when an
+    intermediate stage or the result is not finite or leaves the admissible
+    set.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     _check_bottom_pressure(b)
     fh = state.fh
-    base = state.operator or pulled_back_operator(fh, params, n_y)
-    slope = state.slope or _velocities(base.potentials(b, surface_tension))
+    slope = state.slope or phi(fh, b, params, surface_tension, n_y)
     # f and h stacked as rows, so each stage is one array expression
     y0 = np.stack([fh.f.values, fh.h.values])
     ks = [np.stack([u.values for u in slope])]
@@ -297,8 +299,7 @@ def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
         for j, a in enumerate(_RKF_A[stage]):
             y = y + dt * a * ks[j]
         stage_fh = _stacked_pair(y, fh, f"stage {stage}")
-        velocities = phi(stage_fh, b, params, surface_tension, n_y, base=base,
-                         predictor=predictor, stage=stage)
+        velocities = phi(stage_fh, b, params, surface_tension, n_y, run, stage)
         ks.append(np.stack([u.values for u in velocities]))
 
     y4 = y0 + dt * sum(w * k for w, k in zip(_RKF_B4, ks))
@@ -334,14 +335,13 @@ def simulate(config: SimConfig) -> Trajectory:
     raised past it, and the trajectory counts how its solves were solved.
     An accepted state's RT margins and first stage share one operator (and,
     without surface tension, one solve), and the state's step refines its
-    later stages on the factored operator the state carries.  The initial
-    state is factored.  A later accepted state is refined on the base of the
-    step before, from that step's c = 1 stage, when every stage of the step
-    refined on the base within diffraction.REFACTOR_AFTER corrections, and
-    then carries the base's condition estimate scaled by the refinement;
-    otherwise the old base is released and the state factors itself.  Every
-    refinement starts from a predicted solution (see :class:`_Predictor`),
-    whose buffer lives as long as this call.
+    later stages on the run's base (see :class:`_RunSolver`), which lives as
+    long as this call.  The initial state is factored and becomes the base.
+    A later accepted state is refined on the base, from the step's c = 1
+    stage, when every stage of the step refined on it within REFACTOR_AFTER
+    corrections, and then carries the base's condition estimate scaled by
+    the refinement; otherwise the old base is released, and the state
+    factors itself and becomes the base.
     """
     fh, b = config.initial_state()
     params = config.params
@@ -355,16 +355,13 @@ def simulate(config: SimConfig) -> Trajectory:
                         "condition_estimate": condition_estimate}
         return traj
 
-    def accept(t: float, fh: InterfacePair, dt_used: float,
-               base: TransmissionOperator | None = None) -> SimState | None:
-        """Record an accepted state, refined on base when given one; return it
-        with its slope and the factored operator its step refines on, or None
-        at the end."""
-        operator = pulled_back_operator(fh, params, config.n_y, base=base)
-        start = predictor.start(0)
+    def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
+        """Record an accepted state, refined on the run's base; return it with
+        its slope, or None at the end.  A state that factored becomes the
+        base."""
+        operator = pulled_back_operator(fh, params, config.n_y)
         try:
-            gravity_sol = operator.potentials(b, start=None if config.surface_tension else start)
-            predictor.solved(gravity_sol, None if config.surface_tension else 0)
+            gravity_sol = run.solve(operator, b, False, None if config.surface_tension else 0)
             report = _rt_report(gravity_sol)
             traj.record(t, fh, report, dt_used)
             if stop_on_rt and not report.satisfied:
@@ -374,17 +371,17 @@ def simulate(config: SimConfig) -> Trajectory:
             else:
                 sol = gravity_sol
                 if config.surface_tension:
-                    sol = operator.potentials(b, True, start)
-                    predictor.solved(sol, 0)
-                return SimState(t=t, fh=fh, slope=_velocities(sol),
-                                operator=operator.base or operator)
+                    sol = run.solve(operator, b, True, 0)
+                if sol.record.method != "refined":
+                    run.base = operator
+                return SimState(t=t, fh=fh, slope=_velocities(sol))
         except SolverFailure as exc:
             fail("step_failure", "solver_failure", str(exc), t, dt_used, exc.condition_estimate)
         return None
 
     # the predictions' buffer, of both strips' n_x (n_y + 1) nodes, is made
     # before the first factorization
-    predictor = _Predictor(2 * fh.grid.n_x * (config.n_y + 1), traj.count_solve)
+    run = _RunSolver(2 * fh.grid.n_x * (config.n_y + 1), traj.count_solve)
     state = accept(0.0, fh, 0.0)
     if state is None:
         return traj
@@ -394,7 +391,7 @@ def simulate(config: SimConfig) -> Trajectory:
         dt = min(dt, config.t_end - state.t)
         try:
             new_state, err = step(state, dt, b, params, config.surface_tension,
-                                  n_y=config.n_y, predictor=predictor)
+                                  n_y=config.n_y, run=run)
         except StepRejected:
             cause, shrink = "stage", 0.5
         except SolverFailure as exc:
@@ -426,10 +423,9 @@ def simulate(config: SimConfig) -> Trajectory:
                                       new_state.fh.d)
         except AdmissibilityError as exc:
             return fail("admissibility_lost", "admissibility", str(exc), new_state.t, dt)
-        base = state.operator if predictor.slowest <= diffraction.REFACTOR_AFTER else None
-        state = None  # a base that is not kept is freed before accept factors the new state
-        # and one that the new state falls back from is freed with accept's return
-        state, base = accept(new_state.t, dealiased, dt, base), None
+        if run.slowest > REFACTOR_AFTER:
+            run.base = None  # freed before accept factors the new state
+        state = accept(new_state.t, dealiased, dt)
         if state is None:
             return traj
 

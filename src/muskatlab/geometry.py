@@ -23,8 +23,10 @@ __all__ = [
     "PeriodicFn",
     "PeriodicGrid",
     "check_admissible",
+    "constant_fn",
     "curvature",
     "curvature_frechet",
+    "from_callable",
     "make_grid",
     "spectral_derivative",
     "spectral_diff_matrix",

@@ -53,8 +53,6 @@ __all__ = [
     "coeffs_A_plus",
     "frechet_A_along",
     "frechet_B_along",
-    "map_phi_minus",
-    "map_phi_plus",
     "operator_entries",
     "strip_heights",
 ]
@@ -186,24 +184,10 @@ class CoefficientField:
 # Reference-strip maps
 
 
-def map_phi_minus(f: PeriodicFn, d: float, point):
-    """Map (x,y) in the closed lower strip to physical coordinates (x, Y)."""
-    x, y = (np.asarray(v, dtype=float) for v in point)
-    if np.any(y < -1.0) or np.any(y > 0.0):
-        raise ValueError("y must lie in [-1, 0] for the lower strip")
-    return x, -d * y + (1.0 + y) * f.at(x)
-
-
-def map_phi_plus(f: PeriodicFn, h: PeriodicFn, point):
-    """Map (x,y) in the closed upper strip to physical coordinates (x, Y)."""
-    x, y = (np.asarray(v, dtype=float) for v in point)
-    if np.any(y < 0.0) or np.any(y > 1.0):
-        raise ValueError("y must lie in [0, 1] for the upper strip")
-    return x, y * h.at(x) + (1.0 - y) * f.at(x)
-
-
 def strip_heights(fh: InterfacePair, strip: StripGrid) -> np.ndarray:
-    """Physical height Y at every strip node (n_x, n_y+1)."""
+    """Physical height Y at every strip node (n_x, n_y+1), by the strip
+    map of its side: Y = -d y + (1 + y) f on the lower strip, y in [-1, 0],
+    and Y = y h + (1 - y) f on the upper one, y in [0, 1]."""
     y = strip.y_nodes[None, :]
     if strip.side == "minus":
         return -fh.d * y + (1.0 + y) * fh.f.values[:, None]

@@ -462,13 +462,16 @@ def _c2_norm(u: PeriodicFn) -> float:
     return float(sum(np.max(np.abs(a)) for a in (u.values, *u.derivatives)))
 
 
-def _common_margins(base: InterfacePair, sigma: float) -> dict:
+def _common_margins(base: InterfacePair, sigma: float) -> tuple[dict, float]:
+    """(the gap and norm margins, 1 / sigma) of either region at level sigma."""
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
     gap = min(float(np.min(base.gap_minus.values)), float(np.min(base.gap_plus.values)))
     inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma
     return {
         "gap": gap - sigma,
         "norm": inv_sigma - (_c2_norm(base.f) + _c2_norm(base.h)),
-    }
+    }, inv_sigma
 
 
 def region_check_S(base_solution: DiffractionSolution, sigma: float,
@@ -480,12 +483,10 @@ def region_check_S(base_solution: DiffractionSolution, sigma: float,
     pairs each trace with its own layer gap (the pairing the frozen
     constants use).  Both margins are always reported.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    base, params = base_solution.operator.fh, base_solution.operator.params
+    margins, inv_sigma = _common_margins(base, sigma)
     if pairing not in ("printed", "delta_a"):
         raise ValueError("pairing must be 'printed' or 'delta_a'")
-    base, params = base_solution.operator.fh, base_solution.operator.params
-    margins = _common_margins(base, sigma)
     dy_m = base_solution.tr0_dy_vminus.values
     dy_p = base_solution.tr0_dy_vplus.values
     gap_minus = base.gap_minus.values
@@ -493,7 +494,6 @@ def region_check_S(base_solution: DiffractionSolution, sigma: float,
     drho = params.g * (params.rho_minus - params.rho_plus)
     margins["jump_printed"] = float(np.min(drho - sigma - (dy_m / gap_plus - dy_p / gap_minus)))
     margins["jump_delta_a"] = float(np.min(drho - sigma - (dy_m / gap_minus - dy_p / gap_plus)))
-    inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma
     margins["trace"] = inv_sigma - (np.max(np.abs(dy_p)) + np.max(np.abs(dy_m)))
     jump_key = "jump_printed" if pairing == "printed" else "jump_delta_a"
     worst = min(margins["gap"], margins["norm"], margins[jump_key], margins["trace"])
@@ -502,15 +502,12 @@ def region_check_S(base_solution: DiffractionSolution, sigma: float,
 
 def region_check_R(base_solution: DiffractionSolution, sigma: float) -> RegionReport:
     """Slack of the upper-interface parabolicity region at level sigma."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     base, params = base_solution.operator.fh, base_solution.operator.params
-    margins = _common_margins(base, sigma)
+    margins, inv_sigma = _common_margins(base, sigma)
     dy_top = base_solution.tr1_dy_vplus.values
     gap_plus = base.gap_plus.values
     g_rho = params.g * params.rho_plus
     margins["jump"] = float(np.min(g_rho - sigma - dy_top / gap_plus))
-    inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma
     margins["trace"] = inv_sigma - np.max(np.abs(dy_top))
     worst = min(margins.values())
     return RegionReport(ok=worst > 0, worst_margin=float(worst), margins=margins)

@@ -179,9 +179,9 @@ class TestSolveGeneral:
         near = wavy_pair(g)
         near = InterfacePair(near.f + fn(g, lambda x: 1e-3 * np.cos(3 * x)), near.h, near.d)
         monkeypatch.setattr(diffraction, "BACKWARD_ERROR_LIMIT", 0.0)
-        for operator in (op, op, pulled_back_operator(near, PAR, 8, base=op)):
+        for operator, base in ((op, None), (op, None), (pulled_back_operator(near, PAR, 8), op)):
             with pytest.raises(SolverFailure, match="backward error"):
-                operator.potentials(b)
+                operator.potentials(b, base=base)
         assert solve_counts["splu"] == 1  # the direct and the refined solve factored nothing
 
 
@@ -403,7 +403,7 @@ class TestRefinementOnABase:
         base.potentials(b)
         stage_fh = self.stage_pair(g, step)
         calls = self.counting_splu(monkeypatch)
-        refined = pulled_back_operator(stage_fh, PAR, n_y, base=base).potentials(b)
+        refined = pulled_back_operator(stage_fh, PAR, n_y).potentials(b, base=base)
         assert calls == []
         direct = pulled_back_operator(stage_fh, PAR, n_y).potentials(b)
         scale = max(np.max(np.abs(direct.v_plus.values)), np.max(np.abs(direct.v_minus.values)))
@@ -420,9 +420,10 @@ class TestRefinementOnABase:
         base = pulled_back_operator(far, PAR, 8)
         base.potentials(b)
         calls = self.counting_splu(monkeypatch)
-        op = pulled_back_operator(stage_fh, PAR, 8, base=base)
-        fallback = op.potentials(b)
-        op.potentials(b, surface_tension=True)  # later problems use its own factor
+        op = pulled_back_operator(stage_fh, PAR, 8)
+        fallback = op.potentials(b, base=base)
+        later = op.potentials(b, surface_tension=True, base=base)
+        assert later.record.method == "direct"  # later problems use its own factor
         assert len(calls) == 1
         direct = pulled_back_operator(stage_fh, PAR, 8).potentials(b)
         assert np.array_equal(fallback.v_plus.values, direct.v_plus.values)
@@ -436,13 +437,13 @@ class TestRefinementOnABase:
         base = pulled_back_operator(wavy_pair(g), PAR, 8)
         base.potentials(b)
         stage_fh = self.stage_pair(g, 3e-2)
-        refined = pulled_back_operator(stage_fh, PAR, 8, base=base).potentials(b)
+        refined = pulled_back_operator(stage_fh, PAR, 8).potentials(b, base=base)
         own = pulled_back_operator(stage_fh, PAR, 8).potentials(b)
         assert own.condition_estimate < refined.condition_estimate
         limit = (own.condition_estimate + refined.condition_estimate) / 2
         monkeypatch.setattr(diffraction, "CONDITION_LIMIT", limit)
         calls = self.counting_splu(monkeypatch)
-        decided = pulled_back_operator(stage_fh, PAR, 8, base=base).potentials(b)
+        decided = pulled_back_operator(stage_fh, PAR, 8).potentials(b, base=base)
         assert len(calls) == 1
         assert decided.condition_estimate == own.condition_estimate
 
@@ -454,7 +455,7 @@ class TestRefinementOnABase:
         touching = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0)
         calls = self.counting_splu(monkeypatch)
         with pytest.raises(SolverFailure, match="ill-conditioned") as err:
-            pulled_back_operator(touching, PAR, 12, base=base).potentials(constant_fn(g, 1.0))
+            pulled_back_operator(touching, PAR, 12).potentials(constant_fn(g, 1.0), base=base)
         assert err.value.condition_estimate > 1e12
         assert len(calls) == 1
 
@@ -463,15 +464,16 @@ class TestRefinementOnABase:
         touching = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0)
         base = pulled_back_operator(touching, PAR, 12)
         b = constant_fn(g, 0.5)
-        stage = pulled_back_operator(wavy_pair(g), PAR, 12, base=base).potentials(b)
+        stage = pulled_back_operator(wavy_pair(g), PAR, 12).potentials(b, base=base)
         direct = pulled_back_operator(wavy_pair(g), PAR, 12).potentials(b)
         assert np.array_equal(stage.v_plus.values, direct.v_plus.values)
 
     def test_base_must_share_the_strips(self):
         g = make_grid(16)
         base = pulled_back_operator(wavy_pair(g), PAR, 12)
+        op = pulled_back_operator(wavy_pair(g), PAR, 10)
         with pytest.raises(ValueError, match="same strips"):
-            pulled_back_operator(wavy_pair(g), PAR, 10, base=base)
+            op.potentials(constant_fn(g, 0.5), base=base)
 
 
 def vector(solution):
@@ -494,8 +496,8 @@ class TestPredictedStarts:
         return InterfacePair(base.f + c * fn(grid, lambda x: 0.1 * np.cos(3 * x)),
                              base.h + c * fn(grid, lambda x: 0.1 * np.sin(2 * x)), base.d)
 
-    def stage(self, grid, base, c):
-        return pulled_back_operator(self.moved(grid, c * self.DT), self.ST, 16, base=base)
+    def stage(self, grid, c):
+        return pulled_back_operator(self.moved(grid, c * self.DT), self.ST, 16)
 
     @pytest.mark.parametrize("surface_tension", [False, True])
     def test_predicted_start_matches_the_direct_solve(self, surface_tension, solve_counts):
@@ -503,12 +505,12 @@ class TestPredictedStarts:
         b = constant_fn(g, 0.5)
         base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
         x0 = vector(base.potentials(b, surface_tension))
-        x1 = vector(self.stage(g, base, 1 / 4).potentials(b, surface_tension, x0))
+        x1 = vector(self.stage(g, 1 / 4).potentials(b, surface_tension, x0, base))
         start = x0 + (3 / 8) / (1 / 4) * (x1 - x0)  # the Fehlberg stage at c = 3/8
         solves = solve_counts["solves"]
-        predicted = self.stage(g, base, 3 / 8).potentials(b, surface_tension, start)
+        predicted = self.stage(g, 3 / 8).potentials(b, surface_tension, start, base)
         assert solve_counts["solves"] - solves == predicted.record.corrections
-        cold = self.stage(g, base, 3 / 8).potentials(b, surface_tension)
+        cold = self.stage(g, 3 / 8).potentials(b, surface_tension, base=base)
         assert predicted.record.method == cold.record.method == "refined"
         assert predicted.record.fallback is None
         assert 0 < predicted.record.corrections <= cold.record.corrections
@@ -523,8 +525,8 @@ class TestPredictedStarts:
         b = constant_fn(g, 0.5)
         base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
         base.potentials(b)
-        cold = self.stage(g, base, 1.0).potentials(b)
-        zero = self.stage(g, base, 1.0).potentials(b, start=np.zeros(len(vector(cold))))
+        cold = self.stage(g, 1.0).potentials(b, base=base)
+        zero = self.stage(g, 1.0).potentials(b, start=np.zeros(len(vector(cold))), base=base)
         assert np.array_equal(vector(zero), vector(cold))
         assert zero.record == cold.record
         assert zero.condition_estimate == cold.condition_estimate
@@ -536,7 +538,7 @@ class TestPredictedStarts:
         base.potentials(b)
         far = vector(solve_potentials(pinched_pair(g), constant_fn(g, 3.0), self.ST, 16))
         solves, splus = solve_counts["solves"], solve_counts["splu"]
-        solution = self.stage(g, base, 1.0).potentials(b, start=far)
+        solution = self.stage(g, 1.0).potentials(b, start=far, base=base)
         record = solution.record
         assert solve_counts["solves"] - solves == record.corrections
         if record.method == "refined":
@@ -560,15 +562,16 @@ class TestPredictedStarts:
         assert np.array_equal(vector(first), vector(second))
         assert solve_counts["solves"] == 4
         far = InterfacePair(fn(g, lambda x: 0.4 * np.sin(x)), constant_fn(g, 1.0), -1.0)
-        stage = pulled_back_operator(far, PAR, 8, base=op)
-        fallback = stage.potentials(b)
+        stage = pulled_back_operator(far, PAR, 8)
+        fallback = stage.potentials(b, base=op)
         assert fallback.record.method == "factored"
         assert fallback.record.fallback == "contraction"
         assert fallback.record.contraction > diffraction.REFINE_CONTRACTION_LIMIT
         assert solve_counts["solves"] == 4 + fallback.record.corrections
-        assert stage.base is None  # a factored operator drops its base
-        nan_start = pulled_back_operator(wavy_pair(g), PAR, 8, base=op).potentials(
-            b, start=garbage)
+        # a factored operator solves on its own factor, whatever base it is given
+        assert stage.potentials(b, base=op).record == diffraction.SolveRecord("direct", 2)
+        nan_start = pulled_back_operator(wavy_pair(g), PAR, 8).potentials(
+            b, start=garbage, base=op)
         assert nan_start.record.fallback == "non_finite"
         assert np.array_equal(vector(nan_start), vector(first))
         assert solve_counts["splu"] == 3

@@ -784,7 +784,7 @@ class TestFactorizationReuse:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_every_state_factors_without_a_kept_base(self, name, monkeypatch, solve_counts):
         kept = simulate(self.CONFIGS[name])
-        monkeypatch.setattr(diffraction, "REFACTOR_AFTER", -1)
+        monkeypatch.setattr(evolution, "REFACTOR_AFTER", -1)
         traj, _, accepted, _ = self.counted_run(name, monkeypatch, solve_counts)
         assert solve_counts["splu"] == accepted + 1  # each step's stages refine on its state
         assert traj.steps_rejected == kept.steps_rejected
@@ -793,40 +793,69 @@ class TestFactorizationReuse:
             assert np.max(np.abs(np.subtract(own, base))) <= 1e-10
 
     @pytest.mark.parametrize("max_iterations, refactor_after", [
-        pytest.param(diffraction.REFINE_MAX_ITERATIONS, diffraction.REFACTOR_AFTER,
+        pytest.param(diffraction.REFINE_MAX_ITERATIONS, evolution.REFACTOR_AFTER,
                      id=str(diffraction.REFINE_MAX_ITERATIONS)),
-        pytest.param(0, diffraction.REFACTOR_AFTER, id="0"),
+        pytest.param(0, evolution.REFACTOR_AFTER, id="0"),
         pytest.param(diffraction.REFINE_MAX_ITERATIONS, -1, id="no_kept_base")])
     def test_one_factorization_alive_besides_the_base(self, max_iterations, refactor_after,
                                                       monkeypatch):
         # A factorization is made only while the other live factored operators
-        # are bases of an operator falling back to its own: simulate must drop
-        # a base it does not keep before factoring the next state, or two LUs
-        # coexist.
-        operators, live_at_factorization = [], []
-        true_post_init, true_splu = (diffraction.TransmissionOperator.__post_init__,
-                                     diffraction.spla.splu)
+        # are bases of a solve in progress, which falls back to its operator's
+        # own: simulate must drop a base it does not keep before factoring the
+        # next state, or two LUs coexist.
+        operators, bases, live_at_factorization = [], [], []
+        true_post_init, true_solve, true_splu = (diffraction.TransmissionOperator.__post_init__,
+                                                 diffraction.solve_general,
+                                                 diffraction.spla.splu)
 
         def tracked_post_init(self):
             true_post_init(self)
             operators.append(weakref.ref(self))
 
+        def tracked_solve(data, start=None, base=None):
+            bases.append(base)
+            try:
+                return true_solve(data, start, base)
+            finally:
+                bases.pop()
+
         def checking_splu(matrix, **kwargs):
             live = [op for op in (ref() for ref in operators) if op is not None]
             factored = {id(op) for op in live if "factorization" in vars(op)}
-            bases = {id(op.base) for op in live
-                     if op.base is not None and "factorization" not in vars(op)}
             live_at_factorization.append(len(factored))
-            assert factored <= bases
+            assert factored <= {id(base) for base in bases if base is not None}
             return true_splu(matrix, **kwargs)
 
         monkeypatch.setattr(diffraction.TransmissionOperator, "__post_init__", tracked_post_init)
+        monkeypatch.setattr(diffraction, "solve_general", tracked_solve)
         monkeypatch.setattr(diffraction.spla, "splu", checking_splu)
         monkeypatch.setattr(diffraction, "REFINE_MAX_ITERATIONS", max_iterations)
-        monkeypatch.setattr(diffraction, "REFACTOR_AFTER", refactor_after)
+        monkeypatch.setattr(evolution, "REFACTOR_AFTER", refactor_after)
         assert simulate(self.CONFIGS["rejected_step"]).reason == "t_end"
         assert max(live_at_factorization) == (1 if max_iterations == 0 else 0)
         assert len(live_at_factorization) > (refactor_after < 0)
+
+    def test_step_without_a_run_factors_every_solve(self, monkeypatch, solve_counts):
+        # the reference RKF45 path: no run, so no base, and each solve factors
+        g = make_grid(16)
+        b = constant_fn(g, 0.3)
+        fh = InterfacePair(fn(g, lambda x: 0.05 * np.sin(x)), constant_fn(g, 1.0), -1.0)
+        slope = phi(fh, b, PAR, n_y=8)
+        methods = []
+        true_solve = diffraction.solve_general
+
+        def recording_solve(*args, **kwargs):
+            solution = true_solve(*args, **kwargs)
+            methods.append(solution.record.method)
+            return solution
+
+        monkeypatch.setattr(diffraction, "solve_general", recording_solve)
+        for state, solves in ((SimState(0.0, fh), 6), (SimState(0.0, fh, slope), 5)):
+            methods.clear()
+            factorizations = solve_counts["splu"]
+            step(state, 0.05, b, PAR, n_y=8)
+            assert methods == ["factored"] * solves
+            assert solve_counts["splu"] - factorizations == solves
 
     def test_step_reuses_a_given_slope(self, monkeypatch):
         g = make_grid(16)

@@ -15,8 +15,6 @@ from muskatlab.operators import (
     coeffs_A_plus,
     frechet_A_along,
     frechet_B_along,
-    map_phi_minus,
-    map_phi_plus,
     strip_heights,
 )
 from muskatlab.verify import check_harmonic_pullback_at
@@ -44,51 +42,50 @@ def minus_strip(grid, n_y=16):
 
 
 class TestMaps:
+    """The reference-strip maps, as the physical heights of the strip nodes."""
+
     def test_minus_bottom_maps_to_d(self):
         g = make_grid(16)
-        f = constant_fn(g, 0.0)
         for d in (-1.0, -2.5):
-            _, y_phys = map_phi_minus(f, d, (1.0, -1.0))
-            assert abs(y_phys - d) < 1e-14
+            y_phys = strip_heights(pair(constant_fn(g, 0.0), d=d), minus_strip(g))
+            assert np.max(np.abs(y_phys[:, 0] - d)) < 1e-14
 
     def test_minus_top_maps_to_graph(self):
         g = make_grid(32)
         f = fn(g, lambda x: 0.3 * np.sin(x))
-        x = np.array([0.0, 1.1, 4.0])
-        _, y_phys = map_phi_minus(f, -1.0, (x, np.zeros(3)))
-        assert np.max(np.abs(y_phys - 0.3 * np.sin(x))) < 1e-13
+        y_phys = strip_heights(pair(f), minus_strip(g))
+        assert np.max(np.abs(y_phys[:, -1] - 0.3 * np.sin(g.nodes))) < 1e-13
 
-    def test_minus_formula_scalar(self):
+    def test_minus_formula(self):
         g = make_grid(32)
         f = fn(g, lambda x: 0.3 * np.sin(x))
-        x, y, d = np.pi / 2, -0.5, -1.0
-        _, y_phys = map_phi_minus(f, d, (x, y))
-        assert abs(y_phys - (-d * y + (1 + y) * 0.3 * np.sin(x))) < 1e-13
+        strip, d = minus_strip(g), -1.5
+        x, y = g.nodes[:, None], strip.y_nodes[None, :]
+        y_phys = strip_heights(pair(f, d=d), strip)
+        assert np.max(np.abs(y_phys - (-d * y + (1 + y) * 0.3 * np.sin(x)))) < 1e-13
 
     def test_plus_edges(self):
         g = make_grid(32)
         f = fn(g, lambda x: 0.1 * np.cos(x))
         h = fn(g, lambda x: 1.0 + 0.2 * np.sin(x))
-        x = g.nodes[:5]
-        _, y0 = map_phi_plus(f, h, (x, np.zeros(5)))
-        _, y1 = map_phi_plus(f, h, (x, np.ones(5)))
-        assert np.max(np.abs(y0 - f.values[:5])) < 1e-13
-        assert np.max(np.abs(y1 - h.values[:5])) < 1e-13
+        y_phys = strip_heights(pair(f, h), plus_strip(g))
+        assert np.max(np.abs(y_phys[:, 0] - f.values)) < 1e-13
+        assert np.max(np.abs(y_phys[:, -1] - h.values)) < 1e-13
 
     def test_plus_identity_for_unit_layer(self):
         g = make_grid(16)
-        f, h = constant_fn(g, 0.0), constant_fn(g, 1.0)
-        y = np.linspace(0, 1, 11)
-        _, y_phys = map_phi_plus(f, h, (np.full(11, 2.0), y))
-        assert np.max(np.abs(y_phys - y)) < 1e-14
+        strip = plus_strip(g, 10)
+        y_phys = strip_heights(pair(constant_fn(g, 0.0), constant_fn(g, 1.0)), strip)
+        assert np.max(np.abs(y_phys - strip.y_nodes)) < 1e-14
 
-    def test_out_of_range(self):
-        g = make_grid(16)
-        f, h = constant_fn(g, 0.0), constant_fn(g, 1.0)
-        with pytest.raises(ValueError):
-            map_phi_minus(f, -1.0, (0.0, 0.5))
-        with pytest.raises(ValueError):
-            map_phi_plus(f, h, (0.0, -0.1))
+    def test_strips_meet_on_the_lower_interface_and_increase(self):
+        g = make_grid(32)
+        f = fn(g, lambda x: 0.3 * np.sin(x))
+        h = fn(g, lambda x: 1.0 + 0.2 * np.cos(2 * x))
+        fh = pair(f, h)
+        minus, plus = strip_heights(fh, minus_strip(g)), strip_heights(fh, plus_strip(g))
+        assert np.array_equal(minus[:, -1], plus[:, 0])
+        assert np.all(np.diff(minus, axis=1) > 0) and np.all(np.diff(plus, axis=1) > 0)
 
 
 def chain_rule_coeffs_minus(f_expr, d, x_nodes, y_nodes):
