@@ -16,7 +16,8 @@ linearized problems around a solved state included.  A solve given a
 ``base``, the factored operator of a nearby state on the same strips, is
 iterative refinement on the base's factor, from a predicted solution when the
 caller has one, until the operator factors itself, which it does only when
-that refinement fails.  Every solution records how it was solved.
+that refinement fails.  Every refinement, on any factor, stops by the same
+rules (see :func:`_refine`), and every solution records how it was solved.
 
 The matrix is written from the operators' own stencils: its interior rows
 are :func:`muskatlab.operators.operator_entries`, the terms of
@@ -226,13 +227,12 @@ FALLBACK_CAUSES = ("contraction", "non_finite", "iterations", "condition")
 class SolveRecord:
     """How a solution was solved.
 
-    method is 'factored' when the solve factored its operator, 'direct' when
-    it used the operator's existing factorization and 'refined' when it
+    method is 'factored' when this solve factored its operator, 'direct'
+    when it used the operator's existing factorization and 'refined' when it
     refined on the base's.  corrections counts the triangular solves on the
-    data, abandoned refinement included, each one step of :func:`_refine`, so
-    a solve on the operator's own factor makes at least two.  contraction is
-    the refinement's r, and fallback the cause, one of FALLBACK_CAUSES, for
-    which a refinement on the base gave up.
+    data, abandoned refinement included, each one step of :func:`_refine`.
+    contraction is the refinement's r, and fallback the cause, one of
+    FALLBACK_CAUSES, for which a refinement on the base gave up.
     """
 
     method: str
@@ -335,24 +335,24 @@ def _rhs(data: DiffractionData) -> np.ndarray:
 
 
 def _refine(matrix: sp.csc_matrix, factor: tuple, rhs: np.ndarray, norm_inf: float,
-            start: np.ndarray | None = None, own: bool = False) -> tuple:
+            start: np.ndarray | None = None) -> tuple:
     """(x, |b - A x|, |A| |x| + |b|, corrections, r, cause) for A x = b, A =
     matrix and b = rhs, in max norms (norm_inf = ||A||_inf), by iterative
     refinement on factor = (d, LU), of A's own D A or of a base's.
 
     Each correction x <- x + LU^-1 D (b - A x) is one triangular solve, from
     start or from zero (whose residual is b), until the normwise backward
-    error of x is at most machine epsilon; the residual and bound returned
-    are those of the x returned.  r, the largest ratio of successive residual
-    norms, measures how far the factored inverse is from A^-1; the first
+    error of x is at most machine epsilon; every iterate, the start
+    included, is judged, and the residual and bound returned are those of
+    the x returned.  r, the largest ratio of successive residual norms,
+    measures how far the factored inverse is from A^-1; the first
     correction's ratio is not counted, for it measures the start (a predicted
     start's residual sits mostly in the Dirichlet rows, whose entries are
     about n_y^2 smaller than the interior rows' that the correction moves it
     to).  The loop stops short when r exceeds REFINE_CONTRACTION_LIMIT
     ('contraction'), a residual is not finite ('non_finite') or
     REFINE_MAX_ITERATIONS corrections after the first did not converge
-    ('iterations').  On A's own factor (own) neither the zero start nor the
-    first iterate, the plain factored solve, is judged.
+    ('iterations').
     """
     d, lu = factor
     x = np.zeros_like(rhs) if start is None else start.copy()
@@ -362,20 +362,19 @@ def _refine(matrix: sp.csc_matrix, factor: tuple, rhs: np.ndarray, norm_inf: flo
     while True:
         size = np.max(np.abs(residual))
         bound = norm_inf * np.max(np.abs(x)) + rhs_norm
-        if not own or corrections >= 2:
-            if not np.isfinite(size):
-                cause = "non_finite"
+        if not np.isfinite(size):
+            cause = "non_finite"
+            break
+        if size <= np.finfo(float).eps * bound:
+            break
+        if corrections >= 2:
+            contraction = max(contraction, size / previous)
+            if contraction > REFINE_CONTRACTION_LIMIT:
+                cause = "contraction"
                 break
-            if size <= np.finfo(float).eps * bound:
-                break
-            if corrections >= 2:
-                contraction = max(contraction, size / previous)
-                if contraction > REFINE_CONTRACTION_LIMIT:
-                    cause = "contraction"
-                    break
-            if corrections > REFINE_MAX_ITERATIONS:
-                cause = "iterations"
-                break
+        if corrections > REFINE_MAX_ITERATIONS:
+            cause = "iterations"
+            break
         x += lu.solve(d * residual)
         residual = rhs - matrix @ x
         corrections, previous = corrections + 1, size
@@ -389,37 +388,35 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None,
     strips, from start when one is given, while the problem's operator has
     not factored itself, or else on the operator's own factor, which ignores
     start.  A refinement on the base falls back to the operator's own
-    factorization when it stops short, when its condition estimate, the
+    factorization when it stops short, or when its condition estimate, the
     base's scaled by ||A||_1 / ||A0||_1 and by 1 / (1 - r), exceeds
-    CONDITION_LIMIT ('condition'), or when the base cannot be factored (no
-    cause).  The solution's record says how it was solved.  Raises
-    :class:`SolverFailure` when the factorization fails (see
+    CONDITION_LIMIT ('condition').  The solution's record says how it was
+    solved.  Raises :class:`SolverFailure` when the factorization fails (see
     :attr:`TransmissionOperator.factorization`) or the normwise backward
     error the loop measured exceeds 1e-12, and ValueError when base has
-    other strips.
+    other strips or has not factored itself.
     """
     operator = data.operator
-    if base is not None and base.strips != operator.strips:
-        raise ValueError("a base operator must have the same strips")
+    if base is not None:
+        if base.strips != operator.strips:
+            raise ValueError("a base operator must have the same strips")
+        if "factorization" not in vars(base):
+            raise ValueError("a base operator must hold its factorization")
     matrix, rhs = operator.matrix, _rhs(data)
     method, corrections, contraction, cause = None, 0, 0.0, None
     if base is not None and "factorization" not in vars(operator):
-        try:
-            d, lu, _, base_norm_1, base_cond = base.factorization
-        except SolverFailure:
-            pass
-        else:
-            norm_1, norm_inf = _norms(matrix)
-            x, residual, bound, corrections, contraction, cause = _refine(
-                matrix, (d, lu), rhs, norm_inf, start)
-            cond = base_cond * norm_1 / base_norm_1 / (1.0 - contraction)
-            if cause is None and cond > CONDITION_LIMIT:
-                cause = "condition"
-            method = None if cause else "refined"
+        d, lu, _, base_norm_1, base_cond = base.factorization
+        norm_1, norm_inf = _norms(matrix)
+        x, residual, bound, corrections, contraction, cause = _refine(
+            matrix, (d, lu), rhs, norm_inf, start)
+        cond = base_cond * norm_1 / base_norm_1 / (1.0 - contraction)
+        if cause is None and cond > CONDITION_LIMIT:
+            cause = "condition"
+        method = None if cause else "refined"
     if method is None:
         method = "direct" if "factorization" in vars(operator) else "factored"
         d, lu, norm_inf, _, cond = operator.factorization
-        x, residual, bound, more, *_ = _refine(matrix, (d, lu), rhs, norm_inf, own=True)
+        x, residual, bound, more, *_ = _refine(matrix, (d, lu), rhs, norm_inf)
         corrections += more
     if not np.all(np.isfinite(x)):
         raise SolverFailure("solver produced non-finite values", condition_estimate=cond)

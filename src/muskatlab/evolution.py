@@ -44,8 +44,6 @@ from .operators import (
     FluidParams,
     StripField,
     boundary_B1,
-    boundary_B_minus,
-    boundary_B_plus,
     frechet_B_along,
     strip_heights,
 )
@@ -208,9 +206,9 @@ class _RunSolver:
 
 
 def _velocities(sol: DiffractionSolution):
-    fh, params = sol.operator.fh, sol.operator.params
-    df = -boundary_B_minus(fh, params, sol.v_minus)
-    dh = -boundary_B1(fh, params, sol.v_plus)
+    operator = sol.operator
+    df = PeriodicFn(operator.fh.grid, -operator.minus_bc.apply(sol.v_minus))
+    dh = -boundary_B1(operator.fh, operator.params, sol.v_plus)
     return df, dh
 
 
@@ -247,11 +245,12 @@ def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
 
 
 def _rt_report(sol: DiffractionSolution) -> RTReport:
-    fh, params = sol.operator.fh, sol.operator.params
+    operator = sol.operator
+    fh, params = operator.fh, operator.params
     fp = fh.f.derivatives[0]
     hp = fh.h.derivatives[0]
-    co_minus = (params.mu_minus / params.k) * boundary_B_minus(fh, params, sol.v_minus).values
-    co_plus = (params.mu_plus / params.k) * boundary_B_plus(fh, params, sol.v_plus).values
+    co_minus = (params.mu_minus / params.k) * operator.minus_bc.apply(sol.v_minus)
+    co_plus = (params.mu_plus / params.k) * operator.plus_bc.apply(sol.v_plus)
     co_top = (params.mu_plus / params.k) * boundary_B1(fh, params, sol.v_plus).values
     drho = params.g * (params.rho_minus - params.rho_plus)
     margin_f = np.min((drho - co_minus + co_plus) / np.sqrt(1.0 + fp**2))
@@ -471,7 +470,7 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
         for j, delta in enumerate(((sine, zero), (zero, sine))):
             w_plus, w_minus = solve_linearized(base, *delta)
             lower = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
-                     + boundary_B_minus(fh, params, w_minus))
+                     + PeriodicFn(grid, base.operator.minus_bc.apply(w_minus)))
             upper = (frechet_B_along("B1", fh, *delta, params, base.v_plus)
                      + boundary_B1(fh, params, w_plus))
             out[i, :, j] = lower.values @ sine.values, upper.values @ sine.values

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muskatlab.cli import main
 from muskatlab.config import ConfigError, SimConfig
@@ -78,6 +83,53 @@ def test_unwritable_output_exit_1(tmp_path, capsys, command, out):
     path = write_config(tmp_path, n_x=16, n_y=8)
     assert main(command + ["--config", str(path), "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@st.composite
+def small_configs(draw):
+    """Schema-valid configs on 8 to 16 nodes whose modes, below the Nyquist
+    mode, can make the initial state inadmissible or nearly touching."""
+    n_x = draw(st.sampled_from((8, 12, 16)))
+
+    def wave(const):
+        amplitudes = st.floats(-0.6, 0.6)
+        modes = draw(st.lists(st.tuples(st.integers(1, n_x // 2 - 1), amplitudes, amplitudes),
+                              max_size=2))
+        return {"const": const, "modes": [list(m) for m in modes]}
+
+    densities = st.sampled_from((1.0, 2.0, 3.0))
+    return {
+        "schema": 1, "n_x": n_x, "n_y": 8,
+        "params": {"k": 1.0, "mu_minus": 1.0, "mu_plus": 1.0,
+                   "rho_minus": draw(densities), "rho_plus": draw(densities), "g": 1.0,
+                   "gamma_f": 0.5, "gamma_h": 1.0, "d": -1.0},
+        "initial": {"f": wave(0.0), "h": wave(draw(st.floats(0.05, 1.0)))},
+        "b": {"const": draw(st.floats(0.0, 3.0))},
+        "t_end": draw(st.floats(1e-3, 0.05)),
+        "dt_init": draw(st.sampled_from((1e-3, 1e-2))),
+        "surface_tension": draw(st.booleans()),
+        "stop_on_rt": draw(st.booleans()),
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_configs())
+def test_fuzzed_configs_end_with_a_documented_exit(cfg):
+    # whatever the state, a command returns 0, 1 or 2 and raises nothing, and
+    # a simulation that ran writes run.json with a documented reason
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = {command: main([command, "--config", str(path)] + extra)
+                     for command, extra in (("rtcheck", []), ("simulate", ["--out", str(out)]))}
+        assert set(codes.values()) <= {0, 1, 2}
+        if codes["simulate"] != 1:
+            meta = json.loads((out / "run.json").read_text())
+            assert meta["reason"] in ("t_end", "admissibility_lost", "rt_violated",
+                                      "step_failure")
 
 
 class TestConfig:

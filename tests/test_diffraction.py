@@ -87,6 +87,8 @@ class TestSolveGeneral:
         sol = solve_general(general_data(wavy_pair(g), PAR, 12))
         assert np.max(np.abs(sol.v_plus.values)) < 1e-10
         assert np.max(np.abs(sol.v_minus.values)) < 1e-10
+        # the zero start already meets the epsilon stop
+        assert sol.record == diffraction.SolveRecord("factored", 0)
 
     def test_manufactured_discrete_recovery(self):
         g = make_grid(32)
@@ -459,14 +461,27 @@ class TestRefinementOnABase:
         assert err.value.condition_estimate > 1e12
         assert len(calls) == 1
 
-    def test_stage_of_an_unfactorable_base_factors_itself(self):
+    def test_an_unfactored_base_is_refused_without_a_factorization(self, solve_counts):
+        # a solve never factors its base: its own operator, a stage's base and
+        # a base whose factorization failed all raise before any splu
         g = make_grid(16)
-        touching = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0)
-        base = pulled_back_operator(touching, PAR, 12)
         b = constant_fn(g, 0.5)
-        stage = pulled_back_operator(wavy_pair(g), PAR, 12).potentials(b, base=base)
-        direct = pulled_back_operator(wavy_pair(g), PAR, 12).potentials(b)
-        assert np.array_equal(stage.v_plus.values, direct.v_plus.values)
+        op = pulled_back_operator(wavy_pair(g), PAR, 12)
+        with pytest.raises(ValueError, match="hold its factorization"):
+            op.potentials(b, base=op)
+        base = pulled_back_operator(wavy_pair(g), PAR, 12)
+        stage = pulled_back_operator(self.stage_pair(g, 1e-3), PAR, 12)
+        with pytest.raises(ValueError, match="hold its factorization"):
+            stage.potentials(b, base=base)
+        assert solve_counts["splu"] == 0
+        assert not any("factorization" in vars(o) for o in (op, base, stage))
+        touching = pulled_back_operator(
+            InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0), PAR, 12)
+        with pytest.raises(SolverFailure, match="ill-conditioned"):
+            touching.potentials(b)
+        with pytest.raises(ValueError, match="hold its factorization"):
+            stage.potentials(b, base=touching)
+        assert solve_counts["splu"] == 1  # the failed factorization of touching
 
     def test_base_must_share_the_strips(self):
         g = make_grid(16)
@@ -550,6 +565,15 @@ class TestPredictedStarts:
         want = vector(direct)
         assert np.max(np.abs(vector(solution) - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_own_factor_stops_at_the_first_iterate_within_epsilon(self, solve_counts):
+        # the plain factored solve of this state meets the epsilon stop, so the
+        # factored solve makes one correction: one triangular solve and the
+        # one residual product that judges it (the zero start's residual is b)
+        g = make_grid(16)
+        solution = pulled_back_operator(wavy_pair(g), PAR, 8).potentials(constant_fn(g, 0.5))
+        assert solution.record == diffraction.SolveRecord("factored", 1)
+        assert solve_counts == {"splu": 1, "solves": 1, "products": 1}
+
     def test_records_name_the_method_and_the_fallback(self, solve_counts):
         g = make_grid(16)
         b = constant_fn(g, 0.5)
@@ -557,19 +581,19 @@ class TestPredictedStarts:
         first = op.potentials(b)
         garbage = np.full(len(vector(first)), np.nan)
         second = op.potentials(b, start=garbage)  # the own factor ignores a start
-        assert first.record == diffraction.SolveRecord("factored", 2)
-        assert second.record == diffraction.SolveRecord("direct", 2)
+        assert first.record == diffraction.SolveRecord("factored", 1)
+        assert second.record == diffraction.SolveRecord("direct", 1)
         assert np.array_equal(vector(first), vector(second))
-        assert solve_counts["solves"] == 4
+        assert solve_counts["solves"] == 2
         far = InterfacePair(fn(g, lambda x: 0.4 * np.sin(x)), constant_fn(g, 1.0), -1.0)
         stage = pulled_back_operator(far, PAR, 8)
         fallback = stage.potentials(b, base=op)
         assert fallback.record.method == "factored"
         assert fallback.record.fallback == "contraction"
         assert fallback.record.contraction > diffraction.REFINE_CONTRACTION_LIMIT
-        assert solve_counts["solves"] == 4 + fallback.record.corrections
+        assert solve_counts["solves"] == 2 + fallback.record.corrections
         # a factored operator solves on its own factor, whatever base it is given
-        assert stage.potentials(b, base=op).record == diffraction.SolveRecord("direct", 2)
+        assert stage.potentials(b, base=op).record == diffraction.SolveRecord("direct", 1)
         nan_start = pulled_back_operator(wavy_pair(g), PAR, 8).potentials(
             b, start=garbage, base=op)
         assert nan_start.record.fallback == "non_finite"

@@ -356,7 +356,7 @@ class TestSimulate:
         assert traj.reason == "step_failure"
         failure = traj.failure
         assert failure["kind"] == "solver_failure"
-        assert failure["message"].startswith("system too ill-conditioned (estimate 2.070e+14")
+        assert failure["message"].startswith("system too ill-conditioned (estimate 2.071e+14")
         assert failure["condition_estimate"] == pytest.approx(2.07e14, rel=1e-3)
         assert failure["t"] == traj.times[-1] == pytest.approx(0.35358, abs=1e-5)
         assert 0.0 < failure["dt"] <= 0.6 - failure["t"]
@@ -716,11 +716,11 @@ class TestFactorizationReuse:
     }
     # triangular solves of each run, condition estimates excluded: the cost
     # of its refinements, pinned so that a change to it shows
-    TRIANGULAR_SOLVES = {"gravity": 109, "surface_tension": 63, "rejected_step": 190}
+    TRIANGULAR_SOLVES = {"gravity": 109, "surface_tension": 61, "rejected_step": 190}
     # residual products A x of each run: one per correction, and one for each
     # refinement's start unless it is cold (a zero start's residual is b);
     # the backward-error guard reads the last residual instead of forming one
-    RESIDUAL_PRODUCTS = {"gravity": 133, "surface_tension": 80, "rejected_step": 225}
+    RESIDUAL_PRODUCTS = {"gravity": 133, "surface_tension": 78, "rejected_step": 225}
 
     def counted_run(self, name, monkeypatch, solve_counts):
         """(trajectory, solves, accepted, rejected) of a config, with
@@ -788,9 +788,12 @@ class TestFactorizationReuse:
         traj, _, accepted, _ = self.counted_run(name, monkeypatch, solve_counts)
         assert solve_counts["splu"] == accepted + 1  # each step's stages refine on its state
         assert traj.steps_rejected == kept.steps_rejected
-        for own, base in ((traj.times, kept.times), (traj.f_values, kept.f_values),
-                          (traj.h_values, kept.h_values)):
+        for own, base in ((traj.f_values, kept.f_values), (traj.h_values, kept.h_values)):
             assert np.max(np.abs(np.subtract(own, base))) <= 1e-10
+        # the controller's ratio**(-1/5) carries the rounding-level change of
+        # the error estimate into dt: 1.9e-10 on rejected_step (rtol 1e-8),
+        # while its states agree to 3.8e-12
+        assert np.max(np.abs(np.subtract(traj.times, kept.times))) <= 1e-9
 
     @pytest.mark.parametrize("max_iterations, refactor_after", [
         pytest.param(diffraction.REFINE_MAX_ITERATIONS, evolution.REFACTOR_AFTER,
