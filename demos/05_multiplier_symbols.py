@@ -34,16 +34,16 @@ print(f"  D_plus={fp.D_plus:.4f} D_minus={fp.D_minus:.4f} "
 
 print(f"\n{'m':>3} {'lambda (formula)':>18} {'lambda (oracle)':>18} {'gap':>9}")
 for m in (1, 2, 4, 8, 16):
-    formula = lambda_symbol(fp, m, 0.0, params)
-    oracle = ode_oracle_lambda(fp, m, 0.0, params).symbol_value
+    formula = lambda_symbol(fp, m, 0.0)
+    oracle = ode_oracle_lambda(fp, m, 0.0).symbol_value
     print(f"{m:>3} {formula.real:>18.10f} {oracle.real:>18.10f} "
           f"{abs(formula - oracle):>9.1e}")
 
 print("\ndrift of the closed forms off equilibrium (oracle authoritative):")
 for tau in (0.5, 1.0):
     for m in (1, 4):
-        gap_l = abs(lambda_symbol(fp, m, tau, params)
-                    - ode_oracle_lambda(fp, m, tau, params).symbol_value)
-        gap_p = abs(phi_symbol(fp, m, tau, params)
-                    - ode_oracle_phi(fp, m, tau, params).symbol_value)
+        gap_l = abs(lambda_symbol(fp, m, tau)
+                    - ode_oracle_lambda(fp, m, tau).symbol_value)
+        gap_p = abs(phi_symbol(fp, m, tau)
+                    - ode_oracle_phi(fp, m, tau).symbol_value)
         print(f"  tau={tau} m={m}: |lambda gap| = {gap_l:.3e}, |phi gap| = {gap_p:.3e}")

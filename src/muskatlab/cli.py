@@ -126,18 +126,17 @@ def cmd_symbols(args) -> int:
         print("error: --x must be finite", file=sys.stderr)
         return EXIT_CONFIG
     config, fh, b = _config_and_state(args)
-    params = config.params
-    sol = solve_potentials(fh, b, params, n_y=config.n_y,
+    sol = solve_potentials(fh, b, config.params, n_y=config.n_y,
                            surface_tension=config.surface_tension)
     fp = frozen_constants(sol, args.x)
 
     lines = ["family,m,re_formula,im_formula,re_oracle,im_oracle"]
     for m in range(1, args.m_max + 1):
-        lam = lambda_symbol(fp, m, args.tau, params)
-        phi_v = phi_symbol(fp, m, args.tau, params)
+        lam = lambda_symbol(fp, m, args.tau)
+        phi_v = phi_symbol(fp, m, args.tau)
         if args.oracle:
-            lam_o = ode_oracle_lambda(fp, m, args.tau, params).symbol_value
-            phi_o = ode_oracle_phi(fp, m, args.tau, params).symbol_value
+            lam_o = ode_oracle_lambda(fp, m, args.tau).symbol_value
+            phi_o = ode_oracle_phi(fp, m, args.tau).symbol_value
             lam_tail = f"{_fmt(lam_o.real)},{_fmt(lam_o.imag)}"
             phi_tail = f"{_fmt(phi_o.real)},{_fmt(phi_o.imag)}"
         else:

@@ -172,8 +172,8 @@ class TransmissionOperator:
         """The transformed velocity potentials of the state with bottom
         pressure b; with surface_tension both interfaces carry Laplace-Young
         jumps, and the solution records it.  base, a factored operator on the
-        same strips, and start, a predicted solution in the node ordering of
-        :func:`_assemble`, are those of :func:`solve_general`."""
+        same strips, and start, a predicted :attr:`DiffractionSolution.vector`,
+        are those of :func:`solve_general`."""
         fh, params = self.fh, self.params
         strip_p, strip_m = self.strips
         jump = params.g * (params.rho_plus - params.rho_minus) * fh.f
@@ -243,7 +243,8 @@ class SolveRecord:
 
 @dataclass(frozen=True)
 class DiffractionSolution:
-    """Solved strip fields with the operator they were solved on, which holds
+    """Solved strip fields, views of the solution vector in the node ordering
+    of :func:`_assemble`, with the operator they were solved on, which holds
     their interface state and fluid, the 1-norm condition estimate of the
     matrix they were solved with, and the record of how they were solved;
     their edge traces are computed on access.  surface_tension records
@@ -251,6 +252,7 @@ class DiffractionSolution:
 
     v_plus: StripField
     v_minus: StripField
+    vector: np.ndarray = field(repr=False)
     operator: TransmissionOperator = field(repr=False)
     condition_estimate: float
     record: SolveRecord
@@ -262,7 +264,6 @@ class DiffractionSolution:
     tr0_dx_vminus = _trace(trace_dx, "v_minus", "top")
     tr0_dy_vplus = _trace(trace_dy, "v_plus", "bottom")
     tr0_dy_vminus = _trace(trace_dy, "v_minus", "top")
-    tr1_vplus = _trace(trace_values, "v_plus", "top")
     tr1_dx_vplus = _trace(trace_dx, "v_plus", "top")
     tr1_dy_vplus = _trace(trace_dy, "v_plus", "top")
 
@@ -432,7 +433,7 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None,
     record = SolveRecord(method, corrections, contraction, cause)
     return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
                                StripField(strip_m, x_minus.reshape(strip_m.shape)),
-                               operator, cond, record)
+                               x, operator, cond, record)
 
 
 # ---------------------------------------------------------------------------

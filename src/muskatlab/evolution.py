@@ -155,8 +155,8 @@ class _RunSolver:
     """The transmission solves of one run: each refines on the run's base,
     a factored operator or None, from a predicted start, and is counted.
 
-    A start is a solution of the run's step problem: the potentials with
-    surface tension when the run has it, the gravity-only ones otherwise.
+    A start is a solution vector of the run's step problem: the potentials
+    with surface tension when the run has it, the gravity-only ones otherwise.
     One buffer, allocated once and overwritten in place, holds three: row 0
     is x0, the solution at the step's start state; row 1 the latest stage's,
     which after an accepted attempt is its c = 1 stage's; row 2 the start of
@@ -199,9 +199,7 @@ class _RunSolver:
             cost = record.corrections if record.method == "refined" else np.inf
             self.slowest = cost if stage == 1 else max(self.slowest, cost)
         if stage <= 4:
-            row, n_plus = self.rows[min(stage, 1)], solution.v_plus.values.size
-            row[:n_plus] = solution.v_plus.values.ravel()
-            row[n_plus:] = solution.v_minus.values.ravel()
+            self.rows[min(stage, 1)] = solution.vector
         return solution
 
 

@@ -68,7 +68,8 @@ class FrozenPoint:
     boundary operator coefficients, A/B/V the trace combinations entering
     the per-mode problems, and V_f/V_h the surface-tension weights.  The raw
     slopes, gaps, and traces are kept as well; the imaginary symbol parts
-    and the oracle need them directly.
+    and the oracle need them directly.  params is the fluid the point was
+    frozen under, from which every symbol and oracle reads k/mu and g rho_+.
     """
 
     a_plus: float
@@ -99,8 +100,7 @@ class FrozenPoint:
     dy_v_minus: float
     dx_v_minus: float
     dx_v_plus_top: float
-    k_over_mu_minus: float
-    k_over_mu_plus: float
+    params: FluidParams
 
     def __post_init__(self):
         for a, b, d in ((self.a_plus, self.b_plus, self.D_plus),
@@ -171,8 +171,7 @@ def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,
         dy_v_minus=dy_v_minus,
         dx_v_minus=dx_v_minus,
         dx_v_plus_top=dx_v_plus_top,
-        k_over_mu_minus=km,
-        k_over_mu_plus=kp,
+        params=params,
     )
 
 
@@ -183,16 +182,11 @@ def frozen_constants(base_solution: DiffractionSolution, x: float) -> FrozenPoin
         raise ValueError(f"x must be finite, got {x!r}")
     base = base_solution.operator.fh
     f_val = base.f.at(x)
-    h_val = base.h.at(x)
-    gap_minus = f_val - base.d
-    gap_plus = h_val - f_val
-    if gap_minus <= 0 or gap_plus <= 0:
-        raise ValueError("interfaces not admissible at the evaluation point")
     return frozen_from_local_data(
         f_slope=PeriodicFn(base.grid, base.f.derivatives[0]).at(x),
         h_slope=PeriodicFn(base.grid, base.h.derivatives[0]).at(x),
-        gap_minus=gap_minus,
-        gap_plus=gap_plus,
+        gap_minus=f_val - base.d,
+        gap_plus=base.h.at(x) - f_val,
         dy_v_minus=base_solution.tr0_dy_vminus.at(x),
         dy_v_plus=base_solution.tr0_dy_vplus.at(x),
         dx_v_minus=base_solution.tr0_dx_vminus.at(x),
@@ -212,11 +206,11 @@ def _lambda_denominator(fp: FrozenPoint, m: int) -> float:
             + np.tanh(fp.D_minus * m) / (fp.beta2_minus * fp.D_minus * m))
 
 
-def lambda_symbol(fp: FrozenPoint, m: int, tau: float, params: FluidParams) -> complex:
+def lambda_symbol(fp: FrozenPoint, m: int, tau: float) -> complex:
     """Closed-form per-mode symbol of the lower-interface linearization."""
     if m == 0:
         raise ValueError("mode m must be nonzero")
-    km = params.k / params.mu_minus
+    km = fp.params.k / fp.params.mu_minus
     denom = _lambda_denominator(fp, m)
     re = -(fp.Delta_rho + fp.Delta_A
            + tau * fp.A_minus * np.cos(fp.D_minus * m) * _sech(fp.D_minus * m)
@@ -230,12 +224,12 @@ def lambda_symbol(fp: FrozenPoint, m: int, tau: float, params: FluidParams) -> c
     return complex(re, im)
 
 
-def phi_symbol(fp: FrozenPoint, m: int, tau: float, params: FluidParams) -> complex:
+def phi_symbol(fp: FrozenPoint, m: int, tau: float) -> complex:
     """Closed-form per-mode symbol of the upper-interface linearization."""
     if m == 0:
         raise ValueError("mode m must be nonzero")
-    kp = params.k / params.mu_plus
-    g_rho = params.g * params.rho_plus
+    kp = fp.params.k / fp.params.mu_plus
+    g_rho = fp.params.g * fp.params.rho_plus
     mu_m = kp * (g_rho - fp.V) * m / np.tanh(fp.D1 * m)
     nu_m = tau * kp * fp.V * m * np.cos(fp.a1 * m) * _csch(fp.D1 * m)
     im = tau * kp * (fp.a1 * ((2.0 - tau) * fp.V - g_rho) * m / fp.D1
@@ -254,7 +248,7 @@ def phi_st_symbol(fp: FrozenPoint, m: int) -> float:
     """Surface-tension symbol of the upper-interface linearization (real)."""
     if m == 0:
         raise ValueError("mode m must be nonzero")
-    return -fp.k_over_mu_plus * fp.V_h * m**3 / np.tanh(fp.D1 * m)
+    return -(fp.params.k / fp.params.mu_plus) * fp.V_h * m**3 / np.tanh(fp.D1 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +292,7 @@ def _scaled_boundary_rows(a: float, D: float, m: int, y: float):
     return u, v
 
 
-def ode_oracle_lambda(fp: FrozenPoint, m: int, tau: float,
-                      params: FluidParams) -> SymbolODESolution:
+def ode_oracle_lambda(fp: FrozenPoint, m: int, tau: float) -> SymbolODESolution:
     """Solve the coupled per-mode two-strip problem and rebuild the symbol.
 
     Unknowns are the eight real coefficients of the general solutions in the
@@ -309,7 +302,7 @@ def ode_oracle_lambda(fp: FrozenPoint, m: int, tau: float,
     """
     if m == 0:
         raise ValueError("mode m must be nonzero")
-    km = params.k / params.mu_minus
+    km = fp.params.k / fp.params.mu_minus
 
     mat = np.zeros((8, 8))
     rhs = np.zeros(8)
@@ -360,8 +353,7 @@ def ode_oracle_lambda(fp: FrozenPoint, m: int, tau: float,
                              xi_plus=tuple(xi[0:4]), xi_minus=tuple(xi[4:8]))
 
 
-def ode_oracle_phi(fp: FrozenPoint, m: int, tau: float,
-                   params: FluidParams) -> SymbolODESolution:
+def ode_oracle_phi(fp: FrozenPoint, m: int, tau: float) -> SymbolODESolution:
     """Solve the per-mode single-strip Dirichlet problem and rebuild the symbol.
 
     The four real basis coefficients come from the boundary rows; the top
@@ -371,8 +363,8 @@ def ode_oracle_phi(fp: FrozenPoint, m: int, tau: float,
     """
     if m == 0:
         raise ValueError("mode m must be nonzero")
-    kp = params.k / params.mu_plus
-    g_rho = params.g * params.rho_plus
+    kp = fp.params.k / fp.params.mu_plus
+    g_rho = fp.params.g * fp.params.rho_plus
     g_top = g_rho - (1.0 - tau) * fp.V
 
     mat = np.zeros((4, 4))
@@ -474,19 +466,16 @@ def _common_margins(base: InterfacePair, sigma: float) -> tuple[dict, float]:
     }, inv_sigma
 
 
-def region_check_S(base_solution: DiffractionSolution, sigma: float,
-                   pairing: str = "printed") -> RegionReport:
+def region_check_S(base_solution: DiffractionSolution, sigma: float) -> RegionReport:
     """Slack of the lower-interface parabolicity region at level sigma.
 
     The trace condition admits two readings of which gap divides which
-    trace; 'printed' follows the region definition as stated, 'delta_a'
-    pairs each trace with its own layer gap (the pairing the frozen
-    constants use).  Both margins are always reported.
+    trace, and both margins are reported: 'jump_printed' follows the region
+    definition as stated and decides ok, 'jump_delta_a' pairs each trace
+    with its own layer gap (the pairing the frozen constants use).
     """
     base, params = base_solution.operator.fh, base_solution.operator.params
     margins, inv_sigma = _common_margins(base, sigma)
-    if pairing not in ("printed", "delta_a"):
-        raise ValueError("pairing must be 'printed' or 'delta_a'")
     dy_m = base_solution.tr0_dy_vminus.values
     dy_p = base_solution.tr0_dy_vplus.values
     gap_minus = base.gap_minus.values
@@ -495,8 +484,7 @@ def region_check_S(base_solution: DiffractionSolution, sigma: float,
     margins["jump_printed"] = float(np.min(drho - sigma - (dy_m / gap_plus - dy_p / gap_minus)))
     margins["jump_delta_a"] = float(np.min(drho - sigma - (dy_m / gap_minus - dy_p / gap_plus)))
     margins["trace"] = inv_sigma - (np.max(np.abs(dy_p)) + np.max(np.abs(dy_m)))
-    jump_key = "jump_printed" if pairing == "printed" else "jump_delta_a"
-    worst = min(margins["gap"], margins["norm"], margins[jump_key], margins["trace"])
+    worst = min(margins["gap"], margins["norm"], margins["jump_printed"], margins["trace"])
     return RegionReport(ok=worst > 0, worst_margin=float(worst), margins=margins)
 
 

@@ -187,24 +187,24 @@ def check_frechet(quick: bool = False) -> CheckResult:
 
 
 def random_frozen_point(rng):
-    """Random fluid parameters and a frozen point at them, drawn from rng.
+    """A frozen point under random fluid parameters, drawn from rng.
 
     The parameters are drawn first, then the ten local data in the order of
-    frozen_from_local_data's arguments.  Returns (params, fp).
+    frozen_from_local_data's arguments; the point carries the parameters as
+    its params.
     """
     params = FluidParams(k=rng.uniform(0.3, 3), mu_minus=rng.uniform(0.3, 3),
                          mu_plus=rng.uniform(0.3, 3), rho_minus=rng.uniform(0, 3),
                          rho_plus=rng.uniform(0, 3), g=rng.uniform(0, 2),
                          gamma_f=rng.uniform(0, 1), gamma_h=rng.uniform(0, 1),
                          d=-rng.uniform(0.5, 2.0))
-    fp = symbols.frozen_from_local_data(
+    return symbols.frozen_from_local_data(
         f_slope=rng.uniform(-1, 1), h_slope=rng.uniform(-1, 1),
         gap_minus=rng.uniform(0.3, 2), gap_plus=rng.uniform(0.3, 2),
         dy_v_minus=rng.uniform(-1, 1), dy_v_plus=rng.uniform(-1, 1),
         dx_v_minus=rng.uniform(-1, 1), dx_v_plus=rng.uniform(-1, 1),
         dy_v_plus_top=rng.uniform(-1, 1), dx_v_plus_top=rng.uniform(-1, 1),
         params=params)
-    return params, fp
 
 
 def check_symbols_oracle_at(seed: int, n_points: int):
@@ -222,29 +222,28 @@ def check_symbols_oracle_at(seed: int, n_points: int):
     worst_resid = 0.0
     tau1_disc = 0.0
     for _ in range(n_points):
-        par, fp = random_frozen_point(rng)
+        fp = random_frozen_point(rng)
         m = int(rng.integers(1, 33))
-        lam_o = symbols.ode_oracle_lambda(fp, m, 0.0, par)
-        phi_o = symbols.ode_oracle_phi(fp, m, 0.0, par)
+        lam_o = symbols.ode_oracle_lambda(fp, m, 0.0)
+        phi_o = symbols.ode_oracle_phi(fp, m, 0.0)
         worst_tau0 = max(worst_tau0,
-                         abs(lam_o.symbol_value - symbols.lambda_symbol(fp, m, 0.0, par)),
-                         abs(phi_o.symbol_value - symbols.phi_symbol(fp, m, 0.0, par)))
+                         abs(lam_o.symbol_value - symbols.lambda_symbol(fp, m, 0.0)),
+                         abs(phi_o.symbol_value - symbols.phi_symbol(fp, m, 0.0)))
         worst_resid = max(worst_resid, lam_o.residual, phi_o.residual)
-        lam_1 = symbols.ode_oracle_lambda(fp, m, 1.0, par)
+        lam_1 = symbols.ode_oracle_lambda(fp, m, 1.0)
         tau1_disc = max(tau1_disc,
-                        abs(lam_1.symbol_value - symbols.lambda_symbol(fp, m, 1.0, par)))
+                        abs(lam_1.symbol_value - symbols.lambda_symbol(fp, m, 1.0)))
 
-    par = FluidParams()
-    fp_eq = symbols.frozen_from_local_data(0, 0, 1, 1, 0, 0, 0, 0, 0, 0, par)
+    fp_eq = symbols.frozen_from_local_data(0, 0, 1, 1, 0, 0, 0, 0, 0, 0, FluidParams())
     worst_eq = 0.0
     for tau in (0.25, 0.5, 0.75, 1.0):
         for m in (1, 2, 4, 8, 16):
             worst_eq = max(
                 worst_eq,
-                abs(symbols.ode_oracle_lambda(fp_eq, m, tau, par).symbol_value
-                    - symbols.lambda_symbol(fp_eq, m, tau, par)),
-                abs(symbols.ode_oracle_phi(fp_eq, m, tau, par).symbol_value
-                    - symbols.phi_symbol(fp_eq, m, tau, par)))
+                abs(symbols.ode_oracle_lambda(fp_eq, m, tau).symbol_value
+                    - symbols.lambda_symbol(fp_eq, m, tau)),
+                abs(symbols.ode_oracle_phi(fp_eq, m, tau).symbol_value
+                    - symbols.phi_symbol(fp_eq, m, tau)))
 
     ok = worst_tau0 < 1e-9 and worst_eq < 1e-9 and worst_resid < 1e-10
     result = CheckResult(

@@ -252,8 +252,8 @@ def test_criterion_10_marcinkiewicz_diagnostics():
     fp = frozen_from_local_data(0, 0, 1, 1, 0, 0, 0, 0, 0, 0, PAR)
     details = []
     ok = True
-    for name, make in (("lambda", lambda m: lambda_symbol(fp, m, 0.0, PAR)),
-                       ("phi", lambda m: phi_symbol(fp, m, 0.0, PAR))):
+    for name, make in (("lambda", lambda m: lambda_symbol(fp, m, 0.0)),
+                       ("phi", lambda m: phi_symbol(fp, m, 0.0))):
         seq_256 = np.array([make(m) for m in range(1, 257)])
         seq_512 = np.array([make(m) for m in range(1, 513)])
         sup_re = float(np.max(seq_256.real))
