@@ -16,10 +16,10 @@ a step whose stages needed more than REFACTOR_AFTER corrections, or when its
 own refinement falls back.  A step taken outside a run is the reference
 RKF45 path, on which every solve factors its own matrix.
 
-The Rayleigh-Taylor monitor evaluates the jumps of the normal pressure
-derivatives from the transformed traces, normalized to physical normal
-derivatives; positive margins are the parabolicity regime of the
-gravity-driven problem.
+The Rayleigh-Taylor monitor reads its margins off the gravity-driven
+interface velocities in their Darcy (Saffman-Taylor) form, normalized to
+physical normal derivatives; positive margins are the parabolicity regime
+of the gravity-driven problem.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ _RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 
 _MAX_STEPS = 200_000
 _MIN_DT = 1e-12
-# simulate refines its next accepted state on the base of the step before
-# when every stage of that step refined on the base within this many
+# a run's solver refines its next accepted state on the base of the step
+# before when every stage of that step refined on the base within this many
 # corrections, and factors the state otherwise.
 REFACTOR_AFTER = 6
 
@@ -164,7 +164,10 @@ class _RunSolver:
     x0 + (c_s / c_{s-1}) (x_{s-1} - x0); the step problem of an accepted
     state (stage 0) starts from the accepted attempt's c = 1 stage.
     slowest is the most corrections a stage of the latest attempt needed,
-    infinite when one was not refined.
+    infinite when one was not refined.  The solver keeps its own base: an
+    accepted state's solves (stage None or 0) first release it when slowest
+    exceeds REFACTOR_AFTER, freeing its factor before the state factors, and
+    a state whose step problem was not refined on it becomes the base.
     """
 
     def __init__(self, unknowns: int, count_solve):
@@ -189,12 +192,16 @@ class _RunSolver:
         """The potentials on operator, refined on the base from the given
         stage's start; the solution is counted, and kept when it is that
         stage of the step problem."""
+        if stage in (None, 0) and self.slowest > REFACTOR_AFTER:
+            self.base = None
         start = None if stage is None else self.start(stage)
         solution = operator.potentials(b, surface_tension, start, self.base)
         record = solution.record
         self.count_solve(record)
         if stage is None:
             return solution
+        if stage == 0 and record.method != "refined":
+            self.base = operator
         if stage >= 1:
             cost = record.corrections if record.method == "refined" else np.inf
             self.slowest = cost if stage == 1 else max(self.slowest, cost)
@@ -242,32 +249,30 @@ def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
     return p_plus, p_minus
 
 
-def _rt_report(sol: DiffractionSolution) -> RTReport:
-    operator = sol.operator
-    fh, params = operator.fh, operator.params
-    fp = fh.f.derivatives[0]
-    hp = fh.h.derivatives[0]
-    co_minus = (params.mu_minus / params.k) * operator.minus_bc.apply(sol.v_minus)
-    co_plus = (params.mu_plus / params.k) * operator.plus_bc.apply(sol.v_plus)
-    co_top = (params.mu_plus / params.k) * boundary_B1(fh, params, sol.v_plus).values
+def _rt_report(fh: InterfacePair, params: FluidParams, velocities) -> RTReport:
+    df, dh = velocities
     drho = params.g * (params.rho_minus - params.rho_plus)
-    margin_f = np.min((drho - co_minus + co_plus) / np.sqrt(1.0 + fp**2))
-    margin_h = np.min((params.g * params.rho_plus - co_top) / np.sqrt(1.0 + hp**2))
+    dmu = (params.mu_minus - params.mu_plus) / params.k
+    margin_f = np.min((drho + dmu * df.values) / np.sqrt(1.0 + fh.f.derivatives[0]**2))
+    margin_h = np.min((params.g * params.rho_plus + (params.mu_plus / params.k) * dh.values)
+                      / np.sqrt(1.0 + fh.h.derivatives[0]**2))
     return RTReport(margin_f=float(margin_f), margin_h=float(margin_h))
 
 
 def rayleigh_taylor(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
                     n_y: int | None = None) -> RTReport:
-    """Parabolicity margins from the gravity-driven potentials.
+    """Parabolicity margins from the gravity-driven interface velocities.
 
-    margin_f is the minimum over x of minus the jump of the normal pressure
-    derivative across the lower interface; margin_h the minimum of minus the
-    upper fluid's normal pressure derivative on the top interface.  Both are
-    physical normal derivatives (slope-normalized).  b is the bottom pressure
-    at the time of fh; a time-dependent b is evaluated by the caller.
+    margin_f is the minimum over x of g (rho_- - rho_+) + ((mu_- - mu_+) /
+    k) df/dt, which is minus the jump of the normal pressure derivative
+    across the lower interface because the potentials' flux row imposes
+    B_+ v_+ = B_- v_- = -df/dt; margin_h is the minimum of g rho_+ + (mu_+ /
+    k) dh/dt, minus the upper fluid's normal pressure derivative on the top
+    interface.  Both are physical normal derivatives (divided by
+    sqrt(1 + f'^2) and sqrt(1 + h'^2)).  b is the bottom pressure at the
+    time of fh; a time-dependent b is evaluated by the caller.
     """
-    _check_bottom_pressure(b)
-    return _rt_report(solve_potentials(fh, b, params, n_y=n_y))
+    return _rt_report(fh, params, phi(fh, b, params, n_y=n_y))
 
 
 def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
@@ -331,14 +336,12 @@ def simulate(config: SimConfig) -> Trajectory:
     'step_failure'; failures are recorded in the trajectory's failure, never
     raised past it, and the trajectory counts how its solves were solved.
     An accepted state's RT margins and first stage share one operator (and,
-    without surface tension, one solve), and the state's step refines its
-    later stages on the run's base (see :class:`_RunSolver`), which lives as
-    long as this call.  The initial state is factored and becomes the base.
-    A later accepted state is refined on the base, from the step's c = 1
-    stage, when every stage of the step refined on it within REFACTOR_AFTER
-    corrections, and then carries the base's condition estimate scaled by
-    the refinement; otherwise the old base is released, and the state
-    factors itself and becomes the base.
+    without surface tension, one solve and its velocities).  This call reads
+    velocities only: the solutions, and the base they refine on, stay in the
+    run's solver (see :class:`_RunSolver`), which lives as long as this call
+    and factors a state only as the module docstring says; a state refined
+    on the base carries the base's condition estimate scaled by the
+    refinement.
     """
     fh, b = config.initial_state()
     params = config.params
@@ -353,25 +356,23 @@ def simulate(config: SimConfig) -> Trajectory:
         return traj
 
     def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
-        """Record an accepted state, refined on the run's base; return it with
-        its slope, or None at the end.  A state that factored becomes the
-        base."""
+        """Record an accepted state, solved by the run; return it with its
+        slope, or None at the end."""
         operator = pulled_back_operator(fh, params, config.n_y)
         try:
-            gravity_sol = run.solve(operator, b, False, None if config.surface_tension else 0)
-            report = _rt_report(gravity_sol)
+            gravity = _velocities(run.solve(operator, b, False,
+                                            None if config.surface_tension else 0))
+            report = _rt_report(fh, params, gravity)
             traj.record(t, fh, report, dt_used)
             if stop_on_rt and not report.satisfied:
                 traj.reason = "rt_violated"
             elif t >= config.t_end * (1.0 - 1e-12):
                 traj.reason = "t_end"
             else:
-                sol = gravity_sol
+                slope = gravity
                 if config.surface_tension:
-                    sol = run.solve(operator, b, True, 0)
-                if sol.record.method != "refined":
-                    run.base = operator
-                return SimState(t=t, fh=fh, slope=_velocities(sol))
+                    slope = _velocities(run.solve(operator, b, True, 0))
+                return SimState(t=t, fh=fh, slope=slope)
         except SolverFailure as exc:
             fail("step_failure", "solver_failure", str(exc), t, dt_used, exc.condition_estimate)
         return None
@@ -420,8 +421,6 @@ def simulate(config: SimConfig) -> Trajectory:
                                       new_state.fh.d)
         except AdmissibilityError as exc:
             return fail("admissibility_lost", "admissibility", str(exc), new_state.t, dt)
-        if run.slowest > REFACTOR_AFTER:
-            run.base = None  # freed before accept factors the new state
         state = accept(new_state.t, dealiased, dt)
         if state is None:
             return traj

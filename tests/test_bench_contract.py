@@ -3,9 +3,10 @@
 perfbench/spans.py replaces named muskatlab functions with span-recording
 wrappers; renaming one of them would break the traced benchmark without
 failing any other test.  Here the tracer is installed, a small per-mode
-linearization, a short simulation, and a frozen point with a closed-form
-symbol and its oracle run under it, and every layer they pass through must
-have recorded spans, with one condition estimate per factorization.
+linearization, a short simulation, a Rayleigh-Taylor check, and a frozen
+point with a closed-form symbol and its oracle run under it, and every
+layer they pass through must have recorded spans, with one condition
+estimate per factorization.
 """
 
 import importlib.util
@@ -22,7 +23,8 @@ LAYERS = {
     "geometry.spectral_derivative", "geometry.check_admissible",
     "operators.coeffs", "operators.boundary", "operators.apply",
     "diffraction.solve", "diffraction.factor", "diffraction.condest",
-    "evolution.simulate", "evolution.step", "evolution.phi", "evolution.linearized",
+    "evolution.simulate", "evolution.step", "evolution.phi", "evolution.rt",
+    "evolution.linearized",
     "symbols.frozen", "symbols.formula", "symbols.oracle",
 }
 
@@ -46,6 +48,7 @@ def test_every_traced_layer_records_spans():
         traj = muskatlab.simulate(SimConfig(
             n_x=16, n_y=8, params=FluidParams(), f0=WaveSpec(modes=((1, 0.05, 0.0),)),
             b=WaveSpec(const=1.0), t_end=0.1, dt_init=0.05))
+        report = muskatlab.rayleigh_taylor(flat, constant_fn(g, 1.0), FluidParams(), n_y=8)
         fp = muskatlab.frozen_constants(
             muskatlab.solve_potentials(flat, constant_fn(g, 0.0), FluidParams(), n_y=8), 0.5)
         formula = muskatlab.phi_symbol(fp, 2, 0.0)
@@ -55,6 +58,7 @@ def test_every_traced_layer_records_spans():
     assert muskatlab.evolution.simulate is original_simulate
     assert mats.shape == (2, 2, 2)
     assert traj.reason == "t_end"
+    assert report.satisfied
     assert abs(formula - oracle) < 1e-12
     assert LAYERS <= {span["name"] for span in tracer.spans}
     assert all(span["error"] is None for span in tracer.spans)

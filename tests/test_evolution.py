@@ -23,7 +23,7 @@ from muskatlab.evolution import (
     step,
 )
 from muskatlab.geometry import InterfacePair, PeriodicFn, constant_fn, from_callable, make_grid
-from muskatlab.operators import FluidParams, strip_heights
+from muskatlab.operators import FluidParams, boundary_B1, strip_heights
 from muskatlab.symbols import frozen_constants
 
 PAR = FluidParams()
@@ -198,6 +198,42 @@ class TestRayleighTaylor:
         with pytest.raises(TypeError):
             rayleigh_taylor(fh, b, PAR, n_y=12)
         assert rayleigh_taylor(fh, b(0.5), PAR, n_y=12) != rayleigh_taylor(fh, b(0.0), PAR, n_y=12)
+
+    def test_curved_state_with_viscosity_contrast_matches_the_traces(self):
+        # the margins read off the velocities against the three co-normal
+        # traces they stand for: the jump B_+ v_+ - B_- v_- across Gamma_0
+        # and B_1 v_+ on Gamma_1, at a curved state whose viscosity term moves
+        # margin_f
+        g = make_grid(32)
+        par = FluidParams(k=1.7, mu_minus=2.0, mu_plus=0.5)
+        fh = InterfacePair(fn(g, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x)),
+                           fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.5)
+        b = fn(g, lambda x: 0.3 + 0.2 * np.cos(x))
+        sol = solve_potentials(fh, b, par, n_y=16)
+        operator = sol.operator
+        co_minus = par.mu_minus / par.k * operator.minus_bc.apply(sol.v_minus)
+        co_plus = par.mu_plus / par.k * operator.plus_bc.apply(sol.v_plus)
+        co_top = par.mu_plus / par.k * boundary_B1(fh, par, sol.v_plus).values
+        drho = par.g * (par.rho_minus - par.rho_plus)
+        slope_f = np.sqrt(1.0 + fh.f.derivatives[0] ** 2)
+        slope_h = np.sqrt(1.0 + fh.h.derivatives[0] ** 2)
+        rep = rayleigh_taylor(fh, b, par, n_y=16)
+        assert abs(rep.margin_f - np.min((drho - co_minus + co_plus) / slope_f)) <= 1e-12
+        assert abs(rep.margin_h - np.min((par.g * par.rho_plus - co_top) / slope_h)) <= 1e-12
+        assert abs(rep.margin_f - np.min(drho / slope_f)) > 0.1
+
+    @pytest.mark.parametrize("surface_tension", [False, True])
+    def test_simulate_records_the_rtcheck_margins(self, surface_tension):
+        # a run's first report is rtcheck's at its initial state, bit for bit
+        config = SimConfig(n_x=16, n_y=8,
+                           params=FluidParams(k=1.7, mu_minus=2.0, mu_plus=0.5,
+                                              gamma_f=0.5, gamma_h=1.0),
+                           f0=WaveSpec(modes=((1, 0.05, 0.02),)), b=WaveSpec(const=0.3),
+                           t_end=2e-3, surface_tension=surface_tension)
+        traj = simulate(config)
+        assert traj.reason == "t_end"
+        assert traj.rt_reports[0] == rayleigh_taylor(*config.initial_state(), config.params,
+                                                     n_y=config.n_y)
 
 
 class TestStep:
