@@ -20,16 +20,21 @@ that refinement fails.  Every refinement, on any factor, stops by the same
 rules (see :func:`_refine`), and every solution records how it was solved.
 
 The matrix is written from the operators' own stencils: its interior rows
-are :func:`muskatlab.operators.operator_entries`, the terms of
+are :func:`muskatlab.operators.operator_values`, the terms of
 :func:`~muskatlab.operators.apply_operator` as sparse entries, and its flux
-rows the entries of the two co-normal
-:class:`~muskatlab.operators.BoundaryOperator` on Gamma_0.  The traces of
-the solution are taken with the same stencils, so the imposed interface
-conditions are recoverable to solver precision.
+rows the values of the two co-normal
+:class:`~muskatlab.operators.BoundaryOperator` on Gamma_0.  Where the
+entries sit depends on the strips' shape alone, so the sparsity pattern is
+computed once per strip shape and shared by every operator on those strips
+while one is alive; each state computes only its values and gathers them
+into the pattern (see :func:`_assemble`).  The traces of the solution are
+taken with the same stencils, so the imposed interface conditions are
+recoverable to solver precision.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -44,14 +49,18 @@ from .operators import (
     FluidParams,
     StripField,
     StripGrid,
+    apply_operator,
+    b_coeffs_B1,
     b_coeffs_minus,
     b_coeffs_plus,
+    boundary_pattern,
     coeffs_A_minus,
     coeffs_A_plus,
-    apply_operator,
+    edge_dx,
     frechet_A_along,
     frechet_B_along,
-    operator_entries,
+    operator_pattern,
+    operator_values,
     trace_dx,
     trace_dy,
     trace_values,
@@ -92,8 +101,10 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TransmissionOperator:
-    """Interior operators of both strips of n_y layers and the two flux
-    operators on Gamma_0 of the interface state fh, built on construction.
+    """Interior operators of both strips of n_y layers, the two flux
+    operators on Gamma_0 and the co-normal operator B1 on the upper strip's
+    top edge of the interface state fh, built on construction, with the
+    layout of its matrix, shared by every operator on the same strips.
 
     They depend only on the state and the fluid, never on the data, so every
     problem posed on them is solved with one :attr:`factorization`, or on
@@ -109,16 +120,22 @@ class TransmissionOperator:
     minus_coeffs: CoefficientField = field(init=False, repr=False)
     plus_bc: BoundaryOperator = field(init=False, repr=False)
     minus_bc: BoundaryOperator = field(init=False, repr=False)
+    top_bc: BoundaryOperator = field(init=False, repr=False)
+    layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self):
         fh, params = self.fh, self.params
-        strip_p, strip_m = (StripGrid(fh.grid, self.n_y, side) for side in ("plus", "minus"))
+        strips = strip_p, strip_m = tuple(StripGrid(fh.grid, self.n_y, side)
+                                          for side in ("plus", "minus"))
         b1p, b2p = b_coeffs_plus(fh, params)
         b1m, b2m = b_coeffs_minus(fh, params)
+        b1t, b2t = b_coeffs_B1(fh, params)
         for name, value in (("plus_coeffs", coeffs_A_plus(fh, strip_p)),
                             ("minus_coeffs", coeffs_A_minus(fh, strip_m)),
                             ("plus_bc", BoundaryOperator(strip_p, "bottom", b1p, b2p)),
-                            ("minus_bc", BoundaryOperator(strip_m, "top", b1m, b2m))):
+                            ("minus_bc", BoundaryOperator(strip_m, "top", b1m, b2m)),
+                            ("top_bc", BoundaryOperator(strip_p, "top", b1t, b2t)),
+                            ("layout", _layout(strips))):
             object.__setattr__(self, name, value)
 
     @property
@@ -272,27 +289,82 @@ class DiffractionSolution:
 # Assembly
 
 
-def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
-    """The transmission matrix: both strips' nodes numbered like their
+def _pattern(strip_p: StripGrid, strip_m: StripGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns), int32, of the transmission matrix's entries in the
+    order of :func:`_values`: both strips' nodes numbered like their
     ``values.ravel()``, the plus strip first.  Interior rows hold the strip
     operators, the outer edges Dirichlet rows; on Gamma_0 the plus-strip edge
     carries the value jump and the minus-strip edge the flux balance
-    plus_bc - minus_bc."""
-    strip_p, strip_m = op.strips
+    plus_bc - minus_bc.  No entry repeats: the flux rows' spectral
+    x-derivative leaves out its zero diagonal, where the y-row's entry is."""
     nx, levels_p = strip_p.shape
     _, levels_m = strip_m.shape
     n_plus = nx * levels_p
     i = np.arange(nx)
     bottom_p, top_p = i * levels_p, i * levels_p + levels_p - 1
     bottom_m, top_m = n_plus + i * levels_m, n_plus + i * levels_m + levels_m - 1
-    ones = np.ones(nx)
-    blocks = [*operator_entries(op.plus_coeffs), *operator_entries(op.minus_coeffs, n_plus),
-              (top_p, top_p, ones), (bottom_m, bottom_m, ones),
-              (bottom_p, bottom_p, ones), (bottom_p, top_m, -ones),
-              *op.plus_bc.entries(top_m), *(-op.minus_bc).entries(top_m, n_plus)]
-    rows, cols, vals = (np.concatenate([a.ravel() for a in parts]) for parts in zip(*blocks))
-    n_total = n_plus + nx * levels_m
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n_total, n_total))
+    blocks = [operator_pattern(strip_p), operator_pattern(strip_m, n_plus),
+              (top_p, top_p), (bottom_m, bottom_m), (bottom_p, bottom_p), (bottom_p, top_m),
+              *boundary_pattern(strip_p, "bottom", top_m),
+              *boundary_pattern(strip_m, "top", top_m, n_plus)]
+    return tuple(np.concatenate(parts, axis=None, dtype=np.int32) for parts in zip(*blocks))
+
+
+def _values(op: TransmissionOperator, dx: np.ndarray) -> np.ndarray:
+    """The values of the entries of op's matrix, in the order of
+    :func:`_pattern`; dx is :func:`~muskatlab.operators.edge_dx` of op's grid."""
+    ones = np.ones(op.fh.grid.n_x)
+    blocks = [*operator_values(op.plus_coeffs), *operator_values(op.minus_coeffs),
+              ones, ones, ones, -ones, *op.plus_bc.values(dx), *(-op.minus_bc).values(dx)]
+    return np.concatenate(blocks, axis=None)
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The CSC pattern of the transmission matrix on one pair of strips:
+    its row indices and column pointers, and gather, the position in
+    :func:`_values` of each stored entry (all int32 and read-only), with
+    dx = :func:`~muskatlab.operators.edge_dx` of the strips' grid.  The
+    operators on the strips hold it, and it is freed with the last of them."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    gather: np.ndarray
+    dx: np.ndarray
+
+
+# Layouts by strips, each alive while an operator on its strips holds it.
+_LAYOUTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _build_layout(strips: tuple[StripGrid, StripGrid]) -> _Layout:
+    """The layout of strips, from one COO to CSC conversion of the entries'
+    positions (the entries are unique, so it sums nothing)."""
+    rows, cols = _pattern(*strips)
+    n = sum(strip.shape[0] * strip.shape[1] for strip in strips)
+    order = sp.csc_matrix((np.arange(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n))
+    for array in (order.indices, order.indptr, order.data):
+        array.flags.writeable = False
+    return _Layout(order.indices, order.indptr, order.data, edge_dx(strips[0].grid))
+
+
+def _layout(strips: tuple[StripGrid, StripGrid]) -> _Layout:
+    """The layout of strips: a live operator's, or else a new one."""
+    layout = _LAYOUTS.get(strips)
+    if layout is None:
+        layout = _LAYOUTS[strips] = _build_layout(strips)
+    return layout
+
+
+def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
+    """The transmission matrix (see :func:`_pattern`).  Its pattern is the
+    operator's layout, computed once per strip shape; each state computes
+    only its values (:func:`_values`) and gathers them into CSC order, and
+    its matrix shares the layout's index arrays."""
+    layout = op.layout
+    n = len(layout.indptr) - 1
+    data = _values(op, layout.dx).take(layout.gather)
+    return sp.csc_matrix((data, layout.indices, layout.indptr), shape=(n, n))
 
 
 def _norms(matrix: sp.csc_matrix) -> tuple[float, float]:
@@ -308,8 +380,9 @@ def _norms(matrix: sp.csc_matrix) -> tuple[float, float]:
 def _equilibrate(matrix: sp.csc_matrix) -> tuple:
     """(d, D A, ||A||_1, ||A||_inf) of a square CSC matrix A, with d = 1 /
     max_j |a_ij| and D A = diag(d) A on A's pattern less its zero entries,
-    all from A's arrays.  The temporaries are freed on return, before the
-    factorization allocates its L and U."""
+    all from A's arrays; with no zero entry D A shares A's index arrays.
+    The temporaries are freed on return, before the factorization allocates
+    its L and U."""
     n = matrix.shape[0]
     rows, magnitude = matrix.indices, np.abs(matrix.data)
     row_max = np.zeros(n)
@@ -318,6 +391,8 @@ def _equilibrate(matrix: sp.csc_matrix) -> tuple:
     d = 1.0 / row_max
     scaled = matrix.data * d[rows]
     kept = scaled != 0.0
+    if kept.all():
+        return d, sp.csc_matrix((scaled, rows, matrix.indptr), shape=(n, n)), norm_1, norm_inf
     indptr = np.concatenate(([0], np.cumsum(kept)))[matrix.indptr]
     return d, sp.csc_matrix((scaled[kept], rows[kept], indptr), shape=(n, n)), norm_1, norm_inf
 
@@ -465,17 +540,26 @@ def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
 
 
 def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
-                     delta_h: PeriodicFn) -> tuple[StripField, StripField]:
+                     delta_h: PeriodicFn,
+                     b_minus_along: PeriodicFn | None = None) -> tuple[StripField, StripField]:
     """Derivative of the potential pair as the interfaces of the base state
     move along (delta_f, delta_h), solved on the base solution's operator;
     the Laplace-Young jumps are differentiated when the base solution
-    carried them."""
+    carried them.  b_minus_along is the derivative of B_minus along the
+    direction applied to the base's v_minus (:func:`frechet_B_along`) when
+    the caller has it, and is computed here otherwise.  The lower strip's
+    derivatives vanish when delta_f is zero, and are then not built."""
     operator = base_solution.operator
     base, params = operator.fh, operator.params
     strip_p, strip_m = operator.strips
     v_plus, v_minus = base_solution.v_plus, base_solution.v_minus
-    flux = (frechet_B_along("B_minus", base, delta_f, delta_h, params, v_minus)
-            - frechet_B_along("B_plus", base, delta_f, delta_h, params, v_plus))
+    flux = -frechet_B_along("B_plus", base, delta_f, delta_h, params, v_plus)
+    F_minus = StripField(strip_m, np.zeros(strip_m.shape))
+    if delta_f.values.any():
+        if b_minus_along is None:
+            b_minus_along = frechet_B_along("B_minus", base, delta_f, delta_h, params, v_minus)
+        flux = b_minus_along + flux
+        F_minus = -apply_operator(frechet_A_along(base, delta_f, delta_h, strip_m), v_minus)
     jump = params.g * (params.rho_plus - params.rho_minus) * delta_f
     top = params.g * params.rho_plus * delta_h
     if base_solution.surface_tension:
@@ -485,7 +569,7 @@ def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
     sol = solve_general(DiffractionData(
         operator=operator,
         F_plus=-apply_operator(frechet_A_along(base, delta_f, delta_h, strip_p), v_plus),
-        F_minus=-apply_operator(frechet_A_along(base, delta_f, delta_h, strip_m), v_minus),
+        F_minus=F_minus,
         phi1=flux,
         phi2=jump,
         phi3=top,

@@ -40,13 +40,7 @@ from .diffraction import (
     solve_potentials,
 )
 from .geometry import AdmissibilityError, InterfacePair, PeriodicFn
-from .operators import (
-    FluidParams,
-    StripField,
-    boundary_B1,
-    frechet_B_along,
-    strip_heights,
-)
+from .operators import FluidParams, StripField, frechet_B_along, strip_heights
 
 __all__ = [
     "RTReport",
@@ -213,7 +207,7 @@ class _RunSolver:
 def _velocities(sol: DiffractionSolution):
     operator = sol.operator
     df = PeriodicFn(operator.fh.grid, -operator.minus_bc.apply(sol.v_minus))
-    dh = -boundary_B1(operator.fh, operator.params, sol.v_plus)
+    dh = PeriodicFn(operator.fh.grid, -operator.top_bc.apply(sol.v_plus))
     return df, dh
 
 
@@ -460,16 +454,21 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     _assert_x_independent(b, "b")
 
     base = solve_potentials(fh, b, params, n_y, surface_tension)
+    minus_bc, top_bc = base.operator.minus_bc, base.operator.top_bc
     zero = PeriodicFn(grid, np.zeros(grid.n_x))
     out = np.empty((len(modes), 2, 2))
     for i, m in enumerate(modes):
         sine = PeriodicFn(grid, np.sin(m * grid.nodes))
         for j, delta in enumerate(((sine, zero), (zero, sine))):
-            w_plus, w_minus = solve_linearized(base, *delta)
-            lower = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
-                     + PeriodicFn(grid, base.operator.minus_bc.apply(w_minus)))
+            # B_minus sees the lower interface only: its derivative vanishes along h
+            b_minus = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
+                       if delta[0] is sine else None)
+            w_plus, w_minus = solve_linearized(base, *delta, b_minus)
+            lower = PeriodicFn(grid, minus_bc.apply(w_minus))
+            if b_minus is not None:
+                lower = b_minus + lower
             upper = (frechet_B_along("B1", fh, *delta, params, base.v_plus)
-                     + boundary_B1(fh, params, w_plus))
+                     + PeriodicFn(grid, top_bc.apply(w_plus)))
             out[i, :, j] = lower.values @ sine.values, upper.values @ sine.values
     return -2.0 / grid.n_x * out
 

@@ -49,11 +49,14 @@ __all__ = [
     "boundary_B1",
     "boundary_B_minus",
     "boundary_B_plus",
+    "boundary_pattern",
     "coeffs_A_minus",
     "coeffs_A_plus",
+    "edge_dx",
     "frechet_A_along",
     "frechet_B_along",
-    "operator_entries",
+    "operator_pattern",
+    "operator_values",
     "strip_heights",
 ]
 
@@ -278,6 +281,9 @@ _EDGE_ROWS = {(k, edge): (level, tuple((sign * o, sign**k * w) for o, w in row))
 # The terms of the interior operator: coefficient, x- and y-derivative order.
 # The mixed derivative is the x-difference of the y-difference.
 _TERMS = (("c_xx", 2, 0), ("c_xy", 1, 1), ("c_yy", 0, 2), ("c_y", 0, 1))
+# The interior stencil's offsets (x, y), in the order its terms reach them.
+_OFFSETS = tuple(dict.fromkeys((ox, oy) for _, kx, ky in _TERMS
+                               for ox, _ in _CENTRED[kx] for oy, _ in _CENTRED[ky]))
 
 
 def _edge_row(order: int, edge: str):
@@ -329,12 +335,22 @@ def apply_operator(coeffs: CoefficientField, fld: StripField) -> StripField:
     return StripField(fld.strip, out)
 
 
-def operator_entries(coeffs: CoefficientField, first: int = 0) -> list[tuple]:
-    """:func:`apply_operator` on the interior y-levels as COO entries: one
-    (rows, columns, values) block per stencil offset, the strip's nodes
-    numbered from first like ``values.ravel()``."""
-    strip = coeffs.strip
+def operator_pattern(strip: StripGrid, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, columns) of the entries of :func:`operator_values` on
+    strip, its blocks stacked in their order along the first axis, the
+    strip's nodes numbered from first like ``values.ravel()``."""
     nx, n = strip.shape
+    i, j = np.arange(nx)[:, None], np.arange(1, n - 1)
+    ox, oy = (np.array(o)[:, None, None] for o in zip(*_OFFSETS))
+    node = first + i * n + j
+    return np.broadcast_to(node, (len(_OFFSETS), *node.shape)), first + (i + ox) % nx * n + oy + j
+
+
+def operator_values(coeffs: CoefficientField) -> list[np.ndarray]:
+    """:func:`apply_operator` on the interior y-levels as matrix entries: one
+    (n_x, n_y - 1) block of values per stencil offset, in the order of
+    _OFFSETS (see :func:`operator_pattern`)."""
+    strip = coeffs.strip
     blocks = {}
     for name, kx, ky in _TERMS:
         c = getattr(coeffs, name)[:, 1:-1] / (_SCALE[kx] * strip.grid.dx**kx
@@ -342,9 +358,7 @@ def operator_entries(coeffs: CoefficientField, first: int = 0) -> list[tuple]:
         for ox, wx in _CENTRED[kx]:
             for oy, wy in _CENTRED[ky]:
                 blocks[ox, oy] = blocks.get((ox, oy), 0.0) + wx * wy * c
-    i, j = np.arange(nx)[:, None], np.arange(1, n - 1)
-    node = first + i * n + j
-    return [(node, first + (i + ox) % nx * n + oy + j, v) for (ox, oy), v in blocks.items()]
+    return [blocks[offset] for offset in _OFFSETS]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +399,7 @@ class BoundaryOperator:
     """First-order edge operator beta1 * dx + beta2 * dy on a strip edge.
 
     dx is the spectral x-derivative of the edge trace, dy the one-sided
-    second-order y-row; :meth:`apply` applies them and :meth:`entries` writes
+    second-order y-row; :meth:`apply` applies them and :meth:`values` writes
     the same operator as matrix entries.
     """
 
@@ -411,16 +425,37 @@ class BoundaryOperator:
         """The operator applied to a strip field, one value per x-node."""
         return self.beta1 * trace_dx(fld, self.edge) + self.beta2 * trace_dy(fld, self.edge)
 
-    def entries(self, rows: np.ndarray, first: int = 0) -> list[tuple]:
-        """:meth:`apply` as COO entries: (rows, columns, values) blocks with
-        rows[i] the row of the edge's x-node i and the strip's nodes
-        numbered from first like ``values.ravel()``."""
-        nx, n = self.strip.shape
-        level, row = _edge_row(1, self.edge)
-        edge_nodes = first + np.arange(nx) * n + level % n
-        dx = self.beta1[:, None] * spectral_diff_matrix(self.strip.grid)
-        return [(np.repeat(rows, nx), np.tile(edge_nodes, nx), dx.ravel())] + [
-            (rows, edge_nodes + o, w * self.beta2 / (_SCALE[1] * self.strip.dy)) for o, w in row]
+    def values(self, dx: np.ndarray) -> list[np.ndarray]:
+        """:meth:`apply` as matrix entries: the blocks of values of
+        :func:`boundary_pattern`, with dx = :func:`edge_dx` of the strip's
+        grid."""
+        _, row = _edge_row(1, self.edge)
+        return [self.beta1[:, None] * dx] + [
+            w * self.beta2 / (_SCALE[1] * self.strip.dy) for _, w in row]
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    return a[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
+def edge_dx(grid: PeriodicGrid) -> np.ndarray:
+    """The spectral x-derivative as matrix entries: spectral_diff_matrix(grid)
+    less its diagonal, which is exactly zero, so row i holds the entries of
+    the columns j != i, shape (n_x, n_x - 1)."""
+    return _off_diagonal(spectral_diff_matrix(grid))
+
+
+def boundary_pattern(strip: StripGrid, edge: str, rows: np.ndarray,
+                     first: int = 0) -> list[tuple]:
+    """The (rows, columns) of the blocks of :meth:`BoundaryOperator.values` of
+    an operator on strip's edge: rows[i] is the row of the edge's x-node i,
+    the strip's nodes numbered from first like ``values.ravel()``."""
+    nx, n = strip.shape
+    level, row = _edge_row(1, edge)
+    edge_nodes = first + np.arange(nx) * n + level % n
+    return [(np.repeat(rows, nx - 1), _off_diagonal(np.broadcast_to(edge_nodes, (nx, nx))))] + [
+        (rows, edge_nodes + o) for o, _ in row]
 
 
 # Co-normal operators beta_1 dx + beta_2 dy: name -> (strip side, edge,
@@ -475,6 +510,11 @@ def b_coeffs_minus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, 
 def b_coeffs_plus(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """(beta_1, beta_2) of B(f,h) as a first-order Gamma_0 operator."""
     return _co_normal_coeffs("B_plus", fh, params)
+
+
+def b_coeffs_B1(fh: InterfacePair, params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_1, beta_2) of B1 as a first-order Gamma_1 operator."""
+    return _co_normal_coeffs("B1", fh, params)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import muskatlab.diffraction as diffraction
+from muskatlab.config import SimConfig, WaveSpec
 from muskatlab.diffraction import (
     DiffractionData,
     SolverFailure,
@@ -17,6 +18,7 @@ from muskatlab.diffraction import (
     solve_linearized,
     solve_potentials,
 )
+from muskatlab.evolution import simulate
 from muskatlab.geometry import (
     InterfacePair,
     PeriodicFn,
@@ -31,6 +33,7 @@ from muskatlab.operators import (
     apply_operator,
     boundary_B_minus,
     boundary_B_plus,
+    edge_dx,
 )
 
 PAR = FluidParams()
@@ -328,6 +331,8 @@ class TestAssembledStructure:
             assert np.array_equal(getattr(scaled, name), getattr(reference, name))
         assert np.array_equal(d, scale.diagonal())
         assert scaled.nnz == nnz
+        # with no stored zero to drop, D A keeps A's (the layout's) index arrays
+        assert np.shares_memory(scaled.indices, matrix.indices) == (nnz == matrix.nnz)
         assert lu.L.nnz + lu.U.nnz == lu_nnz
 
         inverse = spla.LinearOperator(matrix.shape, matvec=lambda x: lu.solve(scale @ x),
@@ -336,6 +341,79 @@ class TestAssembledStructure:
         assert cond == estimate  # the same start vector and the same column sums
         assert norm_inf == float(magnitude.sum(axis=1).max())
         assert norm_1 == float(magnitude.sum(axis=0).max())
+
+
+class TestLayout:
+    """The pattern is computed once per strip shape, by one COO to CSC
+    conversion, and each state gathers its values into it."""
+
+    STATES = [(pair, n_x, n_y) for n_x, n_y in ((16, 8), (32, 16), (32, 12), (64, 32))
+              for pair in (unit_pair, wavy_pair, pinched_pair)]
+    IDS = [f"{pair.__name__}-{n_x}x{n_y}" for pair, n_x, n_y in STATES]
+
+    @pytest.mark.parametrize("pair, n_x, n_y", STATES, ids=IDS)
+    def test_refill_is_the_states_own_conversion(self, pair, n_x, n_y):
+        g = make_grid(n_x)
+        # the layout is built for another state of the shape and refilled here
+        other = pulled_back_operator((wavy_pair if pair is unit_pair else unit_pair)(g), PAR, n_y)
+        op = pulled_back_operator(pair(g), PAR, n_y)
+        assert op.layout is other.layout
+        refilled = op.matrix
+        rows, cols = diffraction._pattern(*op.strips)
+        fresh = sp.csc_matrix((diffraction._values(op, edge_dx(g)), (rows, cols)),
+                              shape=refilled.shape)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(refilled, name), getattr(fresh, name))
+        # the entries are unique, so the conversion summed nothing
+        assert np.array_equal(np.sort(op.layout.gather), np.arange(len(rows)))
+
+    def test_operators_of_one_shape_share_read_only_index_arrays(self):
+        g = make_grid(16)
+        operators = [pulled_back_operator(pair(g), PAR, 8) for pair in (unit_pair, wavy_pair)]
+        flat, wavy = (op.matrix for op in operators)
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(flat, name), getattr(wavy, name))
+            assert not getattr(flat, name).flags.writeable
+        assert not np.shares_memory(flat.data, wavy.data)
+
+    def test_layout_freed_with_the_last_operator_of_its_shape(self):
+        g = make_grid(18)  # a shape no other test keeps
+        gc.disable()
+        try:
+            first, second = (pulled_back_operator(pair(g), PAR, 9)
+                             for pair in (unit_pair, wavy_pair))
+            strips, layout = first.strips, weakref.ref(first.layout)
+            matrix = first.matrix
+            del first
+            assert layout() is second.layout
+            del second
+            assert layout() is None
+            assert strips not in diffraction._LAYOUTS
+            assert matrix.indices.size == matrix.nnz  # a matrix keeps its index arrays
+        finally:
+            gc.enable()
+
+    def test_a_run_converts_its_pattern_once(self, monkeypatch):
+        builds, conversions = [], []
+        true_build, true_csc = diffraction._build_layout, sp.csc_matrix
+
+        def counting_build(strips):
+            builds.append(strips)
+            return true_build(strips)
+
+        def counting_csc(arg, *args, **kwargs):
+            conversions.append(isinstance(arg, tuple) and isinstance(arg[1], tuple))
+            return true_csc(arg, *args, **kwargs)
+
+        monkeypatch.setattr(diffraction, "_LAYOUTS", weakref.WeakValueDictionary())
+        monkeypatch.setattr(diffraction, "_build_layout", counting_build)
+        monkeypatch.setattr(diffraction.sp, "csc_matrix", counting_csc)
+        traj = simulate(SimConfig(n_x=16, n_y=8, params=PAR, f0=WaveSpec(modes=((1, 0.05, 0.0),)),
+                                  b=WaveSpec(const=1.0), t_end=0.3, dt_init=0.05, dt_max=0.1))
+        assert traj.reason == "t_end" and len(traj.times) - 1 >= 3
+        assert len(builds) == 1
+        assert sum(conversions) == 1  # the layout's, of (values, (rows, columns))
+        assert len(conversions) > traj.solver["solves"]  # every state assembled its matrix
 
 
 class TestTransmissionOperator:

@@ -214,6 +214,9 @@ class TestRayleighTaylor:
         co_minus = par.mu_minus / par.k * operator.minus_bc.apply(sol.v_minus)
         co_plus = par.mu_plus / par.k * operator.plus_bc.apply(sol.v_plus)
         co_top = par.mu_plus / par.k * boundary_B1(fh, par, sol.v_plus).values
+        # the operator's B_1, which the velocities read, is the function's bit for bit
+        assert np.array_equal(operator.top_bc.apply(sol.v_plus),
+                              boundary_B1(fh, par, sol.v_plus).values)
         drho = par.g * (par.rho_minus - par.rho_plus)
         slope_f = np.sqrt(1.0 + fh.f.derivatives[0] ** 2)
         slope_h = np.sqrt(1.0 + fh.h.derivatives[0] ** 2)
@@ -572,6 +575,30 @@ class TestLinearizedMatrix:
         diffraction.solve_linearized(base, direction, zero)
         diffraction.solve_linearized(base, zero, direction)
         assert len(factorizations) == 2
+
+    def test_lower_derivatives_built_once_and_only_along_f(self, monkeypatch):
+        # B_minus and the lower strip see f alone: per mode one derivative of
+        # each, for the f column, shared by its flux data and its velocity
+        g = make_grid(16)
+        along = []
+
+        def recording(func, name):
+            def recorded(*args):
+                along.append((name, args[0] if name == "B" else args[-1].side))
+                return func(*args)
+            return recorded
+
+        monkeypatch.setattr(evolution, "frechet_B_along",
+                            recording(evolution.frechet_B_along, "B"))
+        monkeypatch.setattr(diffraction, "frechet_B_along",
+                            recording(diffraction.frechet_B_along, "B"))
+        monkeypatch.setattr(diffraction, "frechet_A_along",
+                            recording(diffraction.frechet_A_along, "A"))
+        modes = (1, 2, 3)
+        linearized_matrix(flat_pair(g), constant_fn(g, 1.0), PAR, modes, n_y=8)
+        counts = {key: along.count(key) for key in set(along)}
+        assert counts == {("B", "B_minus"): 3, ("B", "B_plus"): 6, ("B", "B1"): 6,
+                          ("A", "minus"): 3, ("A", "plus"): 6}
 
     def test_nonflat_base_rejected(self):
         g = make_grid(32)
