@@ -8,8 +8,10 @@ embedded error estimate alone sets the step, so with surface tension it
 finds the stability limit of the cubic surface-tension symbol by itself.
 The stages of a step, whose matrices differ from its starting state's by
 O(dt), are solved by iterative refinement on the run's base factorization
-and factor themselves only when the refinement fails.  Every refined solve
-starts from a solution predicted from earlier solutions of the same problem.
+and factor themselves only when the refinement fails.  A refined solve of
+the run's step problem starts from a solution predicted from earlier
+solutions of that problem; with surface tension the monitor's gravity-only
+solve has no earlier solution of its problem and is refined from zero.
 A run keeps its base factorization for the next accepted state while the
 stages refined on it stay cheap, so a state is factored only at t = 0, after
 a step whose stages needed more than REFACTOR_AFTER corrections, or when its
@@ -115,8 +117,10 @@ class Trajectory:
     # rejected step attempts by cause: error ratio above 1, or a stage that
     # was not finite or left the admissible set (StepRejected)
     steps_rejected: dict = field(default_factory=lambda: {"error": 0, "stage": 0})
-    # why a run stopped short of t_end: kind, message, t and dt where it failed
-    # and the solver's condition estimate when it has one; None otherwise
+    # why a run stopped short of t_end: kind, message, t and dt where it failed,
+    # the solver's condition estimate when it has one, and the smallest
+    # gap_minus and gap_plus of the state whose solve or step failed (for
+    # admissibility_lost, the step result before de-aliasing); None otherwise
     failure: dict | None = None
     # how the run's transmission problems were solved, from their records:
     # solves, factorizations, refined solves, all corrections and the most in
@@ -147,7 +151,9 @@ class Trajectory:
 
 class _RunSolver:
     """The transmission solves of one run: each refines on the run's base,
-    a factored operator or None, from a predicted start, and is counted.
+    a factored operator or None, and is counted.  A solve of a given stage
+    starts from a predicted start; a solve without one (the gravity-only
+    monitor of a surface-tension run) starts from zero.
 
     A start is a solution vector of the run's step problem: the potentials
     with surface tension when the run has it, the gravity-only ones otherwise.
@@ -342,11 +348,13 @@ def simulate(config: SimConfig) -> Trajectory:
     stop_on_rt = config.stop_on_rt and not config.surface_tension
     traj = Trajectory()
 
-    def fail(reason: str, kind: str, message: str, t: float, dt: float,
+    def fail(reason: str, kind: str, message: str, state: SimState, dt: float,
              condition_estimate: float | None = None) -> Trajectory:
         traj.reason = reason
-        traj.failure = {"kind": kind, "message": message, "t": float(t), "dt": float(dt),
-                        "condition_estimate": condition_estimate}
+        traj.failure = {"kind": kind, "message": message, "t": float(state.t), "dt": float(dt),
+                        "condition_estimate": condition_estimate,
+                        "gap_minus": float(np.min(state.fh.gap_minus.values)),
+                        "gap_plus": float(np.min(state.fh.gap_plus.values))}
         return traj
 
     def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
@@ -368,7 +376,8 @@ def simulate(config: SimConfig) -> Trajectory:
                     slope = _velocities(run.solve(operator, b, True, 0))
                 return SimState(t=t, fh=fh, slope=slope)
         except SolverFailure as exc:
-            fail("step_failure", "solver_failure", str(exc), t, dt_used, exc.condition_estimate)
+            fail("step_failure", "solver_failure", str(exc), SimState(t, fh), dt_used,
+                 exc.condition_estimate)
         return None
 
     # the predictions' buffer, of both strips' n_x (n_y + 1) nodes, is made
@@ -387,10 +396,10 @@ def simulate(config: SimConfig) -> Trajectory:
         except StepRejected:
             cause, shrink = "stage", 0.5
         except SolverFailure as exc:
-            return fail("step_failure", "solver_failure", str(exc), state.t, dt,
+            return fail("step_failure", "solver_failure", str(exc), state, dt,
                         exc.condition_estimate)
         except AdmissibilityError as exc:
-            return fail("step_failure", "admissibility", str(exc), state.t, dt)
+            return fail("step_failure", "admissibility", str(exc), state, dt)
         else:
             scale = max(np.max(np.abs(new_state.fh.f.values)),
                         np.max(np.abs(new_state.fh.h.values)), 1.0)
@@ -403,10 +412,10 @@ def simulate(config: SimConfig) -> Trajectory:
             rejected_in_a_row += 1
             if rejected_in_a_row > 60:
                 return fail("step_failure", "rejections",
-                            f"{rejected_in_a_row} step attempts rejected in a row", state.t, dt)
+                            f"{rejected_in_a_row} step attempts rejected in a row", state, dt)
             if dt < _MIN_DT:
                 return fail("step_failure", "min_dt", f"step size {dt:.3e} below {_MIN_DT:.0e}",
-                            state.t, dt)
+                            state, dt)
             continue
         rejected_in_a_row = 0
 
@@ -414,14 +423,14 @@ def simulate(config: SimConfig) -> Trajectory:
             dealiased = InterfacePair(dealias(new_state.fh.f), dealias(new_state.fh.h),
                                       new_state.fh.d)
         except AdmissibilityError as exc:
-            return fail("admissibility_lost", "admissibility", str(exc), new_state.t, dt)
+            return fail("admissibility_lost", "admissibility", str(exc), new_state, dt)
         state = accept(new_state.t, dealiased, dt)
         if state is None:
             return traj
 
         growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** (-0.2))
         dt = min(dt * max(0.2, growth), config.dt_max)
-    return fail("step_failure", "max_steps", f"{_MAX_STEPS} step attempts made", state.t, dt)
+    return fail("step_failure", "max_steps", f"{_MAX_STEPS} step attempts made", state, dt)
 
 
 # ---------------------------------------------------------------------------

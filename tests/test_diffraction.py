@@ -1,6 +1,11 @@
+import ctypes.util
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from muskatlab.operators import (
 )
 
 PAR = FluidParams()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fn(grid, func):
@@ -232,6 +238,66 @@ class TestFactorization:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestFactorSettings:
+    """SuperLU's panel size and supernode relaxation change how the LU is
+    computed, not which LU: the fill and the solution are those of SciPy's
+    default settings, and the factors leave the heap intact."""
+
+    STATES = [(pair, n_x, n_y) for pair in (unit_pair, wavy_pair, pinched_pair)
+              for n_x, n_y in ((16, 8), (32, 16), (64, 32))]
+    IDS = [f"{pair.__name__}-{n_x}x{n_y}" for pair, n_x, n_y in STATES]
+
+    @pytest.mark.parametrize("pair, n_x, n_y", STATES, ids=IDS)
+    def test_same_fill_and_solution_as_the_default_settings(self, monkeypatch, pair, n_x, n_y):
+        op = pulled_back_operator(pair(make_grid(n_x)), PAR, n_y)
+        calls = []
+        true_splu = diffraction.spla.splu
+
+        def recording_splu(matrix, **kwargs):
+            calls.append((matrix, kwargs))
+            return true_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(diffraction.spla, "splu", recording_splu)
+        lu = op.factorization[1]
+        ((scaled, kwargs),) = calls
+        assert kwargs["relax"] <= kwargs["panel_size"]
+        default = true_splu(scaled, **{name: value for name, value in kwargs.items()
+                                       if name not in ("relax", "panel_size")})
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+        rhs = np.random.default_rng(5).standard_normal(scaled.shape[0])
+        x, reference = lu.solve(rhs), default.solve(rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_factors_leave_the_heap_intact(self):
+        # SuperLU settings outside its default regime (relax = 32) write past
+        # their work arrays, which may show only as an abort at exit.  glibc's
+        # checking allocator, with Python's objects on the same heap, makes
+        # such an overrun fail every run instead of a few.
+        script = (
+            "import numpy as np\n"
+            "from muskatlab.diffraction import pulled_back_operator\n"
+            "from muskatlab.geometry import InterfacePair, from_callable, make_grid\n"
+            "from muskatlab.operators import FluidParams\n"
+            "operators = []\n"
+            "for n_x in (16, 32, 64, 128):\n"
+            "    g = make_grid(n_x)\n"
+            "    f = from_callable(g, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x))\n"
+            "    h = from_callable(g, lambda x: 1.0 + 0.1 * np.cos(x))\n"
+            "    op = pulled_back_operator(InterfacePair(f, h, -1.0), FluidParams(), n_x // 2)\n"
+            "    d, lu = op.factorization[:2]\n"
+            "    operators.append(op)\n"
+            "    assert np.all(np.isfinite(lu.solve(d)))\n")
+        env = dict(os.environ, PYTHONMALLOC="malloc", MALLOC_CHECK_="3")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        checking = ctypes.util.find_library("c_malloc_debug")  # glibc >= 2.34 needs it
+        if checking:
+            env["LD_PRELOAD"] = " ".join(p for p in (checking, env.get("LD_PRELOAD")) if p)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Fatal Python error" not in done.stderr
 
 
 class TestConditionEstimate:

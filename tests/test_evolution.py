@@ -395,10 +395,16 @@ class TestSimulate:
         assert traj.reason == "step_failure"
         failure = traj.failure
         assert failure["kind"] == "solver_failure"
-        assert failure["message"].startswith("system too ill-conditioned (estimate 2.071e+14")
+        assert failure["message"].startswith("system too ill-conditioned (estimate 2.070e+14")
         assert failure["condition_estimate"] == pytest.approx(2.07e14, rel=1e-3)
         assert failure["t"] == traj.times[-1] == pytest.approx(0.35358, abs=1e-5)
         assert 0.0 < failure["dt"] <= 0.6 - failure["t"]
+
+    def test_fingering_failure_records_the_gaps(self):
+        # the guard fires because the finger reaches the bottom
+        failure = simulate(replace(self.FINGERING, t_end=0.6)).failure
+        assert 0.0 < failure["gap_minus"] < 0.01
+        assert failure["gap_plus"] > 0.0
 
 
 class TestSurfaceTension:
@@ -489,7 +495,27 @@ class TestRejectionCounts:
         # dt_init = 0.5 halves 39 times before it drops below 1e-12
         assert traj.steps_rejected == {"error": 0, "stage": 39}
         assert traj.failure == {"kind": "min_dt", "message": "step size 9.095e-13 below 1e-12",
-                                "t": 0.0, "dt": 0.5 ** 40, "condition_estimate": None}
+                                "t": 0.0, "dt": 0.5 ** 40, "condition_estimate": None,
+                                "gap_minus": pytest.approx(0.95), "gap_plus": pytest.approx(0.95)}
+
+    def test_lost_admissibility_records_the_step_result(self, monkeypatch):
+        # de-aliasing that pushes f below the bottom: the record reads the
+        # gaps of the step result it was given, which are still positive
+        results = []
+
+        def sinking_dealias(u):
+            results.append(u.values)
+            return PeriodicFn(u.grid, u.values - 5.0)
+
+        monkeypatch.setattr(evolution, "dealias", sinking_dealias)
+        config = TestFactorizationReuse.CONFIGS["gravity"]
+        traj = simulate(config)
+        assert traj.reason == "admissibility_lost"
+        f, h = results
+        assert traj.failure["t"] == config.dt_init
+        assert traj.failure["gap_minus"] == np.min(f - config.params.d)
+        assert traj.failure["gap_plus"] == np.min(h - f)
+        assert traj.failure["gap_minus"] > 0.0 and traj.failure["gap_plus"] > 0.0
 
 
 class TestLinearizedMatrix:
@@ -779,11 +805,11 @@ class TestFactorizationReuse:
     }
     # triangular solves of each run, condition estimates excluded: the cost
     # of its refinements, pinned so that a change to it shows
-    TRIANGULAR_SOLVES = {"gravity": 109, "surface_tension": 61, "rejected_step": 190}
+    TRIANGULAR_SOLVES = {"gravity": 108, "surface_tension": 63, "rejected_step": 187}
     # residual products A x of each run: one per correction, and one for each
     # refinement's start unless it is cold (a zero start's residual is b);
     # the backward-error guard reads the last residual instead of forming one
-    RESIDUAL_PRODUCTS = {"gravity": 133, "surface_tension": 78, "rejected_step": 225}
+    RESIDUAL_PRODUCTS = {"gravity": 132, "surface_tension": 80, "rejected_step": 222}
 
     def counted_run(self, name, monkeypatch, solve_counts):
         """(trajectory, solves, accepted, rejected) of a config, with
