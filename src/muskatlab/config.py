@@ -61,14 +61,14 @@ class WaveSpec:
         return {"const": self.const, "modes": [list(m) for m in self.modes]}
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
 
 def _typed(value, kind: type, where: str):
     """value as kind (int, float, bool or str), or a ConfigError naming where.
 
     Booleans are not numbers, and an integer must be integral: 16.0 reads
-    as 16, while 16.7 is an error rather than 16.
+    as 16, while 16.7 is an error rather than 16, and so are NaN and Infinity.
     """
     if kind in (bool, str):
         ok = isinstance(value, kind)
@@ -77,9 +77,11 @@ def _typed(value, kind: type, where: str):
               and (kind is float or isinstance(value, int) or value.is_integer()))
     if ok:
         try:
-            return kind(value)
+            value = kind(value)
         except OverflowError:
-            pass
+            ok = False
+    if ok and (kind is not float or np.isfinite(value)):
+        return value
     raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 

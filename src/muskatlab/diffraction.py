@@ -477,7 +477,8 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None,
     solved.  Raises :class:`SolverFailure` when the factorization fails (see
     :attr:`TransmissionOperator.factorization`) or the normwise backward
     error the loop measured exceeds 1e-12, and ValueError when base has
-    other strips or has not factored itself.
+    other strips or has not factored itself, or the data's right-hand side
+    (F_plus, F_minus, phi1-phi4, so the bottom pressure b) is not finite.
     """
     operator = data.operator
     if base is not None:
@@ -486,6 +487,8 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None,
         if "factorization" not in vars(base):
             raise ValueError("a base operator must hold its factorization")
     matrix, rhs = operator.matrix, _rhs(data)
+    if not np.isfinite(rhs).all():
+        raise ValueError("transmission data must be finite (F_plus, F_minus, phi1-phi4)")
     method, corrections, contraction, cause = None, 0, 0.0, None
     if base is not None and "factorization" not in vars(operator):
         d, lu, _, base_norm_1, base_cond = base.factorization

@@ -63,7 +63,8 @@ def make_grid(n_x: int) -> PeriodicGrid:
 
 @dataclass(frozen=True)
 class PeriodicFn:
-    """A 2*pi-periodic scalar function sampled at the grid nodes."""
+    """A 2*pi-periodic scalar function sampled at the grid nodes.  Only its
+    shape is checked: :func:`check_admissible` and the solve check finiteness."""
 
     grid: PeriodicGrid
     values: np.ndarray = field(repr=False)
@@ -74,8 +75,6 @@ class PeriodicFn:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid size {self.grid.n_x}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
 
     def _check_grid(self, other: "PeriodicFn"):
@@ -211,26 +210,29 @@ class AdmissibilityReport:
 
 
 def check_admissible(f: PeriodicFn, h: PeriodicFn, d: float) -> AdmissibilityReport:
-    """Nodewise check of the ordering d < f < h.
+    """Nodewise check of the ordering d < f < h, which every state passes.
 
-    gap_fd = min(f - d), gap_hf = min(h - f); ok iff both are positive.
+    gap_fd = min(f - d), gap_hf = min(h - f); ok iff both are positive and
+    every difference is finite (so are f, h and d).  Warns nothing.
     """
     if f.grid != h.grid:
         raise ValueError("f and h live on different grids")
-    gap_fd = float(np.min(f.values - d))
-    gap_hf = float(np.min(h.values - f.values))
-    return AdmissibilityReport(ok=(gap_fd > 0.0 and gap_hf > 0.0), gap_fd=gap_fd, gap_hf=gap_hf)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or beyond the float range
+        gaps = (f.values - d, h.values - f.values)
+    gap_fd, gap_hf = (float(np.min(gap)) for gap in gaps)
+    ok = gap_fd > 0.0 and gap_hf > 0.0 and bool(np.isfinite(gaps).all())
+    return AdmissibilityReport(ok=ok, gap_fd=gap_fd, gap_hf=gap_hf)
 
 
 @dataclass(frozen=True)
 class InterfacePair:
     """Lower interface f, upper interface h, and bottom boundary height d < 0.
 
-    The ordering d < f < h is checked on construction, so the layer gaps
-    gap_minus = f - d and gap_plus = h - f, derived once on first access,
-    are positive.  The interfaces' spectral derivatives are not the pair's:
-    each is cached on its :class:`PeriodicFn` (``f.derivatives``), so a
-    function shared between pairs is differentiated once.
+    The ordering d < f < h of finite values is checked on construction, so
+    the layer gaps gap_minus = f - d and gap_plus = h - f, derived once on
+    first access, are positive.  Each interface's spectral derivatives are
+    cached on its :class:`PeriodicFn` (``f.derivatives``), so a function
+    shared between pairs is differentiated once.
     """
 
     f: PeriodicFn

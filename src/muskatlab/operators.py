@@ -132,8 +132,8 @@ class StripGrid:
 class StripField:
     """Scalar field on a closed strip, boundary levels included.
 
-    The spectral x-derivative of an edge trace is taken on first request
-    and kept with the field (see :func:`trace_dx`).
+    Only the shape is checked.  The spectral x-derivative of an edge trace
+    is taken on first request and kept with the field (see :func:`trace_dx`).
     """
 
     strip: StripGrid
@@ -144,8 +144,6 @@ class StripField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.strip.shape:
             raise ValueError(f"values shape {vals.shape} != strip shape {self.strip.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
 
     def __neg__(self):
@@ -156,9 +154,10 @@ class StripField:
 class CoefficientField:
     """Coefficients of c_xx dxx + c_xy dxy + c_yy dyy + c_y dy.
 
-    c_xy is the full coefficient of the mixed derivative.  PDE operators must
-    satisfy the nodewise ellipticity check; directional-derivative operators
-    (c_xx = 0) are carried by the same type without it.
+    c_xy is the full coefficient of the mixed derivative; only the shapes are
+    checked.  The pulled-back Laplacian of an admissible pair is elliptic by
+    construction, 4 c_xx c_yy - c_xy^2 = 4/gap^2 > 0 with gap = Y_y > 0, so
+    nothing re-checks it.  Directional derivatives (c_xx = 0) share the type.
     """
 
     strip: StripGrid
@@ -172,15 +171,7 @@ class CoefficientField:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.strip.shape:
                 raise ValueError(f"{name} shape {arr.shape} != strip shape {self.strip.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-
-    def assert_elliptic(self):
-        if not (np.all(self.c_xx > 0) and np.all(self.c_yy > 0)):
-            raise ValueError("coefficient field is not elliptic: c_xx, c_yy must be positive")
-        if not np.all(4.0 * self.c_xx * self.c_yy - self.c_xy**2 > 0):
-            raise ValueError("coefficient field is not elliptic: 4 c_xx c_yy <= c_xy^2")
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +237,7 @@ def _laplacian(fh: InterfacePair, strip: StripGrid, delta=None) -> CoefficientFi
 def _coeffs_A(fh: InterfacePair, strip: StripGrid, side: str) -> CoefficientField:
     if strip.side != side:
         raise ValueError(f"coeffs_A_{side} needs a {side}-side strip")
-    out = _laplacian(fh, strip)
-    out.assert_elliptic()
-    return out
+    return _laplacian(fh, strip)
 
 
 def coeffs_A_minus(fh: InterfacePair, strip: StripGrid) -> CoefficientField:
