@@ -8,7 +8,8 @@ described by a constant plus a list of [mode, cos_amp, sin_amp] triples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .operators import FluidParams
 __all__ = ["ConfigError", "SimConfig", "WaveSpec"]
 
 SCHEMA_VERSION = 1
-
-_PARAM_KEYS = ("k", "mu_minus", "mu_plus", "rho_minus", "rho_plus", "g",
-               "gamma_f", "gamma_h", "d")
 
 
 class ConfigError(ValueError):
@@ -42,7 +40,7 @@ class WaveSpec:
 
     @staticmethod
     def from_dict(obj: dict, where: str) -> "WaveSpec":
-        _reject_unknown(obj, {"const", "modes"}, where)
+        _reject_unknown(obj, {f.name for f in fields(WaveSpec)}, where)
         entries = obj.get("modes", [])
         if not (isinstance(entries, list)
                 and all(isinstance(e, list) and len(e) == 3 for e in entries)):
@@ -138,41 +136,33 @@ class SimConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "SimConfig":
-        top_keys = {"schema", "n_x", "n_y", "params", "initial", "b", "t_end",
-                    "rtol", "atol", "dt_init", "dt_max", "surface_tension",
-                    "stop_on_rt", "out_dir", "snapshot_stride"}
-        _reject_unknown(obj, top_keys, "config")
+        _reject_unknown(obj, {"schema", "initial", *_FIELDS} - set(_INITIAL), "config")
         schema = obj.get("schema")
         if isinstance(schema, bool) or schema != SCHEMA_VERSION:
             raise ConfigError(f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
-        for key in ("n_x", "n_y", "params", "initial", "t_end"):
+        for key in _REQUIRED:
             if key not in obj:
                 raise ConfigError(f"missing required config key {key!r}")
-        _reject_unknown(obj["params"], set(_PARAM_KEYS), "params")
-        values = {k: _typed(v, float, f"params.{k}") for k, v in obj["params"].items()}
-        try:
-            params = FluidParams(**values)
-        except ValueError as exc:
-            raise ConfigError(f"bad params: {exc}") from exc
-        _reject_unknown(obj["initial"], {"f", "h"}, "initial")
-        if "f" not in obj["initial"] or "h" not in obj["initial"]:
+        initial = set(_INITIAL.values())
+        _reject_unknown(obj["initial"], initial, "initial")
+        if not initial <= set(obj["initial"]):
             raise ConfigError("initial must contain 'f' and 'h'")
-        kwargs = dict(
-            n_x=_typed(obj["n_x"], int, "n_x"),
-            n_y=_typed(obj["n_y"], int, "n_y"),
-            params=params,
-            f0=WaveSpec.from_dict(obj["initial"]["f"], "initial.f"),
-            h0=WaveSpec.from_dict(obj["initial"]["h"], "initial.h"),
-            b=WaveSpec.from_dict(obj.get("b", {}), "b"),
-            t_end=_typed(obj["t_end"], float, "t_end"),
-        )
-        for key, kind in (("rtol", float), ("atol", float), ("dt_init", float),
-                          ("dt_max", float), ("surface_tension", bool), ("stop_on_rt", bool),
-                          ("snapshot_stride", int)):
-            if key in obj:
-                kwargs[key] = _typed(obj[key], kind, key)
-        if obj.get("out_dir") is not None:
-            kwargs["out_dir"] = _typed(obj["out_dir"], str, "out_dir")
+        kwargs = {}
+        for name, (kind, nullable) in _FIELDS.items():
+            if name in _INITIAL:
+                key = _INITIAL[name]
+                kwargs[name] = WaveSpec.from_dict(obj["initial"][key], f"initial.{key}")
+            elif kind is FluidParams:
+                _reject_unknown(obj[name], {f.name for f in fields(kind)}, name)
+                values = {k: _typed(v, float, f"{name}.{k}") for k, v in obj[name].items()}
+                try:
+                    kwargs[name] = kind(**values)
+                except ValueError as exc:
+                    raise ConfigError(f"bad params: {exc}") from exc
+            elif kind is WaveSpec:
+                kwargs[name] = WaveSpec.from_dict(obj.get(name, {}), name)
+            elif name in obj and not (nullable and obj[name] is None):
+                kwargs[name] = _typed(obj[name], kind, name)
         return SimConfig(**kwargs)
 
     @staticmethod
@@ -187,20 +177,30 @@ class SimConfig:
         return SimConfig.from_dict(obj)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "params": {k: getattr(self.params, k) for k in _PARAM_KEYS},
-            "initial": {"f": self.f0.to_dict(), "h": self.h0.to_dict()},
-            "b": self.b.to_dict(),
-            "t_end": self.t_end,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "dt_init": self.dt_init,
-            "dt_max": self.dt_max,
-            "surface_tension": self.surface_tension,
-            "stop_on_rt": self.stop_on_rt,
-            "out_dir": self.out_dir,
-            "snapshot_stride": self.snapshot_stride,
-        }
+        out = {"schema": SCHEMA_VERSION}
+        for name, (kind, _) in _FIELDS.items():
+            value = getattr(self, name)
+            if name in _INITIAL:
+                out.setdefault("initial", {})[_INITIAL[name]] = value.to_dict()
+            elif kind is FluidParams:
+                out[name] = asdict(value)
+            elif kind is WaveSpec:
+                out[name] = value.to_dict()
+            else:
+                out[name] = value
+        return out
+
+
+def _kind(hint) -> tuple[type, bool]:
+    """(kind, nullable) of a field's type: X | None is X, and null is its default."""
+    nullable = type(None) in get_args(hint)
+    return (get_args(hint)[0] if nullable else hint), nullable
+
+
+# The schema is SimConfig's fields, each key of the kind its type names.  The
+# JSON-only names are the version and "initial", which holds f0 and h0 as
+# its f and h; t_end is required in JSON but has a Python default.
+_HINTS = get_type_hints(SimConfig)
+_FIELDS = {f.name: _kind(_HINTS[f.name]) for f in fields(SimConfig)}
+_INITIAL = {"f0": "f", "h0": "h"}
+_REQUIRED = ("n_x", "n_y", "params", "initial", "t_end")

@@ -165,9 +165,14 @@ class TransmissionOperator:
         is the same for every geometry, so a flat state stores exact zeros
         (its vanishing mixed-derivative terms); they are dropped from D A
         before the ordering, which would otherwise fill in around them.
-        Raises :class:`SolverFailure` when the factorization breaks down or
-        the condition estimate exceeds 1e12; a failure is not cached.
+        Raises :class:`SolverFailure` when the matrix is not finite (its
+        coefficients overflow on a thin layer), the factorization breaks down
+        or the condition estimate exceeds 1e12; a failure is not cached.
         """
+        if not np.isfinite(self.matrix.data).all():
+            gap = min(np.min(self.fh.gap_minus.values), np.min(self.fh.gap_plus.values))
+            raise SolverFailure("transmission matrix is not finite: the pulled-back "
+                                f"coefficients overflow at the smallest layer gap {gap:.3e}")
         d, scaled, norm_1, norm_inf = _equilibrate(self.matrix)
         try:
             lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,

@@ -26,7 +26,7 @@ the sparse transmission matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -81,9 +81,7 @@ class FluidParams:
     d: float = -1.0
 
     def __post_init__(self):
-        vals = [self.k, self.mu_minus, self.mu_plus, self.rho_minus,
-                self.rho_plus, self.g, self.gamma_f, self.gamma_h, self.d]
-        if not all(np.isfinite(v) for v in vals):
+        if not all(np.isfinite(v) for v in astuple(self)):
             raise ValueError("all parameters must be finite")
         if self.k <= 0 or self.mu_minus <= 0 or self.mu_plus <= 0:
             raise ValueError("permeability and viscosities must be positive")
@@ -220,17 +218,22 @@ def _geometry(fh: InterfacePair, side: str, y, delta=None):
 
 
 def _laplacian(fh: InterfacePair, strip: StripGrid, delta=None) -> CoefficientField:
-    """The pulled-back Laplacian on strip, or its derivative along delta."""
+    """The pulled-back Laplacian on strip, or its derivative along delta.
+
+    A gap below about 1e-154 overflows the coefficients to inf and nan,
+    silently: the transmission matrix's factorization names the overflow.
+    """
     q, q_xx, gap, gap_x = _geometry(fh, strip.side, strip.y_nodes)
-    if delta is None:
-        c = (1.0, -2.0 * q / gap, (1.0 + q**2) / gap**2,
-             (2.0 * gap_x * q - gap * q_xx) / gap**2)
-    else:
-        dq, dq_xx, dgap, dgap_x = _geometry(fh, strip.side, strip.y_nodes, delta)
-        c = (0.0, 2.0 * (q * dgap / gap - dq) / gap,
-             2.0 * (q * dq - (1.0 + q**2) * dgap / gap) / gap**2,
-             (2.0 * (gap_x * dq + dgap_x * q) - gap * dq_xx - dgap * q_xx) / gap**2
-             - 2.0 * (2.0 * gap_x * q - gap * q_xx) * dgap / gap**3)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if delta is None:
+            c = (1.0, -2.0 * q / gap, (1.0 + q**2) / gap**2,
+                 (2.0 * gap_x * q - gap * q_xx) / gap**2)
+        else:
+            dq, dq_xx, dgap, dgap_x = _geometry(fh, strip.side, strip.y_nodes, delta)
+            c = (0.0, 2.0 * (q * dgap / gap - dq) / gap,
+                 2.0 * (q * dq - (1.0 + q**2) * dgap / gap) / gap**2,
+                 (2.0 * (gap_x * dq + dgap_x * q) - gap * dq_xx - dgap * q_xx) / gap**2
+                 - 2.0 * (2.0 * gap_x * q - gap * q_xx) * dgap / gap**3)
     return CoefficientField(strip, *(np.broadcast_to(v, strip.shape) for v in c))
 
 

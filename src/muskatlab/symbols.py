@@ -1,10 +1,13 @@
 """Frozen-coefficient Fourier multiplier symbols and their ODE oracle.
 
 Freezing the transmission problem's coefficients at one spatial point turns
-each linearized interface operator into a Fourier multiplier.  This module
-computes the frozen constants from grid data, evaluates the closed-form
-symbols of the gravity-driven and surface-tension-driven linearizations,
-and solves the per-mode two-point boundary value problems directly as an
+each linearized interface operator into a Fourier multiplier.  A
+:class:`FrozenPoint` is built from the local data at the point (the two
+slopes, the two gaps and six potential traces) and its fluid, and derives
+the frozen constants from them; :func:`frozen_constants` reads those data off
+a solved state.  This module evaluates the closed-form symbols of the
+gravity-driven and surface-tension-driven linearizations at a point, and
+solves the per-mode two-point boundary value problems directly as an
 independent oracle for those formulas.  It also provides the resolvent
 (Marcinkiewicz-type) diagnostics and the parabolicity-region checks.
 
@@ -15,7 +18,7 @@ oracle's boundary rows are scaled by sech(D m), which rescales equations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,58 +63,89 @@ def _coth(x):
 
 @dataclass(frozen=True)
 class FrozenPoint:
-    """Constants of the frozen-coefficient operators at one spatial point.
+    """Constants of the frozen-coefficient operators at one spatial point,
+    derived on construction from its local data and params, the fluid it is
+    frozen under (every symbol and oracle reads k/mu and g rho_+ there).
 
+    The local data are the slopes and gaps, the strip-coordinate traces of the
+    base potentials on the shared interface (dy/dx_v_minus, dy/dx_v_plus) and
+    the upper potential's on the top interface (*_top).  Of the constants,
     a/b/D with plus/minus suffixes belong to the principal parts of the two
     strip operators frozen on the shared interface; a1/b1/D1 to the upper
     strip operator frozen on the top interface.  beta are the first-order
-    boundary operator coefficients, A/B/V the trace combinations entering
-    the per-mode problems, and V_f/V_h the surface-tension weights.  The raw
-    slopes, gaps, and traces are kept as well; the imaginary symbol parts
-    and the oracle need them directly.  params is the fluid the point was
-    frozen under, from which every symbol and oracle reads k/mu and g rho_+.
+    boundary operator coefficients, A/B/V the trace combinations entering the
+    per-mode problems, and V_f/V_h the surface-tension weights.  Positive gaps
+    make b - a^2 = (gap / s)^2 (s = 1 + slope^2) and beta2 positive, but in
+    floating point b - a^2 underflows below a gap of about 1e-154, and rounds
+    to zero or below from a slope of about 1e8; such a point is refused.
     """
 
-    a_plus: float
-    a_minus: float
-    b_plus: float
-    b_minus: float
-    D_plus: float
-    D_minus: float
-    beta1_plus: float
-    beta1_minus: float
-    beta2_plus: float
-    beta2_minus: float
-    A_plus: float
-    A_minus: float
-    B: float
-    Delta_rho: float
-    Delta_A: float
-    a1: float
-    b1: float
-    D1: float
-    V: float
-    V_f: float
-    V_h: float
     f_slope: float
     h_slope: float
     gap_minus: float
     gap_plus: float
     dy_v_minus: float
+    dy_v_plus: float
     dx_v_minus: float
+    dx_v_plus: float
+    dy_v_plus_top: float
     dx_v_plus_top: float
     params: FluidParams
+    a_plus: float = field(init=False)
+    a_minus: float = field(init=False)
+    b_plus: float = field(init=False)
+    b_minus: float = field(init=False)
+    D_plus: float = field(init=False)
+    D_minus: float = field(init=False)
+    beta1_plus: float = field(init=False)
+    beta1_minus: float = field(init=False)
+    beta2_plus: float = field(init=False)
+    beta2_minus: float = field(init=False)
+    A_plus: float = field(init=False)
+    A_minus: float = field(init=False)
+    B: float = field(init=False)
+    Delta_rho: float = field(init=False)
+    Delta_A: float = field(init=False)
+    a1: float = field(init=False)
+    b1: float = field(init=False)
+    D1: float = field(init=False)
+    V: float = field(init=False)
+    V_f: float = field(init=False)
+    V_h: float = field(init=False)
 
     def __post_init__(self):
-        for a, b, d in ((self.a_plus, self.b_plus, self.D_plus),
-                        (self.a_minus, self.b_minus, self.D_minus),
-                        (self.a1, self.b1, self.D1)):
-            if b - a * a <= 0:
-                raise ValueError("frozen point requires b - a^2 > 0")
-            if abs(d - np.sqrt(b - a * a)) > 1e-12 * max(1.0, d):
-                raise ValueError("D must equal sqrt(b - a^2)")
-        if self.beta2_plus <= 0 or self.beta2_minus <= 0:
-            raise ValueError("beta2 coefficients must be positive")
+        local = [getattr(self, f.name) for f in fields(self) if f.init and f.name != "params"]
+        if not np.all(np.isfinite(local)):
+            raise ValueError("local data must be finite")
+        (f_slope, h_slope, gap_minus, gap_plus, dy_v_minus, dy_v_plus, dx_v_minus, dx_v_plus,
+         dy_v_plus_top, _) = local
+        if gap_minus <= 0 or gap_plus <= 0:
+            raise ValueError("gaps must be positive")
+        params = self.params
+        km, kp = params.k / params.mu_minus, params.k / params.mu_plus
+        s0, s1 = 1.0 + f_slope**2, 1.0 + h_slope**2
+        a_minus, b_minus = -f_slope * gap_minus / s0, gap_minus**2 / s0
+        a_plus, b_plus = -f_slope * gap_plus / s0, gap_plus**2 / s0
+        a1, b1 = -h_slope * gap_plus / s1, gap_plus**2 / s1
+        big_a_plus, big_a_minus = dy_v_plus / gap_plus, dy_v_minus / gap_minus
+        for name, value in dict(
+                a_plus=a_plus, a_minus=a_minus, b_plus=b_plus, b_minus=b_minus,
+                D_plus=float(np.sqrt(b_plus - a_plus**2)),
+                D_minus=float(np.sqrt(b_minus - a_minus**2)),
+                beta1_plus=-kp * f_slope, beta1_minus=-km * f_slope,
+                beta2_plus=kp * s0 / gap_plus, beta2_minus=km * s0 / gap_minus,
+                A_plus=big_a_plus, A_minus=big_a_minus,
+                B=(km * (2.0 * f_slope * big_a_minus - dx_v_minus)
+                   - kp * (2.0 * f_slope * big_a_plus - dx_v_plus)),
+                Delta_rho=params.g * (params.rho_minus - params.rho_plus),
+                Delta_A=big_a_plus - big_a_minus,
+                a1=a1, b1=b1, D1=float(np.sqrt(b1 - a1**2)),
+                V=dy_v_plus_top / gap_plus,
+                V_f=params.gamma_f * s0 ** (-1.5),
+                V_h=params.gamma_h * s1 ** (-1.5)).items():
+            object.__setattr__(self, name, value)
+        if not all(d > 0 for d in (self.D_plus, self.D_minus, self.D1)):
+            raise ValueError("frozen point requires b - a^2 > 0")
 
 
 def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,
@@ -119,60 +153,9 @@ def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,
                            dx_v_minus: float, dx_v_plus: float,
                            dy_v_plus_top: float, dx_v_plus_top: float,
                            params: FluidParams) -> FrozenPoint:
-    """Assemble a frozen point from pointwise geometry and trace data.
-
-    dy/dx_v_minus and dy/dx_v_plus are the strip-coordinate traces of the
-    base potentials on the shared interface; the *_top pair are the upper
-    potential's traces on the top interface.
-    """
-    if not np.all(np.isfinite((f_slope, h_slope, gap_minus, gap_plus, dy_v_minus, dy_v_plus,
-                               dx_v_minus, dx_v_plus, dy_v_plus_top, dx_v_plus_top))):
-        raise ValueError("local data must be finite")
-    if gap_minus <= 0 or gap_plus <= 0:
-        raise ValueError("gaps must be positive")
-    km, kp = params.k / params.mu_minus, params.k / params.mu_plus
-    s0 = 1.0 + f_slope**2
-    s1 = 1.0 + h_slope**2
-    a_minus = -f_slope * gap_minus / s0
-    b_minus = gap_minus**2 / s0
-    a_plus = -f_slope * gap_plus / s0
-    b_plus = gap_plus**2 / s0
-    a1 = -h_slope * gap_plus / s1
-    b1 = gap_plus**2 / s1
-    big_a_plus = dy_v_plus / gap_plus
-    big_a_minus = dy_v_minus / gap_minus
-    return FrozenPoint(
-        a_plus=a_plus,
-        a_minus=a_minus,
-        b_plus=b_plus,
-        b_minus=b_minus,
-        D_plus=float(np.sqrt(b_plus - a_plus**2)),
-        D_minus=float(np.sqrt(b_minus - a_minus**2)),
-        beta1_plus=-kp * f_slope,
-        beta1_minus=-km * f_slope,
-        beta2_plus=kp * s0 / gap_plus,
-        beta2_minus=km * s0 / gap_minus,
-        A_plus=big_a_plus,
-        A_minus=big_a_minus,
-        B=(km * (2.0 * f_slope * big_a_minus - dx_v_minus)
-           - kp * (2.0 * f_slope * big_a_plus - dx_v_plus)),
-        Delta_rho=params.g * (params.rho_minus - params.rho_plus),
-        Delta_A=big_a_plus - big_a_minus,
-        a1=a1,
-        b1=b1,
-        D1=float(np.sqrt(b1 - a1**2)),
-        V=dy_v_plus_top / gap_plus,
-        V_f=params.gamma_f * s0 ** (-1.5),
-        V_h=params.gamma_h * s1 ** (-1.5),
-        f_slope=f_slope,
-        h_slope=h_slope,
-        gap_minus=gap_minus,
-        gap_plus=gap_plus,
-        dy_v_minus=dy_v_minus,
-        dx_v_minus=dx_v_minus,
-        dx_v_plus_top=dx_v_plus_top,
-        params=params,
-    )
+    """The frozen point of these local data (see :class:`FrozenPoint`)."""
+    return FrozenPoint(f_slope, h_slope, gap_minus, gap_plus, dy_v_minus, dy_v_plus,
+                       dx_v_minus, dx_v_plus, dy_v_plus_top, dx_v_plus_top, params)
 
 
 def frozen_constants(base_solution: DiffractionSolution, x: float) -> FrozenPoint:

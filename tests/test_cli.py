@@ -132,6 +132,52 @@ def test_fuzzed_configs_end_with_a_documented_exit(cfg):
                                       "step_failure")
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_configs())
+def test_fuzzed_configs_end_diagnostics_with_a_documented_exit(cfg):
+    # the diagnostics commands on configs drawn alike: 0, 1 or 2, and nothing raised
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [main([command, "--config", str(path)] + extra)
+                     for command, extra in (("symbols", ["--m-max", "4", "--oracle"]),
+                                            ("spectrum", ["--modes", "1..2"]))]
+        assert set(codes) <= {0, 1, 2}
+
+
+def _wave_specs():
+    amplitudes = st.floats(-1.0, 1.0)
+    return st.builds(lambda const, modes: {"const": const, "modes": [list(m) for m in modes]},
+                     st.floats(-1.0, 1.0),
+                     st.lists(st.tuples(st.integers(1, 7), amplitudes, amplitudes), max_size=3))
+
+
+@st.composite
+def full_configs(draw):
+    """Schema-valid config dicts that draw every optional key, or leave it out."""
+    positive = st.floats(1e-9, 10.0)
+    optional = {"rtol": positive, "atol": positive, "dt_init": positive, "dt_max": positive,
+                "surface_tension": st.booleans(), "stop_on_rt": st.booleans(),
+                "snapshot_stride": st.integers(1, 100),
+                "out_dir": st.one_of(st.none(), st.text(max_size=8)), "b": _wave_specs()}
+    cfg = {"schema": 1, "n_x": draw(st.sampled_from((16, 32))), "n_y": draw(st.integers(8, 16)),
+           "params": {"k": draw(positive), "gamma_f": draw(st.floats(0.0, 2.0)), "d": -1.0},
+           "initial": {"f": draw(_wave_specs()), "h": draw(_wave_specs())},
+           "t_end": draw(positive)}
+    for key in draw(st.sets(st.sampled_from(sorted(optional)))):
+        cfg[key] = draw(optional[key])
+    return cfg
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(full_configs())
+def test_config_round_trips_through_json(obj):
+    cfg = SimConfig.from_dict(obj)
+    assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path)

@@ -79,17 +79,19 @@ def test_callable_bottom_pressure_is_a_type_error(entry):
 
 
 # An upper gap below ~1e-154 is admissible, but the pulled-back coefficients
-# overflow and the factorization fails.
+# overflow, without a warning, and the factorization refuses the matrix.
 THIN_GAP = 1e-170
+OVERFLOW = ("transmission matrix is not finite: the pulled-back coefficients overflow "
+            "at the smallest layer gap 1.000e-170")
 
 
 def test_overflowing_state_is_a_recorded_failure():
     config = SimConfig(n_x=16, n_y=8, params=FluidParams(), f0=WaveSpec(),
                        h0=WaveSpec(const=THIN_GAP))
-    with np.errstate(all="ignore"):
-        traj = simulate(config)
+    traj = simulate(config)
     assert traj.reason == "step_failure"
     assert traj.failure["kind"] == "solver_failure"
+    assert traj.failure["message"] == OVERFLOW
     assert traj.failure["gap_plus"] == THIN_GAP
     assert traj.times == []
 
@@ -115,13 +117,15 @@ def cli_config(tmp_path, **overrides):
 def test_overflowing_state_writes_run_json(tmp_path, capsys):
     path = cli_config(tmp_path, **{"initial.h.const": THIN_GAP, "b.const": 0.0})
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: simulation failed before the first step\n"
     meta = json.loads((out / "run.json").read_text())
     assert meta["reason"] == "step_failure"
     assert meta["failure"]["kind"] == "solver_failure"
+    assert meta["failure"]["message"] == OVERFLOW
     assert meta["failure"]["gap_plus"] == THIN_GAP
+    assert main(["rtcheck", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {OVERFLOW}\n"
 
 
 @pytest.mark.parametrize("key, where", [

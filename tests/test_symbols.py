@@ -69,6 +69,12 @@ class TestFrozenConstants:
         with pytest.raises(ValueError):
             frozen_from_local_data(*data, PAR)
 
+    @pytest.mark.parametrize("gaps", [(1e-170, 1.0), (1.0, 1e-170)])
+    def test_underflowing_gap_rejected(self, gaps):
+        # positive, but b - a^2 = (gap / s)^2 underflows to 0, so D would vanish
+        with pytest.raises(ValueError, match=r"b - a\^2 > 0"):
+            frozen_from_local_data(0.0, 0.0, *gaps, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, PAR)
+
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
     def test_nonfinite_point_rejected(self, x):
         g = make_grid(16)
