@@ -31,8 +31,8 @@ entries sit depends on the strips' shape alone, so the sparsity pattern is
 computed once per strip shape and shared by every operator on those strips
 while one is alive; each state computes only its values and gathers them
 into the pattern (see :func:`_assemble`).  The traces of the solution are
-taken with the same stencils, so the imposed interface conditions are
-recoverable to solver precision.
+taken with the same stencils and the same spectral x-derivative entries, so
+the imposed interface conditions are recoverable to solver precision.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .operators import (
     boundary_pattern,
     coeffs_A_minus,
     coeffs_A_plus,
-    edge_dx,
     frechet_A_along,
     frechet_B_along,
     operator_pattern,
@@ -322,12 +321,12 @@ def _pattern(strip_p: StripGrid, strip_m: StripGrid) -> tuple[np.ndarray, np.nda
     return tuple(np.concatenate(parts, axis=None, dtype=np.int32) for parts in zip(*blocks))
 
 
-def _values(op: TransmissionOperator, dx: np.ndarray) -> np.ndarray:
+def _values(op: TransmissionOperator) -> np.ndarray:
     """The values of the entries of op's matrix, in the order of
-    :func:`_pattern`; dx is :func:`~muskatlab.operators.edge_dx` of op's grid."""
+    :func:`_pattern`."""
     ones = np.ones(op.fh.grid.n_x)
     blocks = [*operator_values(op.plus_coeffs), *operator_values(op.minus_coeffs),
-              ones, ones, ones, -ones, *op.plus_bc.values(dx), *(-op.minus_bc).values(dx)]
+              ones, ones, ones, -ones, *op.plus_bc.values(), *(-op.minus_bc).values()]
     return np.concatenate(blocks, axis=None)
 
 
@@ -335,14 +334,12 @@ def _values(op: TransmissionOperator, dx: np.ndarray) -> np.ndarray:
 class _Layout:
     """The CSC pattern of the transmission matrix on one pair of strips:
     its row indices and column pointers, and gather, the position in
-    :func:`_values` of each stored entry (all int32 and read-only), with
-    dx = :func:`~muskatlab.operators.edge_dx` of the strips' grid.  The
+    :func:`_values` of each stored entry (all int32 and read-only).  The
     operators on the strips hold it, and it is freed with the last of them."""
 
     indices: np.ndarray
     indptr: np.ndarray
     gather: np.ndarray
-    dx: np.ndarray
 
 
 # Layouts by strips, each alive while an operator on its strips holds it.
@@ -357,7 +354,7 @@ def _build_layout(strips: tuple[StripGrid, StripGrid]) -> _Layout:
     order = sp.csc_matrix((np.arange(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n))
     for array in (order.indices, order.indptr, order.data):
         array.flags.writeable = False
-    return _Layout(order.indices, order.indptr, order.data, edge_dx(strips[0].grid))
+    return _Layout(order.indices, order.indptr, order.data)
 
 
 def _layout(strips: tuple[StripGrid, StripGrid]) -> _Layout:
@@ -375,7 +372,7 @@ def _assemble(op: TransmissionOperator) -> sp.csc_matrix:
     its matrix shares the layout's index arrays."""
     layout = op.layout
     n = len(layout.indptr) - 1
-    data = _values(op, layout.dx).take(layout.gather)
+    data = _values(op).take(layout.gather)
     return sp.csc_matrix((data, layout.indices, layout.indptr), shape=(n, n))
 
 

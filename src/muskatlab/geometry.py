@@ -55,6 +55,14 @@ class PeriodicGrid:
     def dx(self) -> float:
         return 2.0 * np.pi / self.n_x
 
+    @cached_property
+    def diff_matrix(self) -> np.ndarray:
+        """The grid's :func:`spectral_diff_matrix`, built on first access and
+        kept (read-only); it differentiates strip fields' edge traces."""
+        matrix = spectral_diff_matrix(self)
+        matrix.flags.writeable = False
+        return matrix
+
 
 def make_grid(n_x: int) -> PeriodicGrid:
     """Build the uniform periodic grid with nodes x_i = 2*pi*i/n_x."""

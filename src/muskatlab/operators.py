@@ -20,24 +20,19 @@ of its formula, computed by :func:`frechet_A_along` and
 per function and cached on its :class:`PeriodicFn` (the base state's
 interfaces and a direction alike); strip derivatives are second-order
 differences from one table of stencils (centred and periodic in x,
-one-sided at the y-edges), applied to fields and written as the entries of
-the sparse transmission matrix.
+one-sided at the y-edges) and an edge trace's x-derivative the grid's
+dense spectral ``diff_matrix``, each applied to fields and written as the
+entries of the sparse transmission matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
 
-from .geometry import (
-    InterfacePair,
-    PeriodicFn,
-    PeriodicGrid,
-    spectral_derivative,
-    spectral_diff_matrix,
-)
+from .geometry import InterfacePair, PeriodicFn, PeriodicGrid
 
 __all__ = [
     "BoundaryOperator",
@@ -81,7 +76,7 @@ class FluidParams:
     d: float = -1.0
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in astuple(self)):
+        if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError("all parameters must be finite")
         if self.k <= 0 or self.mu_minus <= 0 or self.mu_plus <= 0:
             raise ValueError("permeability and viscosities must be positive")
@@ -128,15 +123,11 @@ class StripGrid:
 
 @dataclass(frozen=True)
 class StripField:
-    """Scalar field on a closed strip, boundary levels included.
-
-    Only the shape is checked.  The spectral x-derivative of an edge trace
-    is taken on first request and kept with the field (see :func:`trace_dx`).
-    """
+    """Scalar field on a closed strip, boundary levels included.  Only the
+    shape is checked."""
 
     strip: StripGrid
     values: np.ndarray = field(repr=False)
-    _edge_dx: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -372,14 +363,11 @@ def trace_dy(fld: StripField, edge: str) -> np.ndarray:
 
 
 def trace_dx(fld: StripField, edge: str) -> np.ndarray:
-    """Spectral x-derivative of the edge trace, taken once per field and edge
-    (read-only)."""
-    if edge not in fld._edge_dx:
-        tr = PeriodicFn(fld.strip.grid, trace_values(fld, edge))
-        derivative = spectral_derivative(tr, 1).values
-        derivative.flags.writeable = False
-        fld._edge_dx[edge] = derivative
-    return fld._edge_dx[edge]
+    """Spectral x-derivative of the edge trace: the grid's differentiation
+    matrix times the edge values, the entries the flux rows hold (see
+    :func:`edge_dx`)."""
+    level, _ = _edge_row(1, edge)
+    return fld.strip.grid.diff_matrix @ fld.values[:, level]
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +378,9 @@ def trace_dx(fld: StripField, edge: str) -> np.ndarray:
 class BoundaryOperator:
     """First-order edge operator beta1 * dx + beta2 * dy on a strip edge.
 
-    dx is the spectral x-derivative of the edge trace, dy the one-sided
-    second-order y-row; :meth:`apply` applies them and :meth:`values` writes
-    the same operator as matrix entries.
+    dx is the spectral x-derivative of the edge trace (:func:`trace_dx`), dy
+    the one-sided second-order y-row; :meth:`apply` applies them and
+    :meth:`values` writes the same operator as matrix entries.
     """
 
     strip: StripGrid
@@ -417,12 +405,11 @@ class BoundaryOperator:
         """The operator applied to a strip field, one value per x-node."""
         return self.beta1 * trace_dx(fld, self.edge) + self.beta2 * trace_dy(fld, self.edge)
 
-    def values(self, dx: np.ndarray) -> list[np.ndarray]:
+    def values(self) -> list[np.ndarray]:
         """:meth:`apply` as matrix entries: the blocks of values of
-        :func:`boundary_pattern`, with dx = :func:`edge_dx` of the strip's
-        grid."""
+        :func:`boundary_pattern`."""
         _, row = _edge_row(1, self.edge)
-        return [self.beta1[:, None] * dx] + [
+        return [self.beta1[:, None] * edge_dx(self.strip.grid)] + [
             w * self.beta2 / (_SCALE[1] * self.strip.dy) for _, w in row]
 
 
@@ -432,10 +419,10 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def edge_dx(grid: PeriodicGrid) -> np.ndarray:
-    """The spectral x-derivative as matrix entries: spectral_diff_matrix(grid)
-    less its diagonal, which is exactly zero, so row i holds the entries of
-    the columns j != i, shape (n_x, n_x - 1)."""
-    return _off_diagonal(spectral_diff_matrix(grid))
+    """The spectral x-derivative as matrix entries: grid.diff_matrix less its
+    diagonal, which is exactly zero, so row i holds the entries of the
+    columns j != i, shape (n_x, n_x - 1)."""
+    return _off_diagonal(grid.diff_matrix)
 
 
 def boundary_pattern(strip: StripGrid, edge: str, rows: np.ndarray,

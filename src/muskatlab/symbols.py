@@ -127,11 +127,14 @@ class FrozenPoint:
         a_minus, b_minus = -f_slope * gap_minus / s0, gap_minus**2 / s0
         a_plus, b_plus = -f_slope * gap_plus / s0, gap_plus**2 / s0
         a1, b1 = -h_slope * gap_plus / s1, gap_plus**2 / s1
+        discriminants = (b_plus - a_plus**2, b_minus - a_minus**2, b1 - a1**2)
+        if not all(disc > 0 for disc in discriminants):
+            raise ValueError("frozen point requires b - a^2 > 0")
+        d_plus, d_minus, d1 = (float(np.sqrt(disc)) for disc in discriminants)
         big_a_plus, big_a_minus = dy_v_plus / gap_plus, dy_v_minus / gap_minus
         for name, value in dict(
                 a_plus=a_plus, a_minus=a_minus, b_plus=b_plus, b_minus=b_minus,
-                D_plus=float(np.sqrt(b_plus - a_plus**2)),
-                D_minus=float(np.sqrt(b_minus - a_minus**2)),
+                D_plus=d_plus, D_minus=d_minus,
                 beta1_plus=-kp * f_slope, beta1_minus=-km * f_slope,
                 beta2_plus=kp * s0 / gap_plus, beta2_minus=km * s0 / gap_minus,
                 A_plus=big_a_plus, A_minus=big_a_minus,
@@ -139,13 +142,11 @@ class FrozenPoint:
                    - kp * (2.0 * f_slope * big_a_plus - dx_v_plus)),
                 Delta_rho=params.g * (params.rho_minus - params.rho_plus),
                 Delta_A=big_a_plus - big_a_minus,
-                a1=a1, b1=b1, D1=float(np.sqrt(b1 - a1**2)),
+                a1=a1, b1=b1, D1=d1,
                 V=dy_v_plus_top / gap_plus,
                 V_f=params.gamma_f * s0 ** (-1.5),
                 V_h=params.gamma_h * s1 ** (-1.5)).items():
             object.__setattr__(self, name, value)
-        if not all(d > 0 for d in (self.D_plus, self.D_minus, self.D1)):
-            raise ValueError("frozen point requires b - a^2 > 0")
 
 
 def frozen_from_local_data(f_slope: float, h_slope: float, gap_minus: float,

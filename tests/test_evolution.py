@@ -658,33 +658,27 @@ class TestLinearizedMatrix:
 class TestGeometryReuse:
     def test_interface_derivatives_taken_once_per_pair(self, monkeypatch):
         import muskatlab.geometry as geometry
-        import muskatlab.operators as operators
 
         g = make_grid(16)
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
                            fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
-        derived, differentiated = [], []
+        derived = []
         true_derivative = geometry.spectral_derivative
 
-        def counting(record):
-            def spectral_derivative(u, order):
-                record.append(u)
-                return true_derivative(u, order)
-            return spectral_derivative
+        def spectral_derivative(u, order):
+            derived.append(u)
+            return true_derivative(u, order)
 
-        monkeypatch.setattr(geometry, "spectral_derivative", counting(derived))
-        monkeypatch.setattr(operators, "spectral_derivative", counting(differentiated))
+        monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
         diffraction.pulled_back_operator(fh, PAR, 12)
         assert len(derived) == 4
-        assert all(u is fh.f or u is fh.h for u in derived + differentiated)
+        assert all(u is fh.f or u is fh.h for u in derived)
 
         derived.clear()
-        differentiated.clear()
         diffraction.pulled_back_operator(fh, PAR, 12)
         rayleigh_taylor(fh, constant_fn(g, 0.5), PAR, n_y=12)
+        # the velocities' edge traces are differentiated by the grid's matrix, not by FFT
         assert derived == []
-        assert differentiated  # the solution's traces are still differentiated
-        assert not any(u is fh.f or u is fh.h for u in differentiated)
 
     def test_surface_tension_linearization_reads_the_pair(self, monkeypatch):
         import muskatlab.geometry as geometry
@@ -712,7 +706,6 @@ class TestGeometryReuse:
 
     def test_pair_reads_the_derivatives_cached_on_its_functions(self, monkeypatch):
         import muskatlab.geometry as geometry
-        import muskatlab.operators as operators
 
         g = make_grid(16)
         f = fn(g, lambda x: 0.1 * np.sin(x))
@@ -726,7 +719,6 @@ class TestGeometryReuse:
             return true_derivative(u, order)
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
-        monkeypatch.setattr(operators, "spectral_derivative", spectral_derivative)
         diffraction.pulled_back_operator(fh, PAR, 12)
         assert not any(u is f for u in differentiated)
         assert sum(u is fh.h for u in differentiated) == 2
@@ -734,7 +726,6 @@ class TestGeometryReuse:
     @pytest.mark.parametrize("surface_tension", [False, True])
     def test_linearized_directions_differentiated_once(self, monkeypatch, surface_tension):
         import muskatlab.geometry as geometry
-        import muskatlab.operators as operators
 
         g = make_grid(16)
         fh = flat_pair(g)
@@ -747,10 +738,10 @@ class TestGeometryReuse:
             return true_derivative(u, order)
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
-        monkeypatch.setattr(operators, "spectral_derivative", spectral_derivative)
         par = FluidParams(gamma_f=0.5, gamma_h=1.0) if surface_tension else PAR
         linearized_matrix(fh, constant_fn(g, 1.0), par, modes, surface_tension, n_y=8)
-        # traces take first derivatives only, so second derivatives mark the directions
+        # each function takes its first and second derivative: the second ones
+        # that are not the interfaces' mark the directions
         directions = [u for u, order in differentiated
                       if order == 2 and u is not fh.f and u is not fh.h]
         for m in modes:
@@ -761,9 +752,8 @@ class TestGeometryReuse:
             assert len(directions) == len(modes)
 
     @pytest.mark.parametrize("surface_tension, base_calls", [(False, 4), (True, 6)])
-    def test_base_traces_differentiated_once(self, monkeypatch, surface_tension, base_calls):
+    def test_edge_traces_take_no_fft(self, monkeypatch, surface_tension, base_calls):
         import muskatlab.geometry as geometry
-        import muskatlab.operators as operators
 
         g = make_grid(16)
         modes = (1, 2, 3)
@@ -775,14 +765,12 @@ class TestGeometryReuse:
             return true_derivative(u, order)
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
-        monkeypatch.setattr(operators, "spectral_derivative", spectral_derivative)
         par = FluidParams(gamma_f=0.5, gamma_h=1.0) if surface_tension else PAR
         linearized_matrix(flat_pair(g), constant_fn(g, 1.0), par, modes, surface_tension, n_y=8)
         # base_calls for the interfaces' derivatives (and, with surface tension,
-        # the zero direction's), one for each of the three base edge traces the
-        # columns read, and per mode two for its sine and one for the top trace
-        # of each of the two linearized fields in each of its two columns
-        assert len(calls) == base_calls + 3 + 6 * len(modes)
+        # the zero direction's) and per mode two for its sine; the edge traces
+        # of the base and of the linearized fields take none
+        assert len(calls) == base_calls + 2 * len(modes)
 
 
 class TestFactorizationReuse:
@@ -805,11 +793,11 @@ class TestFactorizationReuse:
     }
     # triangular solves of each run, condition estimates excluded: the cost
     # of its refinements, pinned so that a change to it shows
-    TRIANGULAR_SOLVES = {"gravity": 108, "surface_tension": 63, "rejected_step": 187}
+    TRIANGULAR_SOLVES = {"gravity": 109, "surface_tension": 63, "rejected_step": 186}
     # residual products A x of each run: one per correction, and one for each
     # refinement's start unless it is cold (a zero start's residual is b);
     # the backward-error guard reads the last residual instead of forming one
-    RESIDUAL_PRODUCTS = {"gravity": 132, "surface_tension": 80, "rejected_step": 222}
+    RESIDUAL_PRODUCTS = {"gravity": 133, "surface_tension": 80, "rejected_step": 221}
 
     def counted_run(self, name, monkeypatch, solve_counts):
         """(trajectory, solves, accepted, rejected) of a config, with

@@ -102,6 +102,12 @@ class TestSpectralDerivative:
         dmat = spectral_diff_matrix(g)
         assert np.max(np.abs(dmat @ u - spectral_derivative(PeriodicFn(g, u), 1).values)) < 1e-11
 
+    def test_grid_keeps_its_diff_matrix(self):
+        g = make_grid(32)
+        assert g.diff_matrix is g.diff_matrix  # built once per grid
+        assert np.array_equal(g.diff_matrix, spectral_diff_matrix(g))
+        assert not g.diff_matrix.flags.writeable
+
     def test_interpolant_at_nodes_and_between(self):
         g = make_grid(32)
         u = fn(g, lambda x: 0.3 * np.cos(2 * x) - 0.1 * np.sin(5 * x))

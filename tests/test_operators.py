@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import sympy as sy
 
-from muskatlab.geometry import InterfacePair, PeriodicFn, constant_fn, from_callable, make_grid
+from muskatlab.geometry import (
+    InterfacePair,
+    PeriodicFn,
+    constant_fn,
+    from_callable,
+    make_grid,
+    spectral_derivative,
+)
 from muskatlab.operators import (
     FluidParams,
     StripField,
@@ -16,6 +23,8 @@ from muskatlab.operators import (
     frechet_A_along,
     frechet_B_along,
     strip_heights,
+    trace_dx,
+    trace_values,
 )
 from muskatlab.verify import check_harmonic_pullback_at
 
@@ -224,6 +233,15 @@ class TestApplyOperator:
 
 
 class TestBoundaryOperators:
+    @pytest.mark.parametrize("edge", ["bottom", "top"])
+    @pytest.mark.parametrize("n", [8, 32, 128, 256])
+    def test_trace_dx_is_the_fft_derivative(self, n, edge):
+        g = make_grid(n)
+        strip = plus_strip(g, 8)
+        fld = StripField(strip, np.random.default_rng(n).standard_normal(strip.shape))
+        fft = spectral_derivative(PeriodicFn(g, trace_values(fld, edge)), 1).values
+        assert np.max(np.abs(trace_dx(fld, edge) - fft)) <= 1e-13 * np.max(np.abs(fft))
+
     def test_minus_linear_field(self):
         g = make_grid(16)
         strip = minus_strip(g)

@@ -75,6 +75,13 @@ class TestFrozenConstants:
         with pytest.raises(ValueError, match=r"b - a\^2 > 0"):
             frozen_from_local_data(0.0, 0.0, *gaps, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, PAR)
 
+    @pytest.mark.parametrize("slopes", [(1e8, 0.0), (0.0, 1e8)])
+    def test_steep_slope_rejected_before_any_root(self, slopes):
+        # b - a^2 = (gap / s)^2 rounds to zero or below, which is refused before
+        # a square root of it could warn (the suite turns warnings into errors)
+        with pytest.raises(ValueError, match=r"b - a\^2 > 0"):
+            frozen_from_local_data(*slopes, 1, 1, 0, 0, 0, 0, 0, 0, FluidParams())
+
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
     def test_nonfinite_point_rejected(self, x):
         g = make_grid(16)
