@@ -5,12 +5,14 @@ closed-form symbols; an independently assembled boundary value problem
 reconstructs the same numbers.  At tau = 0 the two agree to near machine
 precision for arbitrary frozen points.  For tau > 0 the printed closed
 forms drift away from the boundary-value solution off equilibrium -- the
-oracle is the trustworthy side there, and the gap is reported.
+oracle is the trustworthy side there, and the gap is reported.  The frozen
+point is read from the potentials solved on the state's
+TransmissionOperator.
 """
 
 import numpy as np
 
-from muskatlab.diffraction import solve_potentials
+from muskatlab.diffraction import TransmissionOperator
 from muskatlab.geometry import InterfacePair, constant_fn, from_callable, make_grid
 from muskatlab.operators import FluidParams
 from muskatlab.symbols import (
@@ -25,7 +27,7 @@ params = FluidParams()
 grid = make_grid(32)
 fh = InterfacePair(from_callable(grid, lambda x: 0.15 * np.sin(x)),
                    from_callable(grid, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
-sol = solve_potentials(fh, constant_fn(grid, 0.4), params, n_y=16)
+sol = TransmissionOperator(fh, params, 16).potentials(constant_fn(grid, 0.4))
 fp = frozen_constants(sol, x=1.0)
 
 print("frozen point at x = 1.0:")

@@ -44,10 +44,8 @@ from .diffraction import (
     SolverFailure,
     TransmissionOperator,
     check_complementing,
-    pulled_back_operator,
     solve_general,
     solve_linearized,
-    solve_potentials,
 )
 from .evolution import (
     RTReport,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig
-from .diffraction import SolverFailure, solve_potentials
+from .diffraction import SolverFailure, TransmissionOperator
 from .evolution import linearized_matrix, rayleigh_taylor, simulate
 from .geometry import make_grid
 from .symbols import (
@@ -126,8 +126,8 @@ def cmd_symbols(args) -> int:
         print("error: --x must be finite", file=sys.stderr)
         return EXIT_CONFIG
     config, fh, b = _config_and_state(args)
-    sol = solve_potentials(fh, b, config.params, n_y=config.n_y,
-                           surface_tension=config.surface_tension)
+    sol = TransmissionOperator(fh, config.params, config.n_y).potentials(
+        b, config.surface_tension)
     fp = frozen_constants(sol, args.x)
 
     lines = ["family,m,re_formula,im_formula,re_oracle,im_oracle"]

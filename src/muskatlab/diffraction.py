@@ -15,7 +15,10 @@ relaxed supernodes of at most 4, not its default 20 and 10: with one BLAS
 thread this matrix family factors 12-21% faster in less memory, with the
 same fill.  The matrix depends only on the geometry, so one
 :class:`TransmissionOperator` factor serves every problem on it, the
-linearized problems around a solved state included.  A solve given a
+linearized problems around a solved state included.  The potential
+problem of a state is posed one way,
+``TransmissionOperator(fh, params, n_y).potentials(b, surface_tension)``,
+with n_y defaulting to max(8, n_x // 2).  A solve given a
 ``base``, the factored operator of a nearby state on the same strips, is
 iterative refinement on the base's factor, from a predicted solution when the
 caller has one, until the operator factors itself, which it does only when
@@ -77,10 +80,8 @@ __all__ = [
     "SolverFailure",
     "TransmissionOperator",
     "check_complementing",
-    "pulled_back_operator",
     "solve_general",
     "solve_linearized",
-    "solve_potentials",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -107,6 +108,7 @@ class TransmissionOperator:
     operators on Gamma_0 and the co-normal operator B1 on the upper strip's
     top edge of the interface state fh, built on construction, with the
     layout of its matrix, shared by every operator on the same strips.
+    n_y defaults to max(8, n_x // 2) and must be an integer >= 8.
 
     They depend only on the state and the fluid, never on the data, so every
     problem posed on them is solved with one :attr:`factorization`, or on
@@ -117,7 +119,7 @@ class TransmissionOperator:
 
     fh: InterfacePair
     params: FluidParams
-    n_y: int
+    n_y: int | None = None
     plus_coeffs: CoefficientField = field(init=False, repr=False)
     minus_coeffs: CoefficientField = field(init=False, repr=False)
     plus_bc: BoundaryOperator = field(init=False, repr=False)
@@ -127,6 +129,8 @@ class TransmissionOperator:
 
     def __post_init__(self):
         fh, params = self.fh, self.params
+        if self.n_y is None:
+            object.__setattr__(self, "n_y", max(8, fh.grid.n_x // 2))
         strips = strip_p, strip_m = tuple(StripGrid(fh.grid, self.n_y, side)
                                           for side in ("plus", "minus"))
         b1p, b2p = b_coeffs_plus(fh, params)
@@ -521,24 +525,6 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None,
     return DiffractionSolution(StripField(strip_p, x_plus.reshape(strip_p.shape)),
                                StripField(strip_m, x_minus.reshape(strip_m.shape)),
                                x, operator, cond, record)
-
-
-# ---------------------------------------------------------------------------
-# The potential problems
-
-
-def pulled_back_operator(fh: InterfacePair, params: FluidParams,
-                         n_y: int | None = None) -> TransmissionOperator:
-    """The transmission operator of fh on strips of n_y (default max(8, n_x // 2)) layers."""
-    n_y = max(8, fh.grid.n_x // 2) if n_y is None else int(n_y)
-    return TransmissionOperator(fh, params, n_y)
-
-
-def solve_potentials(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
-                     n_y: int | None = None, surface_tension: bool = False) -> DiffractionSolution:
-    """Transformed velocity potentials at fh, with Laplace-Young jumps on both
-    interfaces when surface_tension is set."""
-    return pulled_back_operator(fh, params, n_y).potentials(b, surface_tension)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,7 @@ from .diffraction import (
     SolveRecord,
     SolverFailure,
     TransmissionOperator,
-    pulled_back_operator,
     solve_linearized,
-    solve_potentials,
 )
 from .geometry import AdmissibilityError, InterfacePair, PeriodicFn
 from .operators import FluidParams, StripField, frechet_B_along, strip_heights
@@ -231,7 +229,7 @@ def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     stage on its base (see :meth:`_RunSolver.solve`).
     """
     _check_bottom_pressure(b)
-    operator = pulled_back_operator(fh, params, n_y)
+    operator = TransmissionOperator(fh, params, n_y)
     if run is None:
         return _velocities(operator.potentials(b, surface_tension))
     return _velocities(run.solve(operator, b, surface_tension, stage))
@@ -360,7 +358,7 @@ def simulate(config: SimConfig) -> Trajectory:
     def accept(t: float, fh: InterfacePair, dt_used: float) -> SimState | None:
         """Record an accepted state, solved by the run; return it with its
         slope, or None at the end."""
-        operator = pulled_back_operator(fh, params, config.n_y)
+        operator = TransmissionOperator(fh, params, config.n_y)
         try:
             gravity = _velocities(run.solve(operator, b, False,
                                             None if config.surface_tension else 0))
@@ -463,7 +461,7 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     _assert_x_independent(fh.h, "h")
     _assert_x_independent(b, "b")
 
-    base = solve_potentials(fh, b, params, n_y, surface_tension)
+    base = TransmissionOperator(fh, params, n_y).potentials(b, surface_tension)
     minus_bc, top_bc = base.operator.minus_bc, base.operator.top_bc
     zero = PeriodicFn(grid, np.zeros(grid.n_x))
     out = np.empty((len(modes), 2, 2))

@@ -28,7 +28,7 @@ entries of the sparse transmission matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -103,8 +103,8 @@ class StripGrid:
     def __post_init__(self):
         if self.side not in ("plus", "minus"):
             raise ValueError(f"side must be 'plus' or 'minus', got {self.side!r}")
-        if self.n_y < 8:
-            raise ValueError(f"n_y must be >= 8, got {self.n_y}")
+        if not isinstance(self.n_y, (int, np.integer)) or self.n_y < 8:
+            raise ValueError(f"n_y must be an integer >= 8, got {self.n_y!r}")
 
     @property
     def y_nodes(self) -> np.ndarray:
@@ -418,11 +418,15 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
 
+@cache
 def edge_dx(grid: PeriodicGrid) -> np.ndarray:
     """The spectral x-derivative as matrix entries: grid.diff_matrix less its
     diagonal, which is exactly zero, so row i holds the entries of the
-    columns j != i, shape (n_x, n_x - 1)."""
-    return _off_diagonal(grid.diff_matrix)
+    columns j != i, shape (n_x, n_x - 1).  Built once per grid size and kept
+    (read-only)."""
+    block = _off_diagonal(grid.diff_matrix)
+    block.flags.writeable = False
+    return block
 
 
 def boundary_pattern(strip: StripGrid, edge: str, rows: np.ndarray,

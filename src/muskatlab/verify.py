@@ -86,7 +86,7 @@ def check_manufactured_at(n: int, n_y: int) -> CheckResult:
     par = FluidParams()
     fh = _interfaces(grid, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x),
                      lambda x: 1.0 + 0.1 * np.cos(x))
-    op = diffraction.pulled_back_operator(fh, par, n_y)
+    op = diffraction.TransmissionOperator(fh, par, n_y)
     strip_p, strip_m = op.strips
     v_plus = StripField(strip_p, np.sin(grid.nodes)[:, None]
                         * np.exp(strip_p.y_nodes)[None, :] + 0.2)
@@ -108,15 +108,15 @@ def check_manufactured_at(n: int, n_y: int) -> CheckResult:
 
     c = 0.25
     flat = _interfaces(grid, lambda x: 0 * x, lambda x: 0 * x + 1.0)
-    sol2 = diffraction.solve_potentials(flat, constant_fn(grid, c), par, n_y=n_y)
+    sol2 = diffraction.TransmissionOperator(flat, par, n_y).potentials(constant_fn(grid, c))
     t = (par.g * par.rho_plus - c) / (par.mu_plus + par.mu_minus)
     vm_exact = c + par.mu_minus * t * (strip_m.y_nodes + 1.0)
     vp_exact = par.g * par.rho_plus - par.mu_plus * t * (1.0 - strip_p.y_nodes)
     err2 = max(np.max(np.abs(sol2.v_minus.values - vm_exact[None, :])),
                np.max(np.abs(sol2.v_plus.values - vp_exact[None, :])))
 
-    zero = diffraction.solve_potentials(flat, constant_fn(grid, 0.0),
-                                        FluidParams(g=0.0), n_y=n_y)
+    zero = diffraction.TransmissionOperator(flat, FluidParams(g=0.0), n_y).potentials(
+        constant_fn(grid, 0.0))
     err3 = max(np.max(np.abs(zero.v_plus.values)), np.max(np.abs(zero.v_minus.values)))
     ok = err < 1e-12 and err2 < 1e-11 and err3 < 1e-10
     return CheckResult("manufactured-solutions", ok,

@@ -49,8 +49,8 @@ def test_every_traced_layer_records_spans():
             n_x=16, n_y=8, params=FluidParams(), f0=WaveSpec(modes=((1, 0.05, 0.0),)),
             b=WaveSpec(const=1.0), t_end=0.1, dt_init=0.05))
         report = muskatlab.rayleigh_taylor(flat, constant_fn(g, 1.0), FluidParams(), n_y=8)
-        fp = muskatlab.frozen_constants(
-            muskatlab.solve_potentials(flat, constant_fn(g, 0.0), FluidParams(), n_y=8), 0.5)
+        fp = muskatlab.frozen_constants(muskatlab.TransmissionOperator(
+            flat, FluidParams(), 8).potentials(constant_fn(g, 0.0)), 0.5)
         formula = muskatlab.phi_symbol(fp, 2, 0.0)
         oracle = muskatlab.ode_oracle_phi(fp, 2, 0.0).symbol_value
     finally:

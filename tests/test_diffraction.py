@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import weakref
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +12,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import muskatlab.diffraction as diffraction
+import muskatlab.operators as operators
 from muskatlab.config import SimConfig, WaveSpec
 from muskatlab.diffraction import (
     DiffractionData,
     SolverFailure,
+    TransmissionOperator,
     check_complementing,
-    pulled_back_operator,
     solve_general,
     solve_linearized,
-    solve_potentials,
 )
 from muskatlab.evolution import simulate
 from muskatlab.geometry import (
@@ -70,7 +69,7 @@ def pinched_pair(grid):
 
 def general_data(fh, params, n_y, F_plus=None, F_minus=None,
                  phi1=None, phi2=None, phi3=None, phi4=None):
-    op = pulled_back_operator(fh, params, n_y)
+    op = TransmissionOperator(fh, params, n_y)
     strip_p, strip_m = op.strips
     zero = constant_fn(fh.grid, 0.0)
     return DiffractionData(
@@ -113,7 +112,7 @@ class TestSolveGeneral:
         v_minus = StripField(strip_m, np.cos(2 * g.nodes)[:, None] * (1 + ym)[None, :] ** 2
                              + 0.1 * np.sin(g.nodes)[:, None])
 
-        op = pulled_back_operator(fh, PAR, n_y)
+        op = TransmissionOperator(fh, PAR, n_y)
         bc_p, bc_m = op.plus_bc, op.minus_bc
 
         data = DiffractionData(
@@ -188,11 +187,11 @@ class TestSolveGeneral:
         # of a factored solve, of a direct one and of one refined on a base
         g = make_grid(16)
         b = constant_fn(g, 0.5)
-        op = pulled_back_operator(wavy_pair(g), PAR, 8)
+        op = TransmissionOperator(wavy_pair(g), PAR, 8)
         near = wavy_pair(g)
         near = InterfacePair(near.f + fn(g, lambda x: 1e-3 * np.cos(3 * x)), near.h, near.d)
         monkeypatch.setattr(diffraction, "BACKWARD_ERROR_LIMIT", 0.0)
-        for operator, base in ((op, None), (op, None), (pulled_back_operator(near, PAR, 8), op)):
+        for operator, base in ((op, None), (op, None), (TransmissionOperator(near, PAR, 8), op)):
             with pytest.raises(SolverFailure, match="backward error"):
                 operator.potentials(b, base=base)
         assert solve_counts["splu"] == 1  # the direct and the refined solve factored nothing
@@ -226,7 +225,7 @@ class TestFactorization:
 
     def test_fill(self):
         g = make_grid(32)
-        lu = pulled_back_operator(wavy_pair(g), PAR, 16).factorization[1]
+        lu = TransmissionOperator(wavy_pair(g), PAR, 16).factorization[1]
         assert lu.L.nnz + lu.U.nnz <= 60_000
 
     def test_factored_operator_freed_without_cycle_collector(self):
@@ -253,7 +252,7 @@ class TestFactorSettings:
 
     @pytest.mark.parametrize("pair, n_x, n_y", STATES, ids=IDS)
     def test_same_fill_and_solution_as_the_default_settings(self, monkeypatch, pair, n_x, n_y):
-        op = pulled_back_operator(pair(make_grid(n_x)), PAR, n_y)
+        op = TransmissionOperator(pair(make_grid(n_x)), PAR, n_y)
         calls = []
         true_splu = diffraction.spla.splu
 
@@ -279,7 +278,7 @@ class TestFactorSettings:
         # such an overrun fail every run instead of a few.
         script = (
             "import numpy as np\n"
-            "from muskatlab.diffraction import pulled_back_operator\n"
+            "from muskatlab.diffraction import TransmissionOperator\n"
             "from muskatlab.geometry import InterfacePair, from_callable, make_grid\n"
             "from muskatlab.operators import FluidParams\n"
             "operators = []\n"
@@ -287,7 +286,7 @@ class TestFactorSettings:
             "    g = make_grid(n_x)\n"
             "    f = from_callable(g, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x))\n"
             "    h = from_callable(g, lambda x: 1.0 + 0.1 * np.cos(x))\n"
-            "    op = pulled_back_operator(InterfacePair(f, h, -1.0), FluidParams(), n_x // 2)\n"
+            "    op = TransmissionOperator(InterfacePair(f, h, -1.0), FluidParams(), n_x // 2)\n"
             "    d, lu = op.factorization[:2]\n"
             "    operators.append(op)\n"
             "    assert np.all(np.isfinite(lu.solve(d)))\n")
@@ -311,7 +310,7 @@ class TestConditionEstimate:
 
     @pytest.mark.parametrize("pair, n_x, n_y", STATES, ids=IDS)
     def test_estimate_within_a_factor_three_of_the_inverse_norm(self, pair, n_x, n_y):
-        op = pulled_back_operator(pair(make_grid(n_x)), PAR, n_y)
+        op = TransmissionOperator(pair(make_grid(n_x)), PAR, n_y)
         matrix, cond = op.matrix, op.factorization[-1]
         estimate = cond / float(abs(matrix).sum(axis=0).max())
         dense = matrix.toarray()
@@ -327,7 +326,7 @@ class TestConditionEstimate:
         for seed in (3, 2024):
             np.random.seed(seed)
             before = np.random.get_state()
-            estimates.append(pulled_back_operator(pair(make_grid(n_x)), PAR, n_y)
+            estimates.append(TransmissionOperator(pair(make_grid(n_x)), PAR, n_y)
                              .factorization[-1])
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
@@ -341,7 +340,7 @@ class TestAssembledStructure:
 
     @staticmethod
     def assembled(fh, n_y):
-        op = pulled_back_operator(fh, PAR, n_y)
+        op = TransmissionOperator(fh, PAR, n_y)
         matrix = diffraction._assemble(op)
         matrix.sum_duplicates()
         return op, matrix
@@ -386,7 +385,7 @@ class TestAssembledStructure:
     def test_factored_matrix_is_the_equilibrated_product(self, monkeypatch, pair, nnz, lu_nnz):
         # the reference is D A formed as a sparse product, which drops the flat
         # state's 5824 stored zeros; factoring them would raise its fill to 40217
-        op = pulled_back_operator(pair(make_grid(32)), PAR, 16)
+        op = TransmissionOperator(pair(make_grid(32)), PAR, 16)
         factored = []
         true_splu = diffraction.spla.splu
 
@@ -429,8 +428,8 @@ class TestLayout:
     def test_refill_is_the_states_own_conversion(self, pair, n_x, n_y):
         g = make_grid(n_x)
         # the layout is built for another state of the shape and refilled here
-        other = pulled_back_operator((wavy_pair if pair is unit_pair else unit_pair)(g), PAR, n_y)
-        op = pulled_back_operator(pair(g), PAR, n_y)
+        other = TransmissionOperator((wavy_pair if pair is unit_pair else unit_pair)(g), PAR, n_y)
+        op = TransmissionOperator(pair(g), PAR, n_y)
         assert op.layout is other.layout
         refilled = op.matrix
         rows, cols = diffraction._pattern(*op.strips)
@@ -443,18 +442,36 @@ class TestLayout:
 
     def test_operators_of_one_shape_share_read_only_index_arrays(self):
         g = make_grid(16)
-        operators = [pulled_back_operator(pair(g), PAR, 8) for pair in (unit_pair, wavy_pair)]
+        operators = [TransmissionOperator(pair(g), PAR, 8) for pair in (unit_pair, wavy_pair)]
         flat, wavy = (op.matrix for op in operators)
         for name in ("indices", "indptr"):
             assert np.shares_memory(getattr(flat, name), getattr(wavy, name))
             assert not getattr(flat, name).flags.writeable
         assert not np.shares_memory(flat.data, wavy.data)
 
+    def test_states_on_one_grid_read_one_edge_dx_block(self, monkeypatch):
+        g = make_grid(16)
+        blocks = []
+        true_edge_dx = operators.edge_dx
+
+        def recording_edge_dx(grid):
+            blocks.append(true_edge_dx(grid))
+            return blocks[-1]
+
+        monkeypatch.setattr(operators, "edge_dx", recording_edge_dx)
+        for pair in (unit_pair, wavy_pair):
+            TransmissionOperator(pair(g), PAR, 8).matrix
+        assert len(blocks) == 4  # both flux operators of both states
+        assert all(block is blocks[0] for block in blocks)
+        assert not blocks[0].flags.writeable
+        off_diagonal = g.diff_matrix[~np.eye(g.n_x, dtype=bool)].reshape(g.n_x, g.n_x - 1)
+        assert np.array_equal(blocks[0], off_diagonal)
+
     def test_layout_freed_with_the_last_operator_of_its_shape(self):
         g = make_grid(18)  # a shape no other test keeps
         gc.disable()
         try:
-            first, second = (pulled_back_operator(pair(g), PAR, 9)
+            first, second = (TransmissionOperator(pair(g), PAR, 9)
                              for pair in (unit_pair, wavy_pair))
             strips, layout = first.strips, weakref.ref(first.layout)
             matrix = first.matrix
@@ -491,13 +508,19 @@ class TestLayout:
 
 
 class TestTransmissionOperator:
+    @pytest.mark.parametrize("n_x, n_y", [(8, 8), (16, 8), (64, 32)])
+    def test_default_layers(self, n_x, n_y):
+        op = TransmissionOperator(wavy_pair(make_grid(n_x)), PAR)
+        assert op.n_y == n_y
+        assert all(strip.n_y == n_y for strip in op.strips)
+
     def test_problems_on_one_operator_share_its_factorization(self, monkeypatch):
         g = make_grid(16)
         par = FluidParams(gamma_f=0.3, gamma_h=0.2)
         fh = wavy_pair(g)
         b = constant_fn(g, 0.4)
-        plain = solve_potentials(fh, b, par, n_y=12)
-        st = solve_potentials(fh, b, par, n_y=12, surface_tension=True)
+        plain = TransmissionOperator(fh, par, 12).potentials(b)
+        st = TransmissionOperator(fh, par, 12).potentials(b, True)
 
         factorizations = []
         true_splu = diffraction.spla.splu
@@ -507,7 +530,7 @@ class TestTransmissionOperator:
             return true_splu(matrix, **kwargs)
 
         monkeypatch.setattr(diffraction.spla, "splu", counting_splu)
-        op = pulled_back_operator(fh, par, 12)
+        op = TransmissionOperator(fh, par, 12)
         shared_plain = op.potentials(b)
         shared_st = op.potentials(b, surface_tension=True)
         assert len(factorizations) == 1
@@ -516,7 +539,7 @@ class TestTransmissionOperator:
 
     def test_data_must_match_operator_strips(self):
         g = make_grid(16)
-        op = pulled_back_operator(wavy_pair(g), PAR, 12)
+        op = TransmissionOperator(wavy_pair(g), PAR, 12)
         other = StripGrid(g, 10, "plus")
         zero = constant_fn(g, 0.0)
         with pytest.raises(ValueError):
@@ -553,13 +576,13 @@ class TestRefinementOnABase:
     def test_refined_stage_matches_its_direct_solve(self, n_x, n_y, step, monkeypatch):
         g = make_grid(n_x)
         b = constant_fn(g, 0.5)
-        base = pulled_back_operator(wavy_pair(g), PAR, n_y)
+        base = TransmissionOperator(wavy_pair(g), PAR, n_y)
         base.potentials(b)
         stage_fh = self.stage_pair(g, step)
         calls = self.counting_splu(monkeypatch)
-        refined = pulled_back_operator(stage_fh, PAR, n_y).potentials(b, base=base)
+        refined = TransmissionOperator(stage_fh, PAR, n_y).potentials(b, base=base)
         assert calls == []
-        direct = pulled_back_operator(stage_fh, PAR, n_y).potentials(b)
+        direct = TransmissionOperator(stage_fh, PAR, n_y).potentials(b)
         scale = max(np.max(np.abs(direct.v_plus.values)), np.max(np.abs(direct.v_minus.values)))
         for got, want in ((refined.v_plus, direct.v_plus), (refined.v_minus, direct.v_minus)):
             assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
@@ -571,15 +594,15 @@ class TestRefinementOnABase:
         b = constant_fn(g, 0.5)
         far = InterfacePair(fn(g, lambda x: 0.02 * np.sin(x)), constant_fn(g, 1.0), -1.0)
         stage_fh = InterfacePair(fn(g, lambda x: 0.4 * np.sin(x)), constant_fn(g, 1.0), -1.0)
-        base = pulled_back_operator(far, PAR, 8)
+        base = TransmissionOperator(far, PAR, 8)
         base.potentials(b)
         calls = self.counting_splu(monkeypatch)
-        op = pulled_back_operator(stage_fh, PAR, 8)
+        op = TransmissionOperator(stage_fh, PAR, 8)
         fallback = op.potentials(b, base=base)
         later = op.potentials(b, surface_tension=True, base=base)
         assert later.record.method == "direct"  # later problems use its own factor
         assert len(calls) == 1
-        direct = pulled_back_operator(stage_fh, PAR, 8).potentials(b)
+        direct = TransmissionOperator(stage_fh, PAR, 8).potentials(b)
         assert np.array_equal(fallback.v_plus.values, direct.v_plus.values)
         assert fallback.condition_estimate == direct.condition_estimate
 
@@ -588,28 +611,28 @@ class TestRefinementOnABase:
         # with the limit between the two, the stage factors and then passes
         g = make_grid(16)
         b = constant_fn(g, 0.5)
-        base = pulled_back_operator(wavy_pair(g), PAR, 8)
+        base = TransmissionOperator(wavy_pair(g), PAR, 8)
         base.potentials(b)
         stage_fh = self.stage_pair(g, 3e-2)
-        refined = pulled_back_operator(stage_fh, PAR, 8).potentials(b, base=base)
-        own = pulled_back_operator(stage_fh, PAR, 8).potentials(b)
+        refined = TransmissionOperator(stage_fh, PAR, 8).potentials(b, base=base)
+        own = TransmissionOperator(stage_fh, PAR, 8).potentials(b)
         assert own.condition_estimate < refined.condition_estimate
         limit = (own.condition_estimate + refined.condition_estimate) / 2
         monkeypatch.setattr(diffraction, "CONDITION_LIMIT", limit)
         calls = self.counting_splu(monkeypatch)
-        decided = pulled_back_operator(stage_fh, PAR, 8).potentials(b, base=base)
+        decided = TransmissionOperator(stage_fh, PAR, 8).potentials(b, base=base)
         assert len(calls) == 1
         assert decided.condition_estimate == own.condition_estimate
 
     def test_nearly_touching_stage_still_fails_the_condition_guard(self, monkeypatch):
         g = make_grid(16)
-        base = pulled_back_operator(InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-3),
+        base = TransmissionOperator(InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-3),
                                                   -1.0), PAR, 12)
         base.potentials(constant_fn(g, 1.0))
         touching = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0)
         calls = self.counting_splu(monkeypatch)
         with pytest.raises(SolverFailure, match="ill-conditioned") as err:
-            pulled_back_operator(touching, PAR, 12).potentials(constant_fn(g, 1.0), base=base)
+            TransmissionOperator(touching, PAR, 12).potentials(constant_fn(g, 1.0), base=base)
         assert err.value.condition_estimate > 1e12
         assert len(calls) == 1
 
@@ -618,16 +641,16 @@ class TestRefinementOnABase:
         # a base whose factorization failed all raise before any splu
         g = make_grid(16)
         b = constant_fn(g, 0.5)
-        op = pulled_back_operator(wavy_pair(g), PAR, 12)
+        op = TransmissionOperator(wavy_pair(g), PAR, 12)
         with pytest.raises(ValueError, match="hold its factorization"):
             op.potentials(b, base=op)
-        base = pulled_back_operator(wavy_pair(g), PAR, 12)
-        stage = pulled_back_operator(self.stage_pair(g, 1e-3), PAR, 12)
+        base = TransmissionOperator(wavy_pair(g), PAR, 12)
+        stage = TransmissionOperator(self.stage_pair(g, 1e-3), PAR, 12)
         with pytest.raises(ValueError, match="hold its factorization"):
             stage.potentials(b, base=base)
         assert solve_counts["splu"] == 0
         assert not any("factorization" in vars(o) for o in (op, base, stage))
-        touching = pulled_back_operator(
+        touching = TransmissionOperator(
             InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1e-9), -1.0), PAR, 12)
         with pytest.raises(SolverFailure, match="ill-conditioned"):
             touching.potentials(b)
@@ -637,8 +660,8 @@ class TestRefinementOnABase:
 
     def test_base_must_share_the_strips(self):
         g = make_grid(16)
-        base = pulled_back_operator(wavy_pair(g), PAR, 12)
-        op = pulled_back_operator(wavy_pair(g), PAR, 10)
+        base = TransmissionOperator(wavy_pair(g), PAR, 12)
+        op = TransmissionOperator(wavy_pair(g), PAR, 10)
         with pytest.raises(ValueError, match="same strips"):
             op.potentials(constant_fn(g, 0.5), base=base)
 
@@ -664,13 +687,13 @@ class TestPredictedStarts:
                              base.h + c * fn(grid, lambda x: 0.1 * np.sin(2 * x)), base.d)
 
     def stage(self, grid, c):
-        return pulled_back_operator(self.moved(grid, c * self.DT), self.ST, 16)
+        return TransmissionOperator(self.moved(grid, c * self.DT), self.ST, 16)
 
     @pytest.mark.parametrize("surface_tension", [False, True])
     def test_predicted_start_matches_the_direct_solve(self, surface_tension, solve_counts):
         g = make_grid(32)
         b = constant_fn(g, 0.5)
-        base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
+        base = TransmissionOperator(self.moved(g, 0.0), self.ST, 16)
         x0 = vector(base.potentials(b, surface_tension))
         x1 = vector(self.stage(g, 1 / 4).potentials(b, surface_tension, x0, base))
         start = x0 + (3 / 8) / (1 / 4) * (x1 - x0)  # the Fehlberg stage at c = 3/8
@@ -682,7 +705,7 @@ class TestPredictedStarts:
         assert predicted.record.fallback is None
         assert 0 < predicted.record.corrections <= cold.record.corrections
         assert solve_counts["splu"] == 1
-        direct = pulled_back_operator(self.moved(g, 3 / 8 * self.DT), self.ST, 16).potentials(
+        direct = TransmissionOperator(self.moved(g, 3 / 8 * self.DT), self.ST, 16).potentials(
             b, surface_tension)
         want = vector(direct)
         assert np.max(np.abs(vector(predicted) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -690,7 +713,7 @@ class TestPredictedStarts:
     def test_zero_start_is_the_cold_refinement(self, solve_counts):
         g = make_grid(32)
         b = constant_fn(g, 0.5)
-        base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
+        base = TransmissionOperator(self.moved(g, 0.0), self.ST, 16)
         base.potentials(b)
         cold = self.stage(g, 1.0).potentials(b, base=base)
         zero = self.stage(g, 1.0).potentials(b, start=np.zeros(len(vector(cold))), base=base)
@@ -701,9 +724,10 @@ class TestPredictedStarts:
     def test_far_start_reaches_epsilon_or_falls_back_once(self, solve_counts):
         g = make_grid(32)
         b = constant_fn(g, 0.5)
-        base = pulled_back_operator(self.moved(g, 0.0), self.ST, 16)
+        base = TransmissionOperator(self.moved(g, 0.0), self.ST, 16)
         base.potentials(b)
-        far = vector(solve_potentials(pinched_pair(g), constant_fn(g, 3.0), self.ST, 16))
+        far = vector(TransmissionOperator(pinched_pair(g), self.ST, 16).potentials(
+            constant_fn(g, 3.0)))
         solves, splus = solve_counts["solves"], solve_counts["splu"]
         solution = self.stage(g, 1.0).potentials(b, start=far, base=base)
         record = solution.record
@@ -713,7 +737,7 @@ class TestPredictedStarts:
         else:
             assert (record.method, solve_counts["splu"]) == ("factored", splus + 1)
             assert record.fallback in diffraction.FALLBACK_CAUSES
-        direct = pulled_back_operator(self.moved(g, self.DT), self.ST, 16).potentials(b)
+        direct = TransmissionOperator(self.moved(g, self.DT), self.ST, 16).potentials(b)
         want = vector(direct)
         assert np.max(np.abs(vector(solution) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -722,14 +746,14 @@ class TestPredictedStarts:
         # factored solve makes one correction: one triangular solve and the
         # one residual product that judges it (the zero start's residual is b)
         g = make_grid(16)
-        solution = pulled_back_operator(wavy_pair(g), PAR, 8).potentials(constant_fn(g, 0.5))
+        solution = TransmissionOperator(wavy_pair(g), PAR, 8).potentials(constant_fn(g, 0.5))
         assert solution.record == diffraction.SolveRecord("factored", 1)
         assert solve_counts == {"splu": 1, "solves": 1, "products": 1}
 
     def test_records_name_the_method_and_the_fallback(self, solve_counts):
         g = make_grid(16)
         b = constant_fn(g, 0.5)
-        op = pulled_back_operator(wavy_pair(g), PAR, 8)
+        op = TransmissionOperator(wavy_pair(g), PAR, 8)
         first = op.potentials(b)
         garbage = np.full(len(vector(first)), np.nan)
         second = op.potentials(b, start=garbage)  # the own factor ignores a start
@@ -738,7 +762,7 @@ class TestPredictedStarts:
         assert np.array_equal(vector(first), vector(second))
         assert solve_counts["solves"] == 2
         far = InterfacePair(fn(g, lambda x: 0.4 * np.sin(x)), constant_fn(g, 1.0), -1.0)
-        stage = pulled_back_operator(far, PAR, 8)
+        stage = TransmissionOperator(far, PAR, 8)
         fallback = stage.potentials(b, base=op)
         assert fallback.record.method == "factored"
         assert fallback.record.fallback == "contraction"
@@ -746,7 +770,7 @@ class TestPredictedStarts:
         assert solve_counts["solves"] == 2 + fallback.record.corrections
         # a factored operator solves on its own factor, whatever base it is given
         assert stage.potentials(b, base=op).record == diffraction.SolveRecord("direct", 1)
-        nan_start = pulled_back_operator(wavy_pair(g), PAR, 8).potentials(
+        nan_start = TransmissionOperator(wavy_pair(g), PAR, 8).potentials(
             b, start=garbage, base=op)
         assert nan_start.record.fallback == "non_finite"
         assert np.array_equal(vector(nan_start), vector(first))
@@ -758,7 +782,7 @@ class TestSolvePotentials:
         g = make_grid(16)
         c = -0.5
         fh = unit_pair(g)
-        sol = solve_potentials(fh, constant_fn(g, c), PAR, n_y=12)
+        sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, c))
         vp, vm, _ = two_layer_exact(g, StripGrid(g, 12, "plus"), StripGrid(g, 12, "minus"),
                                     PAR, c)
         assert np.max(np.abs(sol.v_plus.values - vp)) < 1e-11
@@ -768,21 +792,21 @@ class TestSolvePotentials:
         g = make_grid(16)
         fh = unit_pair(g)
         grho = PAR.g * PAR.rho_plus
-        sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
+        sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, grho))
         assert np.max(np.abs(sol.v_plus.values - grho)) < 1e-11
         assert np.max(np.abs(sol.v_minus.values - grho)) < 1e-11
 
     def test_zero_gravity_zero_data(self):
         g = make_grid(16)
         par = FluidParams(g=0.0)
-        sol = solve_potentials(wavy_pair(g), constant_fn(g, 0.0), par, n_y=12)
+        sol = TransmissionOperator(wavy_pair(g), par, 12).potentials(constant_fn(g, 0.0))
         assert np.max(np.abs(sol.v_plus.values)) < 1e-10
         assert np.max(np.abs(sol.v_minus.values)) < 1e-10
 
     def test_jump_condition_residual(self):
         g = make_grid(32)
         fh = wavy_pair(g)
-        sol = solve_potentials(fh, fn(g, lambda x: 0.5 + 0.1 * np.sin(x)), PAR, n_y=16)
+        sol = TransmissionOperator(fh, PAR, 16).potentials(fn(g, lambda x: 0.5 + 0.1 * np.sin(x)))
         jump = sol.tr0_vplus.values - sol.tr0_vminus.values
         target = PAR.g * (PAR.rho_plus - PAR.rho_minus) * fh.f.values
         scale = max(1.0, np.max(np.abs(sol.v_plus.values)))
@@ -791,7 +815,7 @@ class TestSolvePotentials:
     def test_flux_continuity_residual(self):
         g = make_grid(32)
         fh = wavy_pair(g)
-        sol = solve_potentials(fh, fn(g, lambda x: 0.5 + 0.1 * np.sin(x)), PAR, n_y=16)
+        sol = TransmissionOperator(fh, PAR, 16).potentials(fn(g, lambda x: 0.5 + 0.1 * np.sin(x)))
         flux_p = boundary_B_plus(fh, PAR, sol.v_plus).values
         flux_m = boundary_B_minus(fh, PAR, sol.v_minus).values
         scale = max(1.0, np.max(np.abs(flux_p)))
@@ -800,7 +824,7 @@ class TestSolvePotentials:
     def test_maximum_principle_flat(self):
         g = make_grid(16)
         fh = unit_pair(g)
-        sol = solve_potentials(fh, constant_fn(g, 0.3), PAR, n_y=16)
+        sol = TransmissionOperator(fh, PAR, 16).potentials(constant_fn(g, 0.3))
         top = PAR.g * PAR.rho_plus
         vmax = max(np.max(sol.v_plus.values), np.max(sol.v_minus.values))
         vmin = min(np.min(sol.v_plus.values), np.min(sol.v_minus.values))
@@ -821,7 +845,7 @@ class TestSolvePotentials:
             um = np.exp(m * strip_heights(fh, strip_m)) * np.cos(m * g.nodes)[:, None]
             v_plus = StripField(strip_p, up)
             v_minus = StripField(strip_m, um)
-            op = pulled_back_operator(fh, PAR, n)
+            op = TransmissionOperator(fh, PAR, n)
             bc_p, bc_m = op.plus_bc, op.minus_bc
             data = DiffractionData(
                 operator=op,
@@ -841,7 +865,7 @@ class TestSolvePotentials:
     def test_traces_recomputable(self):
         g = make_grid(16)
         fh = wavy_pair(g)
-        sol = solve_potentials(fh, constant_fn(g, 0.5), PAR, n_y=12)
+        sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, 0.5))
         from muskatlab.operators import trace_dy, trace_values
         assert np.array_equal(sol.tr0_vminus.values, trace_values(sol.v_minus, "top"))
         assert np.array_equal(sol.tr0_dy_vplus.values, trace_dy(sol.v_plus, "bottom"))
@@ -851,7 +875,7 @@ class TestSolvePotentialsST:
     def test_solution_records_surface_tension(self):
         g = make_grid(16)
         par = FluidParams(gamma_f=0.5, gamma_h=1.0)
-        op = pulled_back_operator(wavy_pair(g), par, 12)
+        op = TransmissionOperator(wavy_pair(g), par, 12)
         assert op.potentials(constant_fn(g, 0.4), surface_tension=True).surface_tension
         assert not op.potentials(constant_fn(g, 0.4)).surface_tension
 
@@ -859,8 +883,8 @@ class TestSolvePotentialsST:
         g = make_grid(16)
         fh = wavy_pair(g)
         b = constant_fn(g, 0.4)
-        plain = solve_potentials(fh, b, PAR, n_y=12)
-        st = solve_potentials(fh, b, PAR, n_y=12, surface_tension=True)
+        plain = TransmissionOperator(fh, PAR, 12).potentials(b)
+        st = TransmissionOperator(fh, PAR, 12).potentials(b, True)
         assert np.max(np.abs(plain.v_plus.values - st.v_plus.values)) < 1e-12
 
     def test_flat_interfaces_reduce(self):
@@ -868,8 +892,8 @@ class TestSolvePotentialsST:
         par = FluidParams(gamma_f=0.5, gamma_h=0.2)
         fh = unit_pair(g)
         b = constant_fn(g, 0.4)
-        plain = solve_potentials(fh, b, par, n_y=12)
-        st = solve_potentials(fh, b, par, n_y=12, surface_tension=True)
+        plain = TransmissionOperator(fh, par, 12).potentials(b)
+        st = TransmissionOperator(fh, par, 12).potentials(b, True)
         assert np.max(np.abs(plain.v_plus.values - st.v_plus.values)) < 1e-11
 
     def test_small_amplitude_perturbation_matches_linearization(self):
@@ -880,8 +904,8 @@ class TestSolvePotentialsST:
         eps = 1e-4
         direction = fn(g, np.sin)
         pert = InterfacePair(base.f + eps * direction, base.h, -1.0)
-        base_sol = solve_potentials(base, b, par, n_y=16, surface_tension=True)
-        pert_sol = solve_potentials(pert, b, par, n_y=16, surface_tension=True)
+        base_sol = TransmissionOperator(base, par, 16).potentials(b, True)
+        pert_sol = TransmissionOperator(pert, par, 16).potentials(b, True)
         w_plus, w_minus = solve_linearized(base_sol, direction, constant_fn(g, 0.0))
         resid = np.max(np.abs(pert_sol.v_plus.values - base_sol.v_plus.values
                               - eps * w_plus.values))
@@ -895,8 +919,7 @@ class TestLinearizedSolves:
         g = make_grid(16)
         par = FluidParams(gamma_f=0.2, gamma_h=0.1) if with_st else PAR
         fh = wavy_pair(g)
-        solver = partial(solve_potentials, surface_tension=with_st)
-        base_sol = solver(fh, constant_fn(g, 0.5), par, n_y=12)
+        base_sol = TransmissionOperator(fh, par, 12).potentials(constant_fn(g, 0.5), with_st)
         zero = constant_fn(g, 0.0)
         wp, wm = solve_linearized(base_sol, zero, zero)
         assert np.max(np.abs(wp.values)) < 1e-10
@@ -906,7 +929,7 @@ class TestLinearizedSolves:
         g = make_grid(16)
         fh = unit_pair(g)
         grho = PAR.g * PAR.rho_plus
-        base_sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
+        base_sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, grho))
         direction = fn(g, np.sin)
         wp, wm = solve_linearized(base_sol, direction, constant_fn(g, 0.0))
         # interface jump imposed, outer data zero
@@ -925,8 +948,7 @@ class TestLinearizedSolves:
         fh = wavy_pair(g)
         b = fn(g, lambda x: 0.5 + 0.2 * np.cos(x))
         direction = PeriodicFn(g, rng.standard_normal(g.n_x))
-        solver = partial(solve_potentials, surface_tension=with_st)
-        base_sol = solver(fh, b, par, n_y=16)
+        base_sol = TransmissionOperator(fh, par, 16).potentials(b, with_st)
         zero = constant_fn(g, 0.0)
         delta = (direction, zero) if which == "f" else (zero, direction)
         wp, wm = solve_linearized(base_sol, *delta)
@@ -936,7 +958,7 @@ class TestLinearizedSolves:
                 pert = InterfacePair(fh.f + eps * direction, fh.h, fh.d)
             else:
                 pert = InterfacePair(fh.f, fh.h + eps * direction, fh.d)
-            return solver(pert, b, par, n_y=16)
+            return TransmissionOperator(pert, par, 16).potentials(b, with_st)
 
         errs = []
         for eps in (1e-3, 5e-4, 2.5e-4):
@@ -953,7 +975,7 @@ class TestLinearizedSolves:
         g = make_grid(16)
         fh = unit_pair(g)
         grho = PAR.g * PAR.rho_plus
-        base_sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
+        base_sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, grho))
         direction = fn(g, np.cos)
         wp, wm = solve_linearized(base_sol, constant_fn(g, 0.0), direction)
         assert np.max(np.abs(wp.values[:, -1] - grho * direction.values)) < 1e-11

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 import muskatlab.diffraction as diffraction
 import muskatlab.evolution as evolution
 from muskatlab.config import SimConfig, WaveSpec
-from muskatlab.diffraction import solve_potentials
+from muskatlab.diffraction import TransmissionOperator
 from muskatlab.evolution import (
     SimState,
     StepRejected,
@@ -92,13 +92,24 @@ class TestPhi:
         with pytest.raises(TypeError, match="evaluate a time-dependent b"):
             phi(flat_pair(g), lambda t: constant_fn(g, 0.2 + t), PAR, n_y=12)
 
+    @pytest.mark.parametrize("n_x", [8, 16, 64])
+    def test_default_layers_are_max_8_half_n_x(self, n_x):
+        g = make_grid(n_x)
+        fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
+                           fn(g, lambda x: 1.0 + 0.05 * np.cos(x)), -1.0)
+        b = fn(g, lambda x: 0.4 + 0.1 * np.cos(x))
+        explicit = max(8, n_x // 2)
+        for default, given in zip(phi(fh, b, PAR), phi(fh, b, PAR, n_y=explicit)):
+            assert np.array_equal(default.values, given.values)
+        assert rayleigh_taylor(fh, b, PAR) == rayleigh_taylor(fh, b, PAR, n_y=explicit)
+
 
 class TestPressures:
     def test_zero_gravity(self):
         g = make_grid(16)
         par = FluidParams(g=0.0)
         fh = flat_pair(g)
-        sol = solve_potentials(fh, constant_fn(g, 0.5), par, n_y=12)
+        sol = TransmissionOperator(fh, par, 12).potentials(constant_fn(g, 0.5))
         p_plus, p_minus = pressures(sol)
         assert np.array_equal(p_plus.values, sol.v_plus.values)
         assert np.array_equal(p_minus.values, sol.v_minus.values)
@@ -107,7 +118,7 @@ class TestPressures:
         g = make_grid(16)
         fh = flat_pair(g)
         grho = PAR.g * PAR.rho_plus
-        sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=12)
+        sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, grho))
         p_plus, _ = pressures(sol)
         y_phys = strip_heights(fh, sol.v_plus.strip)
         assert np.max(np.abs(p_plus.values - grho * (1.0 - y_phys))) < 1e-10
@@ -120,7 +131,7 @@ class TestPressures:
         par = FluidParams(g=3.0, rho_plus=0.5)
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
                            fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -2.0)
-        sol = solve_potentials(fh, constant_fn(g, 0.5), par, n_y=12)
+        sol = TransmissionOperator(fh, par, 12).potentials(constant_fn(g, 0.5))
         p_plus, p_minus = pressures(sol)
         y_plus = strip_heights(fh, sol.v_plus.strip)
         y_minus = strip_heights(fh, sol.v_minus.strip)
@@ -209,7 +220,7 @@ class TestRayleighTaylor:
         fh = InterfacePair(fn(g, lambda x: 0.15 * np.sin(x) + 0.05 * np.cos(2 * x)),
                            fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.5)
         b = fn(g, lambda x: 0.3 + 0.2 * np.cos(x))
-        sol = solve_potentials(fh, b, par, n_y=16)
+        sol = TransmissionOperator(fh, par, 16).potentials(b)
         operator = sol.operator
         co_minus = par.mu_minus / par.k * operator.minus_bc.apply(sol.v_minus)
         co_plus = par.mu_plus / par.k * operator.plus_bc.apply(sol.v_plus)
@@ -594,7 +605,7 @@ class TestLinearizedMatrix:
         assert mats.shape == (8, 2, 2)
         assert len(factorizations) == 1
 
-        base = solve_potentials(fh, b, PAR, n_y=16)
+        base = TransmissionOperator(fh, PAR, 16).potentials(b)
         assert len(factorizations) == 2
         direction = fn(g, np.sin)
         zero = constant_fn(g, 0.0)
@@ -670,12 +681,12 @@ class TestGeometryReuse:
             return true_derivative(u, order)
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
-        diffraction.pulled_back_operator(fh, PAR, 12)
+        diffraction.TransmissionOperator(fh, PAR, 12)
         assert len(derived) == 4
         assert all(u is fh.f or u is fh.h for u in derived)
 
         derived.clear()
-        diffraction.pulled_back_operator(fh, PAR, 12)
+        diffraction.TransmissionOperator(fh, PAR, 12)
         rayleigh_taylor(fh, constant_fn(g, 0.5), PAR, n_y=12)
         # the velocities' edge traces are differentiated by the grid's matrix, not by FFT
         assert derived == []
@@ -687,8 +698,7 @@ class TestGeometryReuse:
         fh = InterfacePair(fn(g, lambda x: 0.1 * np.sin(x)),
                            fn(g, lambda x: 1.0 + 0.1 * np.cos(x)), -1.0)
         par = FluidParams(gamma_f=0.5, gamma_h=1.0)
-        base = diffraction.solve_potentials(fh, constant_fn(g, 0.5), par, n_y=12,
-                                            surface_tension=True)
+        base = diffraction.TransmissionOperator(fh, par, 12).potentials(constant_fn(g, 0.5), True)
         direction = fn(g, lambda x: np.cos(2 * x))
         differentiated = []
         true_derivative = geometry.spectral_derivative
@@ -719,7 +729,7 @@ class TestGeometryReuse:
             return true_derivative(u, order)
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
-        diffraction.pulled_back_operator(fh, PAR, 12)
+        diffraction.TransmissionOperator(fh, PAR, 12)
         assert not any(u is f for u in differentiated)
         assert sum(u is fh.h for u in differentiated) == 2
 

@@ -12,9 +12,8 @@ from muskatlab.cli import main
 from muskatlab.config import SimConfig, WaveSpec
 from muskatlab.diffraction import (
     DiffractionData,
-    pulled_back_operator,
+    TransmissionOperator,
     solve_general,
-    solve_potentials,
 )
 from muskatlab.evolution import SimState, linearized_matrix, phi, rayleigh_taylor, simulate, step
 from muskatlab.geometry import InterfacePair, PeriodicFn, constant_fn, make_grid
@@ -30,7 +29,7 @@ def flat_pair(grid):
 def general(grid, F_plus=None, phi2=None):
     """solve_general on the flat pair with zero data except the given F_plus
     (a value for the whole field) or phi2."""
-    op = pulled_back_operator(flat_pair(grid), PAR, 8)
+    op = TransmissionOperator(flat_pair(grid), PAR, 8)
     strip_p, strip_m = op.strips
     zero = PeriodicFn(grid, np.zeros(grid.n_x))
     return solve_general(DiffractionData(
@@ -55,7 +54,8 @@ ENTRIES = {
     "rayleigh_taylor b": lambda g, v: rayleigh_taylor(flat_pair(g), bottom(g, v), PAR, n_y=8),
     "linearized_matrix b": lambda g, v: linearized_matrix(flat_pair(g), bottom(g, v), PAR, [1],
                                                           n_y=8),
-    "solve_potentials b": lambda g, v: solve_potentials(flat_pair(g), bottom(g, v), PAR, n_y=8),
+    "potentials b": lambda g, v: TransmissionOperator(flat_pair(g), PAR, 8).potentials(
+        bottom(g, v)),
     "solve_general F_plus": lambda g, v: general(g, F_plus=v),
     "solve_general phi2": lambda g, v: general(g, phi2=v),
 }
@@ -68,6 +68,15 @@ def test_non_finite_input_is_a_value_error(entry, value):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError):
             ENTRIES[entry](make_grid(16), value)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: TransmissionOperator(flat_pair(g), PAR, 12.7),
+    lambda g: phi(flat_pair(g), bottom(g, 1.0), PAR, n_y=12.7),
+], ids=["TransmissionOperator", "phi"])
+def test_non_integral_layer_count_is_a_value_error(entry):
+    with pytest.raises(ValueError, match="n_y must be an integer >= 8, got 12.7"):
+        entry(make_grid(16))
 
 
 # phi and rayleigh_taylor are pinned in test_evolution

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskatlab.diffraction import solve_potentials
+from muskatlab.diffraction import TransmissionOperator
 from muskatlab.geometry import InterfacePair, constant_fn, from_callable, make_grid
 from muskatlab.operators import FluidParams
 from muskatlab.symbols import (
@@ -30,7 +30,7 @@ class TestFrozenConstants:
     def test_flat_unit_geometry(self):
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
-        sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=16)
+        sol = TransmissionOperator(fh, PAR, 16).potentials(constant_fn(g, 0.0))
         fp = frozen_constants(sol, x=0.7)
         assert fp.params is sol.operator.params
         assert abs(fp.a_plus) < 1e-12 and abs(fp.a_minus) < 1e-12
@@ -48,7 +48,7 @@ class TestFrozenConstants:
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
         grho = PAR.g * PAR.rho_plus
-        sol = solve_potentials(fh, constant_fn(g, grho), PAR, n_y=16)
+        sol = TransmissionOperator(fh, PAR, 16).potentials(constant_fn(g, grho))
         fp = frozen_constants(sol, x=2.0)
         for val in (fp.A_plus, fp.A_minus, fp.B, fp.V, fp.Delta_A):
             assert abs(val) < 1e-10
@@ -57,7 +57,7 @@ class TestFrozenConstants:
     def test_gap_two_constants(self):
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 2.0), -1.0)
-        sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=16)
+        sol = TransmissionOperator(fh, PAR, 16).potentials(constant_fn(g, 0.0))
         fp = frozen_constants(sol, x=0.0)
         assert abs(fp.D_plus - 2.0) < 1e-12
         assert abs(fp.beta2_plus - 0.5) < 1e-12
@@ -86,7 +86,7 @@ class TestFrozenConstants:
     def test_nonfinite_point_rejected(self, x):
         g = make_grid(16)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, 1.0), -1.0)
-        sol = solve_potentials(fh, constant_fn(g, 0.0), PAR, n_y=8)
+        sol = TransmissionOperator(fh, PAR, 8).potentials(constant_fn(g, 0.0))
         with pytest.raises(ValueError):
             frozen_constants(sol, x=x)
 
@@ -328,7 +328,7 @@ class TestRegionChecks:
     def _flat_state(self, b_val, params=PAR, h_val=1.0):
         g = make_grid(32)
         fh = InterfacePair(constant_fn(g, 0.0), constant_fn(g, h_val), -1.0)
-        sol = solve_potentials(fh, constant_fn(g, b_val), params, n_y=16)
+        sol = TransmissionOperator(fh, params, 16).potentials(constant_fn(g, b_val))
         return sol
 
     def test_flat_rt_satisfied_in_both_regions(self):
