@@ -45,7 +45,8 @@ from .diffraction import (
     TransmissionOperator,
     check_complementing,
     solve_general,
-    solve_linearized,
+    velocities,
+    velocity_derivative,
 )
 from .evolution import (
     RTReport,

@@ -168,9 +168,6 @@ def cmd_spectrum(args) -> int:
         print("error: mode range must satisfy 1 <= a <= b", file=sys.stderr)
         return EXIT_CONFIG
     config, fh, b = _config_and_state(args)
-    if hi >= config.n_x // 2:
-        print("error: mode m must be below the Nyquist mode", file=sys.stderr)
-        return EXIT_CONFIG
     modes = range(lo, hi + 1)
     mats = linearized_matrix(fh, b, config.params, modes,
                              surface_tension=config.surface_tension, n_y=config.n_y)

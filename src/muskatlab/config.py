@@ -112,9 +112,14 @@ class SimConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
+        # each scalar as its kind, by the JSON reader's rule, before any range check
+        for name, (kind, nullable) in _FIELDS.items():
+            value = getattr(self, name)
+            if kind in _TYPE_NAMES and not (nullable and value is None):
+                object.__setattr__(self, name, _typed(value, kind, name))
         for name in ("t_end", "rtol", "atol", "dt_init", "dt_max"):
             val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0:
+            if val <= 0:
                 raise ConfigError(f"{name} must be positive and finite, got {val}")
         if self.n_x < 8 or self.n_x % 2:
             raise ConfigError(f"n_x must be even and >= 8, got {self.n_x}")

@@ -18,7 +18,9 @@ same fill.  The matrix depends only on the geometry, so one
 linearized problems around a solved state included.  The potential
 problem of a state is posed one way,
 ``TransmissionOperator(fh, params, n_y).potentials(b, surface_tension)``,
-with n_y defaulting to max(8, n_x // 2).  A solve given a
+with n_y defaulting to max(8, n_x // 2).  Its solution's co-normal traces are
+the interface velocities (:func:`velocities`), which
+:func:`velocity_derivative` differentiates on the same factor.  A solve given a
 ``base``, the factored operator of a nearby state on the same strips, is
 iterative refinement on the base's factor, from a predicted solution when the
 caller has one, until the operator factors itself, which it does only when
@@ -81,7 +83,8 @@ __all__ = [
     "TransmissionOperator",
     "check_complementing",
     "solve_general",
-    "solve_linearized",
+    "velocities",
+    "velocity_derivative",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -528,43 +531,46 @@ def solve_general(data: DiffractionData, start: np.ndarray | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Linearized problems around a base state
-#
-# base_solution is the potential pair solved at base, with or without surface
-# tension as it records.  The linearized problem has the base state's matrix,
-# so it is posed on base_solution.operator and solved with that operator's
-# factorization: no new factorization is made, unless base_solution was refined
-# on another operator's factor, and then its operator is factored when solved on.
+# Interface velocities and their derivative
 
 
-def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
-                     delta_h: PeriodicFn,
-                     b_minus_along: PeriodicFn | None = None) -> tuple[StripField, StripField]:
-    """Derivative of the potential pair as the interfaces of the base state
-    move along (delta_f, delta_h), solved on the base solution's operator;
-    the Laplace-Young jumps are differentiated when the base solution
-    carried them.  b_minus_along is the derivative of B_minus along the
-    direction applied to the base's v_minus (:func:`frechet_B_along`) when
-    the caller has it, and is computed here otherwise.  The lower strip's
-    derivatives vanish when delta_f is zero, and are then not built."""
-    operator = base_solution.operator
+def velocities(solution: DiffractionSolution) -> tuple[PeriodicFn, PeriodicFn]:
+    """The interface velocities (df/dt, dh/dt) = (-B_minus v_minus, -B1 v_plus)
+    of a potential pair, read with the co-normal operators of its operator."""
+    operator = solution.operator
+    grid = operator.fh.grid
+    return (PeriodicFn(grid, -operator.minus_bc.apply(solution.v_minus)),
+            PeriodicFn(grid, -operator.top_bc.apply(solution.v_plus)))
+
+
+def velocity_derivative(solution: DiffractionSolution, delta_f: PeriodicFn,
+                        delta_h: PeriodicFn) -> tuple[PeriodicFn, PeriodicFn]:
+    """Derivative of :func:`velocities` as the interfaces of the solution's
+    state move along (delta_f, delta_h): (-B_minus w_minus - B_minus' v_minus,
+    -B1 w_plus - B1' v_plus), where w solves the linearized problem on the
+    solution's operator, so on its factorization, with the Laplace-Young
+    jumps differentiated when the solution carried them.  B_minus and the
+    lower strip see f alone, so B_minus' v_minus, which serves the flux data
+    and the velocity, and the lower strip's data are built only when delta_f
+    is nonzero."""
+    operator = solution.operator
     base, params = operator.fh, operator.params
     strip_p, strip_m = operator.strips
-    v_plus, v_minus = base_solution.v_plus, base_solution.v_minus
+    v_plus, v_minus = solution.v_plus, solution.v_minus
     flux = -frechet_B_along("B_plus", base, delta_f, delta_h, params, v_plus)
     F_minus = StripField(strip_m, np.zeros(strip_m.shape))
+    b_minus = None
     if delta_f.values.any():
-        if b_minus_along is None:
-            b_minus_along = frechet_B_along("B_minus", base, delta_f, delta_h, params, v_minus)
-        flux = b_minus_along + flux
+        b_minus = frechet_B_along("B_minus", base, delta_f, delta_h, params, v_minus)
+        flux = b_minus + flux
         F_minus = -apply_operator(frechet_A_along(base, delta_f, delta_h, strip_m), v_minus)
     jump = params.g * (params.rho_plus - params.rho_minus) * delta_f
     top = params.g * params.rho_plus * delta_h
-    if base_solution.surface_tension:
+    if solution.surface_tension:
         jump = jump + params.gamma_f * curvature_frechet(base.f, delta_f)
         top = top - params.gamma_h * curvature_frechet(base.h, delta_h)
 
-    sol = solve_general(DiffractionData(
+    d_df, d_dh = velocities(solve_general(DiffractionData(
         operator=operator,
         F_plus=-apply_operator(frechet_A_along(base, delta_f, delta_h, strip_p), v_plus),
         F_minus=F_minus,
@@ -572,8 +578,10 @@ def solve_linearized(base_solution: DiffractionSolution, delta_f: PeriodicFn,
         phi2=jump,
         phi3=top,
         phi4=PeriodicFn(base.grid, np.zeros(base.grid.n_x)),
-    ))
-    return sol.v_plus, sol.v_minus
+    )))
+    if b_minus is not None:
+        d_df = d_df - b_minus
+    return d_df, d_dh - frechet_B_along("B1", base, delta_f, delta_h, params, v_plus)
 
 
 # ---------------------------------------------------------------------------

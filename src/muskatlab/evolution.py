@@ -37,10 +37,11 @@ from .diffraction import (
     SolveRecord,
     SolverFailure,
     TransmissionOperator,
-    solve_linearized,
+    velocities,
+    velocity_derivative,
 )
 from .geometry import AdmissibilityError, InterfacePair, PeriodicFn
-from .operators import FluidParams, StripField, frechet_B_along, strip_heights
+from .operators import FluidParams, StripField, strip_heights
 
 __all__ = [
     "RTReport",
@@ -208,13 +209,6 @@ class _RunSolver:
         return solution
 
 
-def _velocities(sol: DiffractionSolution):
-    operator = sol.operator
-    df = PeriodicFn(operator.fh.grid, -operator.minus_bc.apply(sol.v_minus))
-    dh = PeriodicFn(operator.fh.grid, -operator.top_bc.apply(sol.v_plus))
-    return df, dh
-
-
 def _check_bottom_pressure(b):
     if not isinstance(b, PeriodicFn):
         raise TypeError("b must be a PeriodicFn; evaluate a time-dependent b at the state's time")
@@ -223,7 +217,8 @@ def _check_bottom_pressure(b):
 def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
         surface_tension: bool = False, n_y: int | None = None,
         run: _RunSolver | None = None, stage: int | None = None):
-    """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b.
+    """Interface velocities (df/dt, dh/dt) at fh with bottom pressure b: the
+    :func:`~muskatlab.diffraction.velocities` of the state's potentials.
 
     Without a run the solve factors fh's matrix; a run solves the given
     stage on its base (see :meth:`_RunSolver.solve`).
@@ -231,8 +226,8 @@ def phi(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     _check_bottom_pressure(b)
     operator = TransmissionOperator(fh, params, n_y)
     if run is None:
-        return _velocities(operator.potentials(b, surface_tension))
-    return _velocities(run.solve(operator, b, surface_tension, stage))
+        return velocities(operator.potentials(b, surface_tension))
+    return velocities(run.solve(operator, b, surface_tension, stage))
 
 
 def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
@@ -247,8 +242,8 @@ def pressures(solution: DiffractionSolution) -> tuple[StripField, StripField]:
     return p_plus, p_minus
 
 
-def _rt_report(fh: InterfacePair, params: FluidParams, velocities) -> RTReport:
-    df, dh = velocities
+def _rt_report(fh: InterfacePair, params: FluidParams, rates) -> RTReport:
+    df, dh = rates
     drho = params.g * (params.rho_minus - params.rho_plus)
     dmu = (params.mu_minus - params.mu_plus) / params.k
     margin_f = np.min((drho + dmu * df.values) / np.sqrt(1.0 + fh.f.derivatives[0]**2))
@@ -299,8 +294,8 @@ def step(state: SimState, dt: float, b: PeriodicFn, params: FluidParams,
         for j, a in enumerate(_RKF_A[stage]):
             y = y + dt * a * ks[j]
         stage_fh = _stacked_pair(y, fh, f"stage {stage}")
-        velocities = phi(stage_fh, b, params, surface_tension, n_y, run, stage)
-        ks.append(np.stack([u.values for u in velocities]))
+        rates = phi(stage_fh, b, params, surface_tension, n_y, run, stage)
+        ks.append(np.stack([u.values for u in rates]))
 
     y4 = y0 + dt * sum(w * k for w, k in zip(_RKF_B4, ks))
     err = dt * sum((b5 - b4) * k for b4, b5, k in zip(_RKF_B4, _RKF_B5, ks))
@@ -360,8 +355,8 @@ def simulate(config: SimConfig) -> Trajectory:
         slope, or None at the end."""
         operator = TransmissionOperator(fh, params, config.n_y)
         try:
-            gravity = _velocities(run.solve(operator, b, False,
-                                            None if config.surface_tension else 0))
+            gravity = velocities(run.solve(operator, b, False,
+                                           None if config.surface_tension else 0))
             report = _rt_report(fh, params, gravity)
             traj.record(t, fh, report, dt_used)
             if stop_on_rt and not report.satisfied:
@@ -371,7 +366,7 @@ def simulate(config: SimConfig) -> Trajectory:
             else:
                 slope = gravity
                 if config.surface_tension:
-                    slope = _velocities(run.solve(operator, b, True, 0))
+                    slope = velocities(run.solve(operator, b, True, 0))
                 return SimState(t=t, fh=fh, slope=slope)
         except SolverFailure as exc:
             fail("step_failure", "solver_failure", str(exc), SimState(t, fh), dt_used,
@@ -445,14 +440,13 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
                       n_y: int | None = None) -> np.ndarray:
     """Per-mode Jacobians of the interface velocities at a flat state.
 
-    The derivative of (df, dh) = (-B(f) v_minus, -B1 v_plus) along the
-    mode-m sine in each interface is the Frechet derivative of the boundary
-    operator applied to the base potentials plus the boundary operator
-    applied to the linearized potentials.  At an x-independent base the
-    modes decouple, so projecting back onto that sine gives a real 2x2
-    matrix per mode.  The base operator is factored once and every mode's
-    two linearized problems are solved on it.  Returns an array of shape
-    (len(modes), 2, 2); b and every mode are validated before any solve.
+    Column j of mode m is the derivative of the velocities along the mode-m
+    sine in interface j (:func:`~muskatlab.diffraction.velocity_derivative`)
+    projected back onto that sine.  At an x-independent base the modes
+    decouple, so the projection is a real 2x2 matrix per mode.  The base
+    operator is factored once and every mode's two linearized problems are
+    solved on it.  Returns an array of shape (len(modes), 2, 2); b and every
+    mode are validated before any solve.
     """
     _check_bottom_pressure(b)
     grid = fh.grid
@@ -462,23 +456,13 @@ def linearized_matrix(fh: InterfacePair, b: PeriodicFn, params: FluidParams,
     _assert_x_independent(b, "b")
 
     base = TransmissionOperator(fh, params, n_y).potentials(b, surface_tension)
-    minus_bc, top_bc = base.operator.minus_bc, base.operator.top_bc
     zero = PeriodicFn(grid, np.zeros(grid.n_x))
     out = np.empty((len(modes), 2, 2))
     for i, m in enumerate(modes):
         sine = PeriodicFn(grid, np.sin(m * grid.nodes))
         for j, delta in enumerate(((sine, zero), (zero, sine))):
-            # B_minus sees the lower interface only: its derivative vanishes along h
-            b_minus = (frechet_B_along("B_minus", fh, *delta, params, base.v_minus)
-                       if delta[0] is sine else None)
-            w_plus, w_minus = solve_linearized(base, *delta, b_minus)
-            lower = PeriodicFn(grid, minus_bc.apply(w_minus))
-            if b_minus is not None:
-                lower = b_minus + lower
-            upper = (frechet_B_along("B1", fh, *delta, params, base.v_plus)
-                     + PeriodicFn(grid, top_bc.apply(w_plus)))
-            out[i, :, j] = lower.values @ sine.values, upper.values @ sine.values
-    return -2.0 / grid.n_x * out
+            out[i, :, j] = [u.values @ sine.values for u in velocity_derivative(base, *delta)]
+    return 2.0 / grid.n_x * out
 
 
 def _mode_index(m, n_x: int) -> int:

@@ -528,7 +528,8 @@ class TestSpectrumCommand:
         started = time.perf_counter()
         assert main(["spectrum", "--config", str(path), "--modes", "1..1000000000000"]) == 1
         assert time.perf_counter() - started < 5.0
-        assert capsys.readouterr().err == "error: mode m must be below the Nyquist mode\n"
+        assert capsys.readouterr().err == ("error: mode m must satisfy 1 <= m < 16 "
+                                           "(below the Nyquist mode), got 16\n")
 
 
 class TestVerifyCommand:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muskatlab.diffraction as diffraction
 import muskatlab.operators as operators
@@ -20,9 +22,10 @@ from muskatlab.diffraction import (
     TransmissionOperator,
     check_complementing,
     solve_general,
-    solve_linearized,
+    velocities,
+    velocity_derivative,
 )
-from muskatlab.evolution import simulate
+from muskatlab.evolution import phi, simulate
 from muskatlab.geometry import (
     InterfacePair,
     PeriodicFn,
@@ -906,14 +909,14 @@ class TestSolvePotentialsST:
         pert = InterfacePair(base.f + eps * direction, base.h, -1.0)
         base_sol = TransmissionOperator(base, par, 16).potentials(b, True)
         pert_sol = TransmissionOperator(pert, par, 16).potentials(b, True)
-        w_plus, w_minus = solve_linearized(base_sol, direction, constant_fn(g, 0.0))
-        resid = np.max(np.abs(pert_sol.v_plus.values - base_sol.v_plus.values
-                              - eps * w_plus.values))
-        scale = eps * max(1.0, np.max(np.abs(w_plus.values)))
-        assert resid < 50 * eps * scale  # O(eps^2) remainder
+        derivative = velocity_derivative(base_sol, direction, constant_fn(g, 0.0))
+        for moved, still, rate in zip(velocities(pert_sol), velocities(base_sol), derivative):
+            resid = np.max(np.abs(moved.values - still.values - eps * rate.values))
+            scale = eps * max(1.0, np.max(np.abs(rate.values)))
+            assert resid < 50 * eps * scale  # O(eps^2) remainder
 
 
-class TestLinearizedSolves:
+class TestVelocityDerivative:
     @pytest.mark.parametrize("with_st", [False, True])
     def test_zero_direction(self, with_st):
         g = make_grid(16)
@@ -921,27 +924,29 @@ class TestLinearizedSolves:
         fh = wavy_pair(g)
         base_sol = TransmissionOperator(fh, par, 12).potentials(constant_fn(g, 0.5), with_st)
         zero = constant_fn(g, 0.0)
-        wp, wm = solve_linearized(base_sol, zero, zero)
-        assert np.max(np.abs(wp.values)) < 1e-10
-        assert np.max(np.abs(wm.values)) < 1e-10
+        for rate in velocity_derivative(base_sol, zero, zero):
+            assert np.max(np.abs(rate.values)) < 1e-10
 
-    def test_flat_equilibrium_pure_jump(self):
+    @pytest.mark.parametrize("which", ["f", "h"])
+    def test_flat_equilibrium_keeps_the_mode(self, which):
+        # an x-independent base decouples the modes: a mode of either
+        # interface moves both interfaces in that mode alone
         g = make_grid(16)
         fh = unit_pair(g)
-        grho = PAR.g * PAR.rho_plus
-        base_sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, grho))
-        direction = fn(g, np.sin)
-        wp, wm = solve_linearized(base_sol, direction, constant_fn(g, 0.0))
-        # interface jump imposed, outer data zero
-        jump = wp.values[:, 0] - wm.values[:, -1]
-        target = PAR.g * (PAR.rho_plus - PAR.rho_minus) * direction.values
-        assert np.max(np.abs(jump - target)) < 1e-10
-        assert np.max(np.abs(wp.values[:, -1])) < 1e-12
-        assert np.max(np.abs(wm.values[:, 0])) < 1e-12
+        b = constant_fn(g, PAR.g * PAR.rho_plus)
+        base_sol = TransmissionOperator(fh, PAR, 12).potentials(b)
+        direction = fn(g, lambda x: np.cos(2 * x))
+        zero = constant_fn(g, 0.0)
+        delta = (direction, zero) if which == "f" else (zero, direction)
+        for rate in velocity_derivative(base_sol, *delta):
+            amplitude = 2.0 / g.n_x * float(rate.values @ direction.values)
+            assert abs(amplitude) > 0.1
+            assert np.max(np.abs(rate.values - amplitude * direction.values)) < 1e-10
 
     @pytest.mark.parametrize("which", ["f", "h"])
     @pytest.mark.parametrize("with_st", [False, True])
-    def test_finite_difference_oracle(self, which, with_st):
+    def test_central_difference_of_phi(self, which, with_st):
+        # at a wavy state, where linearized_matrix does not reach
         g = make_grid(32)
         rng = np.random.default_rng(41)
         par = FluidParams(gamma_f=0.25, gamma_h=0.15) if with_st else PAR
@@ -951,35 +956,53 @@ class TestLinearizedSolves:
         base_sol = TransmissionOperator(fh, par, 16).potentials(b, with_st)
         zero = constant_fn(g, 0.0)
         delta = (direction, zero) if which == "f" else (zero, direction)
-        wp, wm = solve_linearized(base_sol, *delta)
+        derivative = velocity_derivative(base_sol, *delta)
 
-        def perturbed(eps):
-            if which == "f":
-                pert = InterfacePair(fh.f + eps * direction, fh.h, fh.d)
-            else:
-                pert = InterfacePair(fh.f, fh.h + eps * direction, fh.d)
-            return TransmissionOperator(pert, par, 16).potentials(b, with_st)
+        def moved(eps):
+            pair = InterfacePair(fh.f + eps * delta[0], fh.h + eps * delta[1], fh.d)
+            return phi(pair, b, par, with_st, n_y=16)
 
         errs = []
-        for eps in (1e-3, 5e-4, 2.5e-4):
-            sol = perturbed(eps)
-            err_p = np.max(np.abs((sol.v_plus.values - base_sol.v_plus.values) / eps
-                                  - wp.values))
-            err_m = np.max(np.abs((sol.v_minus.values - base_sol.v_minus.values) / eps
-                                  - wm.values))
-            errs.append(max(err_p, err_m))
+        for eps in (4e-3, 2e-3, 1e-3):
+            up, down = moved(eps), moved(-eps)
+            errs.append(max(np.max(np.abs((u.values - d.values) / (2 * eps) - rate.values))
+                            for u, d, rate in zip(up, down, derivative)))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(slopes - 1.0) < 0.25)
+        assert np.all(np.abs(slopes - 2.0) < 0.25)
 
-    def test_flat_equilibrium_h_direction(self):
-        g = make_grid(16)
-        fh = unit_pair(g)
-        grho = PAR.g * PAR.rho_plus
-        base_sol = TransmissionOperator(fh, PAR, 12).potentials(constant_fn(g, grho))
-        direction = fn(g, np.cos)
-        wp, wm = solve_linearized(base_sol, constant_fn(g, 0.0), direction)
-        assert np.max(np.abs(wp.values[:, -1] - grho * direction.values)) < 1e-11
-        assert np.max(np.abs(wm.values[:, 0])) < 1e-12
+
+LINEARITY_GRID = make_grid(16)
+directions = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).map(
+    lambda values: PeriodicFn(LINEARITY_GRID, np.array(values)))
+
+
+@pytest.fixture(scope="module")
+def wavy_st_solution():
+    par = FluidParams(gamma_f=0.25, gamma_h=0.15)
+    b = fn(LINEARITY_GRID, lambda x: 0.5 + 0.2 * np.cos(x))
+    return TransmissionOperator(wavy_pair(LINEARITY_GRID), par, 8).potentials(b, True)
+
+
+def assert_sum(rates, *terms):
+    """Each rate is the sum of its terms, to 1e-12 of the terms' sizes."""
+    for rate, parts in zip(rates, zip(*terms)):
+        scale = sum(np.max(np.abs(part)) for part in parts)
+        assert np.max(np.abs(rate.values - sum(parts))) <= 1e-12 * scale
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(u=directions, v=directions, a=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0))
+def test_velocity_derivative_is_linear(wavy_st_solution, u, v, a, c):
+    # the f-only part skips the lower strip's right-hand side and B_minus'
+    # v_minus; the split must not show in the sum
+    zero = constant_fn(LINEARITY_GRID, 0.0)
+    along_uv, along_vu = (velocity_derivative(wavy_st_solution, *delta)
+                          for delta in ((u, v), (v, u)))
+    f_part = velocity_derivative(wavy_st_solution, u, zero)
+    h_part = velocity_derivative(wavy_st_solution, zero, v)
+    assert_sum(along_uv, [p.values for p in f_part], [q.values for q in h_part])
+    assert_sum(velocity_derivative(wavy_st_solution, a * u + c * v, a * v + c * u),
+               [a * p.values for p in along_uv], [c * q.values for q in along_vu])
 
 
 class TestComplementing:

@@ -609,8 +609,8 @@ class TestLinearizedMatrix:
         assert len(factorizations) == 2
         direction = fn(g, np.sin)
         zero = constant_fn(g, 0.0)
-        diffraction.solve_linearized(base, direction, zero)
-        diffraction.solve_linearized(base, zero, direction)
+        diffraction.velocity_derivative(base, direction, zero)
+        diffraction.velocity_derivative(base, zero, direction)
         assert len(factorizations) == 2
 
     def test_lower_derivatives_built_once_and_only_along_f(self, monkeypatch):
@@ -625,8 +625,6 @@ class TestLinearizedMatrix:
                 return func(*args)
             return recorded
 
-        monkeypatch.setattr(evolution, "frechet_B_along",
-                            recording(evolution.frechet_B_along, "B"))
         monkeypatch.setattr(diffraction, "frechet_B_along",
                             recording(diffraction.frechet_B_along, "B"))
         monkeypatch.setattr(diffraction, "frechet_A_along",
@@ -709,8 +707,8 @@ class TestGeometryReuse:
 
         monkeypatch.setattr(geometry, "spectral_derivative", spectral_derivative)
         zero = constant_fn(g, 0.0)
-        diffraction.solve_linearized(base, direction, zero)
-        diffraction.solve_linearized(base, zero, direction)
+        diffraction.velocity_derivative(base, direction, zero)
+        diffraction.velocity_derivative(base, zero, direction)
         assert any(u is direction for u in differentiated)
         assert not any(u is fh.f or u is fh.h for u in differentiated)
 

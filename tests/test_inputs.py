@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from muskatlab.cli import main
-from muskatlab.config import SimConfig, WaveSpec
+from muskatlab.config import ConfigError, SimConfig, WaveSpec
 from muskatlab.diffraction import (
     DiffractionData,
     TransmissionOperator,
@@ -103,6 +103,30 @@ def test_overflowing_state_is_a_recorded_failure():
     assert traj.failure["message"] == OVERFLOW
     assert traj.failure["gap_plus"] == THIN_GAP
     assert traj.times == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_x", True, "n_x must be an integer, got True"),
+    ("n_y", 8.5, "n_y must be an integer, got 8.5"),
+    ("t_end", "1", "t_end must be a finite number, got '1'"),
+    ("rtol", np.nan, "rtol must be a finite number, got nan"),
+    ("surface_tension", "no", "surface_tension must be a boolean, got 'no'"),
+    ("stop_on_rt", 1, "stop_on_rt must be a boolean, got 1"),
+    ("out_dir", 5, "out_dir must be a string, got 5"),
+    ("snapshot_stride", 2.5, "snapshot_stride must be an integer, got 2.5"),
+])
+def test_python_config_checks_scalar_types(key, value, message):
+    # the JSON reader's rule, so simulate never sees a mistyped scalar
+    with pytest.raises(ConfigError) as raised:
+        SimConfig(**{"n_x": 16, "n_y": 8, "params": PAR, key: value})
+    assert str(raised.value) == message
+
+
+def test_python_config_reads_integral_floats_as_integers():
+    config = SimConfig(n_x=16.0, n_y=8, params=PAR, t_end=1, snapshot_stride=np.float64(2.0))
+    assert (config.n_x, config.t_end, config.snapshot_stride) == (16, 1.0, 2)
+    assert [type(v) for v in (config.n_x, config.t_end, config.snapshot_stride)] == [
+        int, float, int]
 
 
 def cli_config(tmp_path, **overrides):
