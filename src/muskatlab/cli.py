@@ -3,7 +3,7 @@
 Subcommands:
   simulate  integrate a configured run, write snapshot CSVs and metadata
   rtcheck   print the Rayleigh-Taylor margins of the initial state as JSON
-  symbols   tabulate the multiplier symbols (optionally with the ODE oracle)
+  symbols   tabulate the multiplier symbols (tau > 0: the ODE oracle alone)
   spectrum  tabulate per-mode linearization matrices and their eigenvalues
   verify    run the built-in oracle suite
 
@@ -122,6 +122,10 @@ def cmd_symbols(args) -> int:
     if not 0.0 <= args.tau <= 1.0:
         print("error: --tau must lie in [0, 1]", file=sys.stderr)
         return EXIT_CONFIG
+    if args.tau > 0.0 and not args.oracle:
+        print("error: --tau > 0 needs --oracle (the closed forms are those of tau = 0)",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if not np.isfinite(args.x):
         print("error: --x must be finite", file=sys.stderr)
         return EXIT_CONFIG
@@ -130,19 +134,16 @@ def cmd_symbols(args) -> int:
         b, config.surface_tension)
     fp = frozen_constants(sol, args.x)
 
+    def cells(value):
+        return "," if value is None else f"{_fmt(value.real)},{_fmt(value.imag)}"
+
     lines = ["family,m,re_formula,im_formula,re_oracle,im_oracle"]
     for m in range(1, args.m_max + 1):
-        lam = lambda_symbol(fp, m, args.tau)
-        phi_v = phi_symbol(fp, m, args.tau)
-        if args.oracle:
-            lam_o = ode_oracle_lambda(fp, m, args.tau).symbol_value
-            phi_o = ode_oracle_phi(fp, m, args.tau).symbol_value
-            lam_tail = f"{_fmt(lam_o.real)},{_fmt(lam_o.imag)}"
-            phi_tail = f"{_fmt(phi_o.real)},{_fmt(phi_o.imag)}"
-        else:
-            lam_tail = phi_tail = ","
-        lines.append(f"lambda,{m},{_fmt(lam.real)},{_fmt(lam.imag)},{lam_tail}")
-        lines.append(f"phi,{m},{_fmt(phi_v.real)},{_fmt(phi_v.imag)},{phi_tail}")
+        for family, closed_form, oracle in (("lambda", lambda_symbol, ode_oracle_lambda),
+                                            ("phi", phi_symbol, ode_oracle_phi)):
+            formula = closed_form(fp, m) if args.tau == 0.0 else None
+            value = oracle(fp, m, args.tau).symbol_value if args.oracle else None
+            lines.append(f"{family},{m},{cells(formula)},{cells(value)}")
     for m in range(1, args.m_max + 1):
         lines.append(f"lambda_st,{m},{_fmt(lambda_st_symbol(fp, m))},{_fmt(0.0)},,")
         lines.append(f"phi_st,{m},{_fmt(phi_st_symbol(fp, m))},{_fmt(0.0)},,")
@@ -183,15 +184,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results, info_lines = run_all(quick=args.quick)
+    results = run_all(quick=args.quick)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<{width}}  {status}  {r.detail}")
         all_ok &= r.passed
-    for line in info_lines:
-        print(f"{'report':<{width}}  INFO  {line}")
     print("verification:", "all checks passed" if all_ok else "FAILURES detected")
     return EXIT_OK if all_ok else EXIT_CONFIG
 
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
     p_sym.add_argument("--x", type=float, default=0.0,
                        help="freezing point on the circle")
     p_sym.add_argument("--oracle", action="store_true",
-                       help="add ODE-oracle columns")
+                       help="add ODE-oracle columns (needed for --tau > 0)")
     p_sym.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_sym.set_defaults(func=cmd_symbols)
 

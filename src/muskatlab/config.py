@@ -32,8 +32,23 @@ class WaveSpec:
     const: float = 0.0
     modes: tuple = ()  # entries (m, cos_amp, sin_amp)
 
+    def __post_init__(self):
+        # the JSON reader's rules; its messages prefix these names with the key
+        if not (isinstance(self.modes, (list, tuple))
+                and all(isinstance(e, (list, tuple)) and len(e) == 3 for e in self.modes)):
+            raise ConfigError("modes entries must be [m, cos_amp, sin_amp]")
+        modes = []
+        for m, cos_amp, sin_amp in self.modes:
+            m = _typed(m, int, "modes mode number")
+            if m <= 0:
+                raise ConfigError("modes: mode numbers must be positive")
+            modes.append((m, _typed(cos_amp, float, "modes amplitude"),
+                          _typed(sin_amp, float, "modes amplitude")))
+        object.__setattr__(self, "modes", tuple(modes))
+        object.__setattr__(self, "const", _typed(self.const, float, "const"))
+
     def build(self, grid: PeriodicGrid) -> PeriodicFn:
-        vals = np.full(grid.n_x, float(self.const))
+        vals = np.full(grid.n_x, self.const)
         for m, ca, sa in self.modes:
             vals += ca * np.cos(m * grid.nodes) + sa * np.sin(m * grid.nodes)
         return PeriodicFn(grid, vals)
@@ -41,19 +56,10 @@ class WaveSpec:
     @staticmethod
     def from_dict(obj: dict, where: str) -> "WaveSpec":
         _reject_unknown(obj, {f.name for f in fields(WaveSpec)}, where)
-        entries = obj.get("modes", [])
-        if not (isinstance(entries, list)
-                and all(isinstance(e, list) and len(e) == 3 for e in entries)):
-            raise ConfigError(f"{where}.modes entries must be [m, cos_amp, sin_amp]")
-        modes = []
-        for m, cos_amp, sin_amp in entries:
-            m = _typed(m, int, f"{where}.modes mode number")
-            if m <= 0:
-                raise ConfigError(f"{where}.modes: mode numbers must be positive")
-            modes.append((m, _typed(cos_amp, float, f"{where}.modes amplitude"),
-                          _typed(sin_amp, float, f"{where}.modes amplitude")))
-        return WaveSpec(const=_typed(obj.get("const", 0.0), float, f"{where}.const"),
-                        modes=tuple(modes))
+        try:
+            return WaveSpec(const=obj.get("const", 0.0), modes=obj.get("modes", []))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.{exc}") from None
 
     def to_dict(self) -> dict:
         return {"const": self.const, "modes": [list(m) for m in self.modes]}
@@ -112,11 +118,16 @@ class SimConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        # each scalar as its kind, by the JSON reader's rule, before any range check
+        # each scalar as its kind, by the JSON reader's rule, and each record of
+        # its class, before any range check
         for name, (kind, nullable) in _FIELDS.items():
             value = getattr(self, name)
-            if kind in _TYPE_NAMES and not (nullable and value is None):
+            if nullable and value is None:
+                continue
+            if kind in _TYPE_NAMES:
                 object.__setattr__(self, name, _typed(value, kind, name))
+            elif not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         for name in ("t_end", "rtol", "atol", "dt_init", "dt_max"):
             val = getattr(self, name)
             if val <= 0:

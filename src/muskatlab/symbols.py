@@ -8,8 +8,11 @@ the frozen constants from them; :func:`frozen_constants` reads those data off
 a solved state.  This module evaluates the closed-form symbols of the
 gravity-driven and surface-tension-driven linearizations at a point, and
 solves the per-mode two-point boundary value problems directly as an
-independent oracle for those formulas.  It also provides the resolvent
-(Marcinkiewicz-type) diagnostics and the parabolicity-region checks.
+independent oracle for those formulas.  The gravity-driven closed forms are
+those of tau = 0; for tau in (0, 1] the oracle is the only value.  It also
+provides the resolvent (Marcinkiewicz-type) diagnostics and the
+parabolicity-region checks, whose lower-interface jump is the
+Rayleigh-Taylor margin the evolution monitor computes.
 
 Hyperbolic ratios are evaluated in overflow-free form throughout; the
 oracle's boundary rows are scaled by sech(D m), which rescales equations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diffraction import DiffractionSolution
-from .geometry import InterfacePair, PeriodicFn
+from .geometry import PeriodicFn
 from .operators import FluidParams
 
 __all__ = [
@@ -185,53 +188,43 @@ def frozen_constants(base_solution: DiffractionSolution, x: float) -> FrozenPoin
 # Closed-form symbols
 
 
+def _check_args(m: int, tau: float = 0.0):
+    if m == 0:
+        raise ValueError("mode m must be nonzero")
+    if not 0.0 <= tau <= 1.0:  # NaN fails too
+        raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
+
+
 def _lambda_denominator(fp: FrozenPoint, m: int) -> float:
     return (np.tanh(fp.D_plus * m) / (fp.beta2_plus * fp.D_plus * m)
             + np.tanh(fp.D_minus * m) / (fp.beta2_minus * fp.D_minus * m))
 
 
-def lambda_symbol(fp: FrozenPoint, m: int, tau: float) -> complex:
-    """Closed-form per-mode symbol of the lower-interface linearization."""
-    if m == 0:
-        raise ValueError("mode m must be nonzero")
-    km = fp.params.k / fp.params.mu_minus
-    denom = _lambda_denominator(fp, m)
-    re = -(fp.Delta_rho + fp.Delta_A
-           + tau * fp.A_minus * np.cos(fp.D_minus * m) * _sech(fp.D_minus * m)
-           - tau * fp.A_plus * np.cos(fp.D_plus * m) * _sech(fp.D_plus * m)) / denom
-    im = (tau * km * (fp.a_minus * fp.dy_v_minus / (fp.a_minus**2 + fp.D_minus**2)
-                      + fp.dx_v_minus) * m
-          + tau / denom * (fp.A_minus * np.sin(fp.D_minus * m) * _sech(fp.D_minus * m)
-                           + fp.A_plus * np.sin(fp.D_plus * m) * _sech(fp.D_plus * m))
-          - tau / denom * np.tanh(fp.D_plus * m) / (fp.beta2_plus * fp.D_plus)
-          * (fp.beta1_plus * fp.A_plus - fp.beta1_minus * fp.A_minus - fp.B))
-    return complex(re, im)
+def lambda_symbol(fp: FrozenPoint, m: int) -> complex:
+    """Closed-form per-mode symbol of the lower-interface linearization at
+    tau = 0 (real); for tau > 0 read :func:`ode_oracle_lambda`."""
+    _check_args(m)
+    return complex(-(fp.Delta_rho + fp.Delta_A) / _lambda_denominator(fp, m), 0.0)
 
 
-def phi_symbol(fp: FrozenPoint, m: int, tau: float) -> complex:
-    """Closed-form per-mode symbol of the upper-interface linearization."""
-    if m == 0:
-        raise ValueError("mode m must be nonzero")
+def phi_symbol(fp: FrozenPoint, m: int) -> complex:
+    """Closed-form per-mode symbol of the upper-interface linearization at
+    tau = 0 (real); for tau > 0 read :func:`ode_oracle_phi`."""
+    _check_args(m)
     kp = fp.params.k / fp.params.mu_plus
     g_rho = fp.params.g * fp.params.rho_plus
-    mu_m = kp * (g_rho - fp.V) * m / np.tanh(fp.D1 * m)
-    nu_m = tau * kp * fp.V * m * np.cos(fp.a1 * m) * _csch(fp.D1 * m)
-    im = tau * kp * (fp.a1 * ((2.0 - tau) * fp.V - g_rho) * m / fp.D1
-                     + fp.V * m * np.sin(fp.a1 * m) * _csch(fp.D1 * m))
-    return complex(-mu_m - nu_m, im)
+    return complex(-kp * (g_rho - fp.V) * m / np.tanh(fp.D1 * m), 0.0)
 
 
 def lambda_st_symbol(fp: FrozenPoint, m: int) -> float:
     """Surface-tension symbol of the lower-interface linearization (real)."""
-    if m == 0:
-        raise ValueError("mode m must be nonzero")
+    _check_args(m)
     return -fp.V_f * m**2 / _lambda_denominator(fp, m)
 
 
 def phi_st_symbol(fp: FrozenPoint, m: int) -> float:
     """Surface-tension symbol of the upper-interface linearization (real)."""
-    if m == 0:
-        raise ValueError("mode m must be nonzero")
+    _check_args(m)
     return -(fp.params.k / fp.params.mu_plus) * fp.V_h * m**3 / np.tanh(fp.D1 * m)
 
 
@@ -284,8 +277,7 @@ def ode_oracle_lambda(fp: FrozenPoint, m: int, tau: float) -> SymbolODESolution:
     traces of the lower solution combined with the frozen boundary operator,
     independently of the closed-form symbol expressions.
     """
-    if m == 0:
-        raise ValueError("mode m must be nonzero")
+    _check_args(m, tau)
     km = fp.params.k / fp.params.mu_minus
 
     mat = np.zeros((8, 8))
@@ -345,8 +337,7 @@ def ode_oracle_phi(fp: FrozenPoint, m: int, tau: float) -> SymbolODESolution:
     growth eliminated analytically) before the frozen top boundary operator
     is applied.
     """
-    if m == 0:
-        raise ValueError("mode m must be nonzero")
+    _check_args(m, tau)
     kp = fp.params.k / fp.params.mu_plus
     g_rho = fp.params.g * fp.params.rho_plus
     g_top = g_rho - (1.0 - tau) * fp.V
@@ -438,48 +429,47 @@ def _c2_norm(u: PeriodicFn) -> float:
     return float(sum(np.max(np.abs(a)) for a in (u.values, *u.derivatives)))
 
 
-def _common_margins(base: InterfacePair, sigma: float) -> tuple[dict, float]:
-    """(the gap and norm margins, 1 / sigma) of either region at level sigma."""
+def _region_report(base_solution: DiffractionSolution, sigma: float, jump,
+                   traces) -> RegionReport:
+    """Margins of a parabolicity region at level sigma, given its pointwise
+    jump margins at sigma = 0 and the traces bounded by 1 / sigma: the
+    smaller layer gap and the jump against sigma, the interfaces' C^2 norms
+    and the traces' summed sup norms against 1 / sigma."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    base = base_solution.operator.fh
     gap = min(float(np.min(base.gap_minus.values)), float(np.min(base.gap_plus.values)))
     inv_sigma = np.inf if sigma == 0.0 else 1.0 / sigma
-    return {
+    margins = {
         "gap": gap - sigma,
         "norm": inv_sigma - (_c2_norm(base.f) + _c2_norm(base.h)),
-    }, inv_sigma
+        "jump": float(np.min(jump - sigma)),
+        "trace": float(inv_sigma - sum(np.max(np.abs(t)) for t in traces)),
+    }
+    worst = min(margins.values())
+    return RegionReport(ok=worst > 0, worst_margin=float(worst), margins=margins)
 
 
 def region_check_S(base_solution: DiffractionSolution, sigma: float) -> RegionReport:
     """Slack of the lower-interface parabolicity region at level sigma.
 
-    The trace condition admits two readings of which gap divides which
-    trace, and both margins are reported: 'jump_printed' follows the region
-    definition as stated and decides ok, 'jump_delta_a' pairs each trace
-    with its own layer gap (the pairing the frozen constants use).
+    The jump condition pairs each shared-interface trace with its own layer
+    gap, g (rho_- - rho_+) - (dy v_- / gap_- - dy v_+ / gap_+) > sigma; at
+    sigma = 0 and a flat f this is the Rayleigh-Taylor margin_f of
+    ``evolution.rayleigh_taylor``, since the flux row equates the co-normal
+    traces.
     """
     base, params = base_solution.operator.fh, base_solution.operator.params
-    margins, inv_sigma = _common_margins(base, sigma)
     dy_m = base_solution.tr0_dy_vminus.values
     dy_p = base_solution.tr0_dy_vplus.values
-    gap_minus = base.gap_minus.values
-    gap_plus = base.gap_plus.values
     drho = params.g * (params.rho_minus - params.rho_plus)
-    margins["jump_printed"] = float(np.min(drho - sigma - (dy_m / gap_plus - dy_p / gap_minus)))
-    margins["jump_delta_a"] = float(np.min(drho - sigma - (dy_m / gap_minus - dy_p / gap_plus)))
-    margins["trace"] = inv_sigma - (np.max(np.abs(dy_p)) + np.max(np.abs(dy_m)))
-    worst = min(margins["gap"], margins["norm"], margins["jump_printed"], margins["trace"])
-    return RegionReport(ok=worst > 0, worst_margin=float(worst), margins=margins)
+    jump = drho - (dy_m / base.gap_minus.values - dy_p / base.gap_plus.values)
+    return _region_report(base_solution, sigma, jump, (dy_p, dy_m))
 
 
 def region_check_R(base_solution: DiffractionSolution, sigma: float) -> RegionReport:
     """Slack of the upper-interface parabolicity region at level sigma."""
     base, params = base_solution.operator.fh, base_solution.operator.params
-    margins, inv_sigma = _common_margins(base, sigma)
     dy_top = base_solution.tr1_dy_vplus.values
-    gap_plus = base.gap_plus.values
-    g_rho = params.g * params.rho_plus
-    margins["jump"] = float(np.min(g_rho - sigma - dy_top / gap_plus))
-    margins["trace"] = inv_sigma - np.max(np.abs(dy_top))
-    worst = min(margins.values())
-    return RegionReport(ok=worst > 0, worst_margin=float(worst), margins=margins)
+    jump = params.g * params.rho_plus - dy_top / base.gap_plus.values
+    return _region_report(base_solution, sigma, jump, (dy_top,))

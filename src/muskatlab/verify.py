@@ -4,11 +4,9 @@ Each check pits an implementation path against an independent oracle:
 pulled-back harmonics against both strip operators, discretely manufactured
 data and closed forms against the transmission solver, finite differences
 against the directional derivatives, the closed-form symbols against the
-per-mode boundary value problems, and a randomized ellipticity sweep
-against the boundary-ODE quantity.  The symbol check also reports how far
-the printed symbol expressions drift from the boundary-value oracle away
-from equilibria (they agree only where the ambiguous terms vanish; the
-oracle is authoritative there).
+per-mode boundary value problems (at tau = 0, and at a flat equilibrium for
+every tau), and a randomized ellipticity sweep against the boundary-ODE
+quantity.
 
 Each check is implemented once, as check_*_at with its sizes or seed as
 arguments; the acceptance criteria and tests call these, and check_*(quick)
@@ -207,32 +205,27 @@ def random_frozen_point(rng):
         params=params)
 
 
-def check_symbols_oracle_at(seed: int, n_points: int):
+def check_symbols_oracle_at(seed: int, n_points: int) -> CheckResult:
     """The closed-form symbols against the per-mode boundary-value oracle.
 
-    At n_points random frozen points and modes drawn from seed, the tau = 0
-    symbols must match the oracle (gap < 1e-9) with boundary residuals
-    < 1e-10; at the flat equilibrium, where the tau-coupled constants
-    vanish, they must match for tau in {0.25, 0.5, 0.75, 1} and m in
-    {1, 2, 4, 8, 16} (gap < 1e-9).  Returns (result, info), info reporting
-    the tau = 1 gap off equilibrium, which is expected to be nonzero.
+    At n_points random frozen points and modes drawn from seed, the
+    symbols must match the oracle at tau = 0 (gap < 1e-9) with boundary
+    residuals < 1e-10; at the flat equilibrium, where the tau-coupled
+    constants vanish, they must match the oracle for tau in
+    {0.25, 0.5, 0.75, 1} and m in {1, 2, 4, 8, 16} (gap < 1e-9).
     """
     rng = np.random.default_rng(seed)
     worst_tau0 = 0.0
     worst_resid = 0.0
-    tau1_disc = 0.0
     for _ in range(n_points):
         fp = random_frozen_point(rng)
         m = int(rng.integers(1, 33))
         lam_o = symbols.ode_oracle_lambda(fp, m, 0.0)
         phi_o = symbols.ode_oracle_phi(fp, m, 0.0)
         worst_tau0 = max(worst_tau0,
-                         abs(lam_o.symbol_value - symbols.lambda_symbol(fp, m, 0.0)),
-                         abs(phi_o.symbol_value - symbols.phi_symbol(fp, m, 0.0)))
+                         abs(lam_o.symbol_value - symbols.lambda_symbol(fp, m)),
+                         abs(phi_o.symbol_value - symbols.phi_symbol(fp, m)))
         worst_resid = max(worst_resid, lam_o.residual, phi_o.residual)
-        lam_1 = symbols.ode_oracle_lambda(fp, m, 1.0)
-        tau1_disc = max(tau1_disc,
-                        abs(lam_1.symbol_value - symbols.lambda_symbol(fp, m, 1.0)))
 
     fp_eq = symbols.frozen_from_local_data(0, 0, 1, 1, 0, 0, 0, 0, 0, 0, FluidParams())
     worst_eq = 0.0
@@ -241,21 +234,18 @@ def check_symbols_oracle_at(seed: int, n_points: int):
             worst_eq = max(
                 worst_eq,
                 abs(symbols.ode_oracle_lambda(fp_eq, m, tau).symbol_value
-                    - symbols.lambda_symbol(fp_eq, m, tau)),
+                    - symbols.lambda_symbol(fp_eq, m)),
                 abs(symbols.ode_oracle_phi(fp_eq, m, tau).symbol_value
-                    - symbols.phi_symbol(fp_eq, m, tau)))
+                    - symbols.phi_symbol(fp_eq, m)))
 
     ok = worst_tau0 < 1e-9 and worst_eq < 1e-9 and worst_resid < 1e-10
-    result = CheckResult(
+    return CheckResult(
         "symbols-vs-ode-oracle", ok,
         f"{n_points} points: tau=0 max gap {worst_tau0:.1e} (< 1e-9), "
         f"residuals {worst_resid:.1e} (< 1e-10), equilibrium {worst_eq:.1e} (< 1e-9)")
-    info = (f"tau=1 printed-formula vs oracle gap off equilibrium: {tau1_disc:.3e} "
-            "(nonzero expected; the boundary-value oracle is authoritative)")
-    return result, info
 
 
-def check_symbols_oracle(quick: bool = False):
+def check_symbols_oracle(quick: bool = False) -> CheckResult:
     return check_symbols_oracle_at(777, 20 if quick else 100)
 
 
@@ -283,14 +273,12 @@ def check_complementing_sweep(quick: bool = False) -> CheckResult:
     return check_complementing_sweep_at(4096, 2000 if quick else 10_000)
 
 
-def run_all(quick: bool = False):
-    """Run every check; returns (results, info_lines)."""
-    results = [
+def run_all(quick: bool = False) -> list[CheckResult]:
+    """Run every check."""
+    return [
         check_harmonic_pullback(quick),
         check_manufactured(quick),
         check_frechet(quick),
+        check_symbols_oracle(quick),
+        check_complementing_sweep(quick),
     ]
-    sym_result, info = check_symbols_oracle(quick)
-    results.append(sym_result)
-    results.append(check_complementing_sweep(quick))
-    return results, [info]

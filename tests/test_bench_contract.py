@@ -51,7 +51,7 @@ def test_every_traced_layer_records_spans():
         report = muskatlab.rayleigh_taylor(flat, constant_fn(g, 1.0), FluidParams(), n_y=8)
         fp = muskatlab.frozen_constants(muskatlab.TransmissionOperator(
             flat, FluidParams(), 8).potentials(constant_fn(g, 0.0)), 0.5)
-        formula = muskatlab.phi_symbol(fp, 2, 0.0)
+        formula = muskatlab.phi_symbol(fp, 2)
         oracle = muskatlab.ode_oracle_phi(fp, 2, 0.0).symbol_value
     finally:
         tracer.uninstall()

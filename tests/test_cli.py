@@ -461,6 +461,27 @@ class TestSymbolsCommand:
         path = write_config(tmp_path)
         assert main(["symbols", "--config", str(path), "--m-max", "0"]) == 1
 
+    def test_positive_tau_needs_the_oracle(self, tmp_path, capsys):
+        # the closed forms are those of tau = 0
+        path = write_config(tmp_path)
+        assert main(["symbols", "--config", str(path), "--m-max", "2", "--tau", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tau > 0 needs --oracle")
+
+    def test_positive_tau_prints_the_oracle_alone(self, tmp_path, capsys):
+        path = write_config(tmp_path, initial={
+            "f": {"const": 0.0, "modes": [[1, 0.1, 0.0]]},
+            "h": {"const": 1.0, "modes": []}})
+        assert main(["symbols", "--config", str(path), "--m-max", "4", "--tau", "0.5",
+                     "--x", "0.3", "--oracle"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        gravity = [fields for fields in rows if fields[0] in ("lambda", "phi")]
+        assert len(gravity) == 8
+        for fields in gravity:
+            assert fields[2:4] == ["", ""]
+            assert all(np.isfinite(float(v)) for v in fields[4:6])
+
     @pytest.mark.parametrize("x", ["nan", "inf"])
     def test_nonfinite_x_rejected(self, tmp_path, capsys, x):
         path = write_config(tmp_path)
@@ -542,6 +563,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out.replace("FAILURES", "")
+
+    def test_verify_prints_one_line_per_check(self, capsys):
+        assert main(["verify", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and lines[-1] == "verification: all checks passed"
+        assert all("  PASS  " in line for line in lines[:5])
+        assert not any("INFO" in line for line in lines)
 
     def test_corrupted_coefficients_detected(self, capsys, monkeypatch):
         # mutation probe: a wrong interior coefficient must trip the suite

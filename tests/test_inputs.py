@@ -129,6 +129,52 @@ def test_python_config_reads_integral_floats_as_integers():
         int, float, int]
 
 
+WAVE_FAULTS = [  # (const, modes), the message, the JSON reader's message at initial.f
+    ((0.0, ((1.5, 0.1, 0.0),)), "modes mode number must be an integer, got 1.5"),
+    ((0.0, ((-2, 0.1, 0.0),)), "modes: mode numbers must be positive"),
+    ((0.0, ((1, np.nan, 0.0),)), "modes amplitude must be a finite number, got nan"),
+    ((0.0, ((1, 0.1, "0"),)), "modes amplitude must be a finite number, got '0'"),
+    ((0.0, ((1, 0.1),)), "modes entries must be [m, cos_amp, sin_amp]"),
+    ((np.inf, ()), "const must be a finite number, got inf"),
+]
+
+
+@pytest.mark.parametrize("spec, message", WAVE_FAULTS)
+def test_python_wave_spec_checks_its_entries(spec, message):
+    # a non-integral mode would sample a non-periodic profile
+    const, modes = spec
+    with pytest.raises(ConfigError) as raised:
+        WaveSpec(const=const, modes=modes)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("spec, message", WAVE_FAULTS)
+def test_json_wave_spec_messages_name_their_key(tmp_path, spec, message):
+    const, modes = spec
+    path = cli_config(tmp_path, **{"initial.f": {"const": const, "modes": [list(m) for m in modes]}})
+    with pytest.raises(ConfigError) as raised:
+        SimConfig.from_json(path)
+    assert str(raised.value) == f"initial.f.{message}"
+
+
+def test_python_wave_spec_reads_its_numbers():
+    spec = WaveSpec(const=1, modes=[[2.0, 1, 0.5]])
+    assert spec == WaveSpec(const=1.0, modes=((2, 1.0, 0.5),))
+    assert [type(v) for v in (spec.const, *spec.modes[0])] == [float, int, float, float]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("params", {"g": 1.0}, "params must be a FluidParams, got {'g': 1.0}"),
+    ("f0", {"const": 0.0}, "f0 must be a WaveSpec, got {'const': 0.0}"),
+    ("h0", 1.0, "h0 must be a WaveSpec, got 1.0"),
+    ("b", None, "b must be a WaveSpec, got None"),
+])
+def test_python_config_checks_its_records(key, value, message):
+    with pytest.raises(ConfigError) as raised:
+        SimConfig(**{"n_x": 16, "n_y": 8, "params": PAR, key: value})
+    assert str(raised.value) == message
+
+
 def cli_config(tmp_path, **overrides):
     cfg = {"schema": 1, "n_x": 16, "n_y": 8,
            "params": {"k": 1.0, "mu_minus": 1.0, "mu_plus": 1.0, "rho_minus": 2.0,

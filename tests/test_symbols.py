@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muskatlab.diffraction import TransmissionOperator
+from muskatlab.evolution import rayleigh_taylor
 from muskatlab.geometry import InterfacePair, constant_fn, from_callable, make_grid
 from muskatlab.operators import FluidParams
 from muskatlab.symbols import (
@@ -105,13 +108,15 @@ class TestFrozenConstants:
 class TestClosedFormSymbols:
     def test_flat_equilibrium_lambda(self):
         fp = flat_equilibrium_fp()
-        for tau in (0.0, 0.4, 1.0):
-            val = lambda_symbol(fp, 1, tau)
-            assert abs(val - (-1.0 / (2 * np.tanh(1.0)))) < 1e-12
+        val = lambda_symbol(fp, 1)
+        assert abs(val - (-1.0 / (2 * np.tanh(1.0)))) < 1e-12
+        # where the tau-coupled constants vanish, the oracle keeps it at every tau
+        for tau in (0.4, 1.0):
+            assert abs(ode_oracle_lambda(fp, 1, tau).symbol_value - val) < 1e-12
 
     def test_flat_equilibrium_phi(self):
         fp = flat_equilibrium_fp()
-        val = phi_symbol(fp, 1, 0.0)
+        val = phi_symbol(fp, 1)
         assert abs(val - (-1.0 / np.tanh(1.0))) < 1e-12
 
     def test_phi_reads_the_fluid_of_its_point(self):
@@ -119,7 +124,7 @@ class TestClosedFormSymbols:
         par = FluidParams(mu_minus=2.0, mu_plus=3.0, rho_plus=0.5)
         fp = frozen_from_local_data(0.2, -0.3, 0.8, 1.2, 0.1, -0.2, 0.3, 0.1, 0.4, -0.1, par)
         for m in (1, 3, 8):
-            val = phi_symbol(fp, m, 0.0)
+            val = phi_symbol(fp, m)
             target = (-(par.k / par.mu_plus) * (par.g * par.rho_plus - fp.V)
                       * m / np.tanh(fp.D1 * m))
             assert abs(val - target) < 1e-12 * abs(target)
@@ -130,17 +135,18 @@ class TestClosedFormSymbols:
         for _ in range(20):
             fp = random_frozen_point(rng)
             m = int(rng.integers(1, 20))
-            assert lambda_symbol(fp, m, 0.0).imag == 0.0
-            assert phi_symbol(fp, m, 0.0).imag == 0.0
+            assert lambda_symbol(fp, m).imag == 0.0
+            assert phi_symbol(fp, m).imag == 0.0
 
     def test_v_zero_kills_phi_imaginary_and_nu(self):
+        # with no top trace and a flat top, phi's oracle is the closed form at every tau
         rng = np.random.default_rng(71)
         params = random_frozen_point(rng).params
         fp = frozen_from_local_data(0.0, 0.0, 1.0, 1.5, 0.4, -0.2, 0.1, 0.3, 0.0, 0.0,
                                     params)
-        for tau in (0.0, 0.5, 1.0):
-            val = phi_symbol(fp, 3, tau)
-            assert val.imag == 0.0
+        val = phi_symbol(fp, 3)
+        for tau in (0.5, 1.0):
+            assert abs(ode_oracle_phi(fp, 3, tau).symbol_value - val) < 1e-12 * abs(val)
 
     def test_large_m_asymptote(self):
         rng = np.random.default_rng(73)
@@ -148,7 +154,7 @@ class TestClosedFormSymbols:
         if fp.Delta_rho + fp.Delta_A == 0:
             pytest.skip("degenerate draw")
         m = 200
-        val = lambda_symbol(fp, m, 0.0).real / m
+        val = lambda_symbol(fp, m).real / m
         target = -(fp.Delta_rho + fp.Delta_A) / (
             1.0 / (fp.beta2_plus * fp.D_plus) + 1.0 / (fp.beta2_minus * fp.D_minus))
         assert abs(val - target) < 1e-6 * max(1.0, abs(target))
@@ -157,20 +163,17 @@ class TestClosedFormSymbols:
         rng = np.random.default_rng(79)
         fp = random_frozen_point(rng)
         for m in (1, 4, 9):
-            for tau in (0.0, 0.6, 1.0):
-                lam_p = lambda_symbol(fp, m, tau)
-                lam_n = lambda_symbol(fp, -m, tau)
-                assert abs(lam_p - np.conj(lam_n)) < 1e-12 * max(1.0, abs(lam_p))
-                phi_p = phi_symbol(fp, m, tau)
-                phi_n = phi_symbol(fp, -m, tau)
-                assert abs(phi_p - np.conj(phi_n)) < 1e-12 * max(1.0, abs(phi_p))
+            lam_p, lam_n = lambda_symbol(fp, m), lambda_symbol(fp, -m)
+            assert abs(lam_p - np.conj(lam_n)) < 1e-12 * max(1.0, abs(lam_p))
+            phi_p, phi_n = phi_symbol(fp, m), phi_symbol(fp, -m)
+            assert abs(phi_p - np.conj(phi_n)) < 1e-12 * max(1.0, abs(phi_p))
             assert lambda_st_symbol(fp, m) == lambda_st_symbol(fp, -m)
             assert phi_st_symbol(fp, m) == phi_st_symbol(fp, -m)
 
     def test_zero_mode_rejected(self):
         fp = flat_equilibrium_fp()
-        for func in (lambda: lambda_symbol(fp, 0, 0.0),
-                     lambda: phi_symbol(fp, 0, 0.0),
+        for func in (lambda: lambda_symbol(fp, 0),
+                     lambda: phi_symbol(fp, 0),
                      lambda: lambda_st_symbol(fp, 0),
                      lambda: phi_st_symbol(fp, 0)):
             with pytest.raises(ValueError):
@@ -180,13 +183,13 @@ class TestClosedFormSymbols:
         # RT-satisfied flat state (two-layer flow with b = 0)
         fp = frozen_from_local_data(0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, PAR)
         for m in range(1, 65):
-            assert lambda_symbol(fp, m, 0.0).real < 0
-            assert phi_symbol(fp, m, 0.0).real < 0
+            assert lambda_symbol(fp, m).real < 0
+            assert phi_symbol(fp, m).real < 0
         # reversed densities at equilibrium: growth at every mode
         par_rev = FluidParams(rho_minus=1.0, rho_plus=2.0)
         fp_rev = flat_equilibrium_fp(par_rev)
         for m in range(1, 65):
-            assert lambda_symbol(fp_rev, m, 0.0).real > 0
+            assert lambda_symbol(fp_rev, m).real > 0
 
 
 class TestSurfaceTensionSymbols:
@@ -226,7 +229,7 @@ class TestODEOracle:
             assert abs(phi.symbol_value - (-1.0 / np.tanh(1.0))) < 1e-12
 
     def test_tau_zero_equivalence_random(self):
-        result, _ = check_symbols_oracle_at(89, 100)
+        result = check_symbols_oracle_at(89, 100)
         assert result.passed, result.detail
 
     def test_boundary_residuals_small(self):
@@ -278,14 +281,12 @@ class TestODEOracle:
             b = ode_oracle_lambda(fp, -6, tau).symbol_value
             assert abs(a - np.conj(b)) < 1e-10 * max(1.0, abs(a))
 
-    def test_tau_positive_printed_formulas_disagree_off_equilibrium(self):
-        # the printed tau-dependent terms do not match the boundary value
-        # problem away from equilibrium; the oracle is the reference
-        rng = np.random.default_rng(107)
-        fp = random_frozen_point(rng)
-        diff = abs(ode_oracle_lambda(fp, 2, 1.0).symbol_value
-                   - lambda_symbol(fp, 2, 1.0))
-        assert np.isfinite(diff)
+    @pytest.mark.parametrize("oracle", [ode_oracle_lambda, ode_oracle_phi],
+                             ids=["lambda", "phi"])
+    @pytest.mark.parametrize("tau", [-1.0, 2.5, np.nan])
+    def test_tau_outside_unit_interval_rejected(self, oracle, tau):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            oracle(flat_equilibrium_fp(), 3, tau)
 
 
 class TestMarcinkiewicz:
@@ -298,8 +299,8 @@ class TestMarcinkiewicz:
 
     def test_flat_equilibrium_sequences_stable(self):
         fp = flat_equilibrium_fp()
-        for make in (lambda m: lambda_symbol(fp, m, 0.0),
-                     lambda m: phi_symbol(fp, m, 0.0)):
+        for make in (lambda m: lambda_symbol(fp, m),
+                     lambda m: phi_symbol(fp, m)):
             seq_256 = np.array([make(m) for m in range(1, 257)])
             seq_512 = np.array([make(m) for m in range(1, 513)])
             r1 = marcinkiewicz_check(seq_256, lam=10.0)
@@ -310,14 +311,14 @@ class TestMarcinkiewicz:
 
     def test_pole_guard(self):
         fp = flat_equilibrium_fp()
-        seq = np.array([lambda_symbol(fp, m, 0.0) for m in range(1, 65)])
+        seq = np.array([lambda_symbol(fp, m) for m in range(1, 65)])
         top = np.max(seq.real)
         with pytest.raises(ValueError):
             marcinkiewicz_check(seq, lam=complex(top, 0.3))
 
     def test_divergence_near_spectrum(self):
         fp = flat_equilibrium_fp()
-        seq = np.array([lambda_symbol(fp, m, 0.0) for m in range(1, 65)])
+        seq = np.array([lambda_symbol(fp, m) for m in range(1, 65)])
         top = np.max(seq.real)
         close = marcinkiewicz_check(seq, lam=top + 1e-8)
         far = marcinkiewicz_check(seq, lam=top + 1.0)
@@ -349,9 +350,40 @@ class TestRegionChecks:
         assert region_check_S(sol, sigma=0.0).ok
         assert region_check_R(sol, sigma=0.0).ok
 
-    def test_both_pairings_reported(self):
-        # unequal gaps distinguish the two readings of the trace condition
-        sol = self._flat_state(0.0, h_val=2.0)
-        rep = region_check_S(sol, sigma=0.0)
-        assert "jump_printed" in rep.margins and "jump_delta_a" in rep.margins
-        assert abs(rep.margins["jump_printed"] - rep.margins["jump_delta_a"]) > 0.1
+    @staticmethod
+    def _jump_and_rt_margin(fh, b, params):
+        sol = TransmissionOperator(fh, params, 16).potentials(b)
+        return (region_check_S(sol, sigma=0.0).margins["jump"],
+                rayleigh_taylor(fh, b, params, n_y=16).margin_f)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(fluid=st.tuples(*[st.floats(0.3, 3.0)] * 2, *[st.floats(0.0, 3.0)] * 2,
+                           st.floats(0.2, 2.0)),
+           f_wave=st.tuples(st.integers(1, 3), st.floats(-0.3, 0.3), st.floats(0.0, 6.0)),
+           h_wave=st.tuples(st.integers(1, 3), st.floats(-0.3, 0.3)),
+           gaps=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+           b_wave=st.tuples(st.floats(-2.0, 3.0), st.floats(-0.5, 0.5)))
+    def test_jump_has_the_sign_of_the_rt_margin(self, fluid, f_wave, h_wave, gaps, b_wave):
+        mu_minus, mu_plus, rho_minus, rho_plus, g = fluid
+        params = FluidParams(mu_minus=mu_minus, mu_plus=mu_plus, rho_minus=rho_minus,
+                             rho_plus=rho_plus, g=g)
+        (mf, slope_f, phase), (mh, slope_h) = f_wave, h_wave  # slopes up to 0.3
+        grid = make_grid(32)
+        fh = InterfacePair(
+            from_callable(grid, lambda x: slope_f / mf * np.sin(mf * x + phase)),
+            from_callable(grid, lambda x: gaps[1] + slope_h / mh * np.cos(mh * x)), -gaps[0])
+        b = from_callable(grid, lambda x: b_wave[0] + b_wave[1] * np.sin(x))
+        jump, margin_f = self._jump_and_rt_margin(fh, b, params)
+        if abs(margin_f) > 0.02 * g * abs(rho_minus - rho_plus):
+            assert np.sign(jump) == np.sign(margin_f), (jump, margin_f)
+
+    def test_jump_is_the_rt_margin_on_a_flat_f(self):
+        # unequal viscosities and gaps; wavy h and bottom pressure
+        params = FluidParams(mu_minus=0.5, mu_plus=2.0, rho_minus=1.0, rho_plus=1.5)
+        grid = make_grid(32)
+        fh = InterfacePair(constant_fn(grid, 0.0),
+                           from_callable(grid, lambda x: 1.4 + 0.1 * np.cos(2 * x)), -0.7)
+        b = from_callable(grid, lambda x: 2.5 + 0.3 * np.sin(x))
+        jump, margin_f = self._jump_and_rt_margin(fh, b, params)
+        assert abs(margin_f) > 0.1
+        assert abs(jump - margin_f) < 1e-10 * abs(margin_f)
